@@ -37,8 +37,11 @@ from .intlat import (
     IVec,
     as_digit_list,
     canonical_residue,
+    character_phases,
     complete_representatives,
+    inverse_image,
     is_simple_digit_set,
+    residues_unique,
 )
 from .measure import FourierEval, attractor_box
 from .spectra import cover_constants
@@ -65,20 +68,23 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # singular value bounds
 
+# matrix entries formed at a time by the blocked Gram and power iterations;
+# small next to a dense_cap-sized Gram, so the blocks add little to its peak
+_BLOCK = 2**18
 
-def _digit_points(pair: AffinePair, n: int, cap: int) -> np.ndarray:
-    """R^{-n} B_n as float rows."""
-    sums = digit_sums(pair.R, pair.B, n, cap=cap)
-    Rninv = np.linalg.matrix_power(np.linalg.inv(pair.R.to_array()), n)
-    return np.array(sums, dtype=float) @ Rninv.T
+
+def _characters(M: IntMatrix, rows, cols) -> np.ndarray:
+    """exp(-2 pi i <M^{-1} c, l>), rows l over columns c, from the exact kernel."""
+    P = -2j * np.pi * character_phases(M, rows, cols)
+    return np.exp(P, out=P)
 
 
 def frame_matrix(pair: AffinePair, n: int, J, cap: int = 2**20) -> np.ndarray:
     """The dense level-n matrix, frequency rows over digit columns."""
-    lam = np.array(as_digit_list(J), dtype=float)
-    pts = _digit_points(pair, n, cap)
-    phases = lam @ pts.T
-    return np.exp(-2j * np.pi * phases) / math.sqrt(pair.N**n)
+    sums = digit_sums(pair.R, pair.B, n, cap=cap)
+    F = _characters(pair.R.pow(n), as_digit_list(J), sums)
+    F /= math.sqrt(pair.N**n)
+    return F
 
 
 def frame_matrix_bounds(
@@ -93,38 +99,55 @@ def frame_matrix_bounds(
 ) -> tuple[float, float]:
     """Extreme squared singular values of the level-n matrix for rows J.
 
-    Dense eigensolve of the digit-side Gram while N^n <= dense_cap; beyond
-    that a power iteration on F*F (and on its spectral complement for the
-    small end), chunked so the Gram matrix is never formed.
+    With fewer rows than the N^n columns the rank is short, so sigma_min^2
+    is exactly 0 and only sigma_max^2 is computed.  While the shorter side
+    has at most dense_cap entries, its Gram matrix (F F* for a wide matrix,
+    F*F otherwise) is summed over blocks of the longer side and solved
+    densely; beyond that a power iteration on F*F (and on its spectral
+    complement for the small end, unless the rank settles it) runs over row
+    blocks, so no Gram matrix is formed.  Phases come from the exact
+    character kernel.
     """
     freqs = as_digit_list(J)
     if not freqs:
         raise InvalidInput("need at least one frequency row")
     Nn = pair.N**n
-    if Nn * len(freqs) > cap:
-        raise CapExceeded("frame matrix work", Nn * len(freqs), cap)
-    if Nn <= dense_cap:
-        F = frame_matrix(pair, n, freqs, cap=cap)
-        G = F.conj().T @ F
-        w = np.linalg.eigvalsh(G)
-        return float(max(w[0], 0.0)), float(w[-1])
+    rows = len(freqs)
+    if Nn * rows > cap:
+        raise CapExceeded("frame matrix work", Nn * rows, cap)
+    wide = rows < Nn
+    Rn = pair.R.pow(n)
+    sums = digit_sums(pair.R, pair.B, n, cap=cap)
 
-    pts = _digit_points(pair, n, cap)
-    lam = np.array(freqs, dtype=float)
-    scale = 1.0 / Nn
-    chunk = max(1, 2**22 // max(1, Nn))
+    def block(r: slice, c: slice) -> np.ndarray:
+        return _characters(Rn, freqs[r], sums[c])
+
+    if min(rows, Nn) <= dense_cap:
+        side = min(rows, Nn)
+        K = np.zeros((side, side), dtype=complex)
+        step = max(1, _BLOCK // side)
+        for s in range(0, max(rows, Nn), step):
+            if wide:
+                P = block(slice(None), slice(s, s + step))
+                K += P @ P.conj().T
+            else:
+                P = block(slice(s, s + step), slice(None))
+                K += P.conj().T @ P
+        K /= Nn
+        w = np.linalg.eigvalsh(K)
+        return (0.0 if wide else float(max(w[0], 0.0))), float(w[-1])
+
+    step = max(1, _BLOCK // Nn)
+    starts = range(0, rows, step)
+    # a single row block is formed once and reused by every iteration
+    cached = [block(slice(None), slice(None))] if len(starts) == 1 else None
 
     def gram_apply(v: np.ndarray) -> np.ndarray:
-        # (F* F) v in two chunked rectangular passes
-        u = np.empty(len(lam), dtype=complex)
-        for s in range(0, len(lam), chunk):
-            ph = np.exp(-2j * np.pi * (lam[s : s + chunk] @ pts.T))
-            u[s : s + chunk] = ph @ v
+        # (F* F) v, one pass over row blocks
         out = np.zeros(Nn, dtype=complex)
-        for s in range(0, len(lam), chunk):
-            ph = np.exp(-2j * np.pi * (lam[s : s + chunk] @ pts.T))
-            out += ph.conj().T @ u[s : s + chunk]
-        return scale * out
+        for P in cached or (block(slice(s, s + step), slice(None)) for s in starts):
+            out += P.conj().T @ (P @ v)
+        return out / Nn
 
     rng = np.random.default_rng(seed)
 
@@ -146,6 +169,8 @@ def frame_matrix_bounds(
         raise CapExceeded("power iterations", max_iter + 1, max_iter)
 
     hi = power(None)
+    if wide:
+        return 0.0, float(hi)
     lo = hi - power(hi)
     return float(min(max(lo, 0.0), hi)), float(hi)
 
@@ -153,9 +178,7 @@ def frame_matrix_bounds(
 def residues_distinct(R, J, n: int) -> bool:
     """Whether the frequencies are pairwise distinct mod (R^T)^n Z^d."""
     M = (R if isinstance(R, IntMatrix) else IntMatrix.from_rows(R)).T.pow(n)
-    freqs = as_digit_list(J)
-    seen = {canonical_residue(M, l) for l in freqs}
-    return len(seen) == len(freqs)
+    return residues_unique(M, as_digit_list(J))
 
 
 # ---------------------------------------------------------------------------
@@ -191,6 +214,41 @@ def _measured_report(pair: AffinePair, n: int, sub, strategy: str, seed: int) ->
     return rep
 
 
+def _ratios(G: np.ndarray) -> np.ndarray:
+    """Bound ratios sigma_max^2 / sigma_min^2 of a stack of Gram matrices."""
+    w = np.linalg.eigvalsh(G)
+    lo, hi = np.maximum(w[..., 0], 0.0), w[..., -1]
+    return np.divide(hi, lo, out=np.full_like(hi, np.inf), where=lo > 1e-15)
+
+
+def _first_improving_swap(F: np.ndarray, current: list[int], ratio: float, sq: np.ndarray):
+    """First (out, in) swap, in descent order, whose subset beats `ratio`.
+
+    Subsets are scored by the rows-side Gram of their slice of F: swapping
+    row p of the current Gram K_S for a candidate needs only that
+    candidate's inner products with the current rows, so one product
+    F F[S]* serves every swap.  Returns (sorted subset, its ratio) or None.
+    """
+    C = F @ F[current].conj().T
+    KS = C[current]
+    chosen = set(current)
+    outside = np.array([i for i in range(len(F)) if i not in chosen])
+    Nn = len(current)
+    step = max(1, 2**20 // (Nn * Nn))
+    for p, out in enumerate(current):
+        for s in range(0, len(outside), step):
+            inc = outside[s : s + step]
+            G = np.repeat(KS[None], len(inc), axis=0)
+            G[:, p, :] = C[inc]
+            G[:, :, p] = C[inc].conj()
+            G[:, p, p] = sq[inc]
+            r = _ratios(G)
+            hit = np.flatnonzero(r < ratio - 1e-12)
+            if hit.size:
+                return sorted(chosen - {out} | {int(inc[hit[0]])}), float(r[hit[0]])
+    return None
+
+
 def select_subset(
     pair: AffinePair,
     n: int,
@@ -205,7 +263,9 @@ def select_subset(
     subset by row-leverage sampling and runs first-improvement swap descent
     on the bound ratio; the best subset over all restarts is kept, so the
     result can only improve as the budget grows.  "exhaustive" scores every
-    subset (small candidate sets only).  Deterministic for a fixed seed.
+    subset (small candidate sets only).  Subsets are scored on row slices of
+    the one candidate matrix; only the winner is measured by
+    `frame_matrix_bounds`.  Deterministic for a fixed seed.
     """
     Nn = pair.N**n
     if Nn > cap:
@@ -213,53 +273,39 @@ def select_subset(
     cands = sorted(complete_representatives(pair.R.T.pow(n)))
     if Nn >= len(cands):
         return _measured_report(pair, n, cands, strategy, seed)
+    if strategy not in ("exhaustive", "leverage-swap"):
+        raise InvalidInput(f"unknown strategy {strategy!r}")
 
+    F = frame_matrix(pair, n, cands)
+    best = None  # (ratio, sorted candidate indices)
     if strategy == "exhaustive":
         total = math.comb(len(cands), Nn)
         if total > 2 * 10**4:
             raise CapExceeded("exhaustive subsets", total, 2 * 10**4)
-        best = None
-        for sub in combinations(cands, Nn):
-            rep = _measured_report(pair, n, sub, strategy, seed)
-            if best is None or rep.ratio < best.ratio - 1e-12:
-                best = rep
-        return best
-    if strategy != "leverage-swap":
-        raise InvalidInput(f"unknown strategy {strategy!r}")
+        for sub in combinations(range(len(cands)), Nn):
+            P = F[list(sub)]
+            r = float(_ratios(P @ P.conj().T))
+            if best is None or r < best[0] - 1e-12:
+                best = (r, list(sub))
+        return _measured_report(pair, n, [cands[i] for i in best[1]], strategy, seed)
 
-    F = frame_matrix(pair, n, cands)
     U, _, _ = np.linalg.svd(F, full_matrices=False)
     leverage = np.maximum((np.abs(U) ** 2).sum(axis=1), 1e-12)
     probs = leverage / leverage.sum()
-    best = None
+    sq = np.einsum("ij,ij->i", F, F.conj()).real
     for restart in range(max(1, budget)):
         rng = np.random.default_rng((seed, restart))
-        idx = rng.choice(len(cands), size=Nn, replace=False, p=probs)
-        current = sorted(cands[i] for i in idx)
-        cur = _measured_report(pair, n, current, strategy, seed)
+        current = sorted(rng.choice(len(cands), size=Nn, replace=False, p=probs).tolist())
+        P = F[current]
+        ratio = float(_ratios(P @ P.conj().T))
         for _ in range(200):
-            improved = False
-            chosen = set(current)
-            for out in list(current):
-                for inc in cands:
-                    if inc in chosen:
-                        continue
-                    rep = _measured_report(
-                        pair, n, chosen - {out} | {inc}, strategy, seed
-                    )
-                    if rep.ratio < cur.ratio - 1e-12:
-                        cur = rep
-                        current = list(rep.J_n)
-                        chosen = set(current)
-                        improved = True
-                        break
-                if improved:
-                    break
-            if not improved:
+            swap = _first_improving_swap(F, current, ratio, sq)
+            if swap is None:
                 break
-        if best is None or cur.ratio < best.ratio - 1e-12:
-            best = cur
-    return best
+            current, ratio = swap
+        if best is None or ratio < best[0] - 1e-12:
+            best = (ratio, current)
+    return _measured_report(pair, n, [cands[i] for i in best[1]], strategy, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -359,11 +405,10 @@ def parseval_defect(
     if Nm * len(freqs) > cap:
         raise CapExceeded("step moments", Nm * len(freqs), cap)
     ev = FourierEval(pair)
-    pts = _digit_points(pair, m, cap)
-    arr = np.array(freqs, dtype=float)
-    zs = arr @ np.linalg.matrix_power(np.linalg.inv(pair.R.to_array()), m)
-    mu = np.atleast_1d(ev.mu_hat(zs))
-    phases = np.exp(-2j * np.pi * (pts @ arr.T))
+    Rm = pair.R.pow(m)
+    sums = digit_sums(pair.R, pair.B, m, cap=cap)
+    mu = np.atleast_1d(ev.mu_hat(inverse_image(Rm.T, freqs)))
+    phases = _characters(Rm, freqs, sums).T
     scale = 1.0 / Nm
     rng = np.random.default_rng(seed)
     ratios = []

@@ -2,9 +2,10 @@
 
 Everything that decides a congruence, a lattice membership, or a rank is done
 in exact arithmetic (Python ints and fractions.Fraction).  Floating point is
-allowed in exactly one place: estimating eigenvalue moduli for the
-expansiveness test, and even there the borderline cases are resolved exactly
-or rejected loudly.
+allowed in two places: estimating eigenvalue moduli for the expansiveness
+test, where the borderline cases are resolved exactly or rejected loudly, and
+the last step of the character kernel (`character_residues`), where one
+correctly rounded division turns an exact residue r / |det M| into a phase.
 
 Conventions
 -----------
@@ -519,6 +520,88 @@ def canonical_residue(R, v) -> IVec:
     return tuple(w)
 
 
+@lru_cache(maxsize=256)
+def adjugate(M: IntMatrix) -> tuple[IntMatrix, int]:
+    """(adj M, det M) with M adj(M) = det(M) I, by exact cofactors."""
+    d = M.d
+    rows = M.rows
+
+    def cofactor(i: int, j: int) -> int:
+        # (-1)^(i+j) times the minor of M without row j and column i
+        minor = [r[:i] + r[i + 1 :] for k, r in enumerate(rows) if k != j]
+        return (-1) ** (i + j) * _bareiss_det(minor) if d > 1 else 1
+
+    adj = IntMatrix(tuple(tuple(cofactor(i, j) for j in range(d)) for i in range(d)))
+    return adj, M.det()
+
+
+def _int_array(vecs, d: int, D: int, wide: bool) -> np.ndarray:
+    """Integer vectors reduced mod D; object dtype when `wide`, else int64."""
+    try:
+        arr = np.array(vecs, dtype=object if wide else np.int64)
+    except OverflowError:  # entries beyond int64; the residues still fit
+        arr = np.array(vecs, dtype=object)
+    arr = arr.reshape(-1, d) % D
+    return arr if wide else arr.astype(np.int64)
+
+
+def _kernel_setup(M, cols) -> tuple[np.ndarray, int, bool]:
+    """Columns s adj(M) c mod D (one row per c), D = |det M|, and the dtype rule.
+
+    int64 holds every sum of d products of residues when d D^2 < 2^63;
+    beyond that the residues are Python ints in object arrays.
+    """
+    M = IntMatrix.from_rows(M)
+    d = M.d
+    adj, det = adjugate(M)
+    if det == 0:
+        raise RankDeficient("residues modulo a singular matrix")
+    D = abs(det)
+    wide = d * D * D >= 2**63
+    sign = 1 if det > 0 else -1
+    A = _int_array([[sign * x for x in row] for row in adj.rows], d, D, wide)
+    C = _int_array(cols, d, D, wide)
+    return (C @ A.T) % D, D, wide
+
+
+def residues_unique(M, vecs) -> bool:
+    """Whether the vectors are pairwise incongruent modulo M(Z^d).
+
+    The keys s adj(M) v mod |det M| (s the sign of det M) are equal exactly
+    when the vectors agree modulo M(Z^d).
+    """
+    keys, _, _ = _kernel_setup(M, vecs)
+    return len({tuple(k) for k in keys.tolist()}) == len(keys)
+
+
+def character_residues(M, rows, cols) -> tuple[np.ndarray, int]:
+    """Integer r[i, j] with <M^{-1} c_j, l_i> = r[i, j] / D mod 1, D = |det M|.
+
+    The one exact character kernel: <M^{-1} c, l> = s l^T adj(M) c / D with
+    s the sign of det M, so reducing l and s adj(M) c modulo D first leaves
+    a residue product.  The dtype is int64 when d D^2 < 2^63 and object
+    (Python ints) otherwise.
+    """
+    AC, D, wide = _kernel_setup(M, cols)
+    L = _int_array(rows, AC.shape[1], D, wide)
+    r = L @ AC.T
+    return np.remainder(r, D, out=r), D
+
+
+def character_phases(M, rows, cols) -> np.ndarray:
+    """The phases r / D in [0, 1) as floats, each correctly rounded."""
+    r, D = character_residues(M, rows, cols)
+    return np.asarray(r / D, dtype=float)
+
+
+def inverse_image(M, vecs) -> np.ndarray:
+    """Rows M^{-1} v for integer vectors v, each coordinate correctly rounded."""
+    M = IntMatrix.from_rows(M)
+    adj, det = adjugate(M)
+    num = np.array(vecs, dtype=object).reshape(-1, M.d) @ np.array(adj.rows, dtype=object).T
+    return (num / det).astype(float)
+
+
 def complete_representatives(R) -> list[IVec]:
     """All |det R| canonical residues modulo R(Z^d), in lexicographic order."""
     M = IntMatrix.from_rows(R)
@@ -548,13 +631,7 @@ def is_simple_digit_set(R, B) -> bool:
     digs = as_digit_list(B)
     if any(len(b) != M.d for b in digs):
         raise SizeMismatch("digit length does not match matrix dimension")
-    seen = set()
-    for b in digs:
-        r = canonical_residue(M, b)
-        if r in seen:
-            return False
-        seen.add(r)
-    return True
+    return residues_unique(M, digs)
 
 
 def smallest_invariant_lattice(R, B) -> Lattice:

@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InvalidInput, SimpleDigitsRequired, SizeMismatch
-from .intlat import FVec, f_inverse, f_matvec, is_simple_digit_set
+from .intlat import FVec, adjugate, inverse_image, is_simple_digit_set
 from .triples import AffinePair, _xi_grid, digit_sums, mask_eval
 
 
@@ -139,34 +139,38 @@ class DiscreteMeasure:
     def fourier(self, xi):
         d = len(self.atoms[0])
         arr, scalar = _xi_grid(d, xi)
-        phases = arr @ self.points.T
-        vals = np.exp(-2j * np.pi * phases) @ self.weight_array
+        flat = arr.reshape(-1, d)
+        # atom chunks keep about 2^20 phase entries (and their exponentials)
+        # alive at a time
+        step = max(1, 2**20 // max(1, len(flat)))
+        vals = sum(
+            np.exp(-2j * np.pi * (flat @ self.points[s : s + step].T))
+            @ self.weight_array[s : s + step]
+            for s in range(0, len(self.atoms), step)
+        )
+        vals = vals.reshape(arr.shape[:-1])
         return vals[0] if scalar else vals
 
 
 def discrete_approximant(pair: AffinePair, n: int, cap: int = 2**20) -> DiscreteMeasure:
     """Atoms R^{-n} b for b in the level-n digit sums, weights 1/N^n (merged)."""
     sums = digit_sums(pair.R, pair.B, n, cap)
-    Rn = pair.R.pow(n)
-    det = Rn.det()
+    adj, det = adjugate(pair.R.pow(n))
     # merge on the integer vectors adj(R^n) b; dividing by det afterwards keeps
     # everything exact while avoiding per-atom Fraction arithmetic
-    adj = [
-        [int(c * det) for c in row] for row in f_inverse(Rn.to_fractions())
-    ]
     sign = 1 if det > 0 else -1
     adet = abs(det)
     w = Fraction(1, pair.N**n)
     counts: dict = {}
     if pair.d == 1:
-        a = sign * adj[0][0]
+        a = sign * adj.rows[0][0]
         for b in sums:
             k = a * b[0]
             counts[k] = counts.get(k, 0) + 1
         items = sorted(counts.items())
         atoms = tuple((Fraction(k, adet),) for k, _ in items)
     else:
-        rows = [tuple(sign * a for a in row) for row in adj]
+        rows = [tuple(sign * a for a in row) for row in adj.rows]
         for b in sums:
             key = tuple(sum(a * c for a, c in zip(row, b)) for row in rows)
             counts[key] = counts.get(key, 0) + 1
@@ -219,9 +223,7 @@ def step_moment(pair: AffinePair, n: int, w, xi) -> tuple[float, complex]:
     z = arr
     for _ in range(n):
         z = z @ ev._Rinv
-    Rninv = np.linalg.matrix_power(np.linalg.inv(pair.R.to_array()), n)
-    pts = np.array(sums, dtype=float) @ Rninv.T
-    phases = pts @ arr[0]
+    phases = inverse_image(pair.R.pow(n), sums) @ arr[0]
     coeff = complex(np.sum(wv * np.exp(-2j * np.pi * phases)))
     value = scale * complex(ev.mu_hat(z[0])) * coeff
     return norm_sq, value

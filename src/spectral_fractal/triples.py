@@ -5,15 +5,15 @@ An (R, B, L) system is accepted when the N x N matrix
     H = N^{-1/2} [ exp(2 pi i <R^{-1} b, l>) ]  (rows l in L, columns b in B)
 
 is unitary to within a strict tolerance.  The inner products are reduced
-modulo 1 in exact rational arithmetic before any float touches them, so the
-unitarity defect of a true system is pure rounding noise (~1e-15).
+modulo 1 in exact integer arithmetic (`intlat.character_residues`) before any
+float touches them, so the unitarity defect of a true system is pure rounding
+noise (~1e-15).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -29,8 +29,9 @@ from .intlat import (
     IVec,
     as_digit_list,
     canonical_residue,
-    f_matvec,
+    character_phases,
     is_expansive,
+    residues_unique,
 )
 
 DEFECT_TOL = 1e-10
@@ -105,16 +106,10 @@ def hadamard_matrix(R, B, L) -> np.ndarray:
     d = M.d
     if any(len(b) != d for b in digs) or any(len(l) != d for l in freqs):
         raise SizeMismatch("digit / frequency length mismatch")
-    N = len(digs)
-    inv = M.inverse_fractions()
-    H = np.empty((len(freqs), N), dtype=complex)
-    for j, b in enumerate(digs):
-        rb = f_matvec(inv, b)
-        for i, l in enumerate(freqs):
-            theta = sum((rb[t] * l[t] for t in range(d)), Fraction(0))
-            frac = theta - (theta.numerator // theta.denominator)  # exact mod 1
-            H[i, j] = np.exp(2j * np.pi * float(frac))
-    return H / np.sqrt(N)
+    H = 2j * np.pi * character_phases(M, freqs, digs)
+    np.exp(H, out=H)
+    H /= np.sqrt(len(digs))
+    return H
 
 
 def validate_triple(R, B, L, tol: float = DEFECT_TOL) -> tuple[bool, float]:
@@ -125,7 +120,9 @@ def validate_triple(R, B, L, tol: float = DEFECT_TOL) -> tuple[bool, float]:
         raise SizeMismatch("digit and frequency sets must have equal size")
     H = hadamard_matrix(R, digs, freqs)
     G = H.conj().T @ H
-    defect = float(np.max(np.abs(G - np.eye(len(digs)))))
+    del H
+    G[np.diag_indices_from(G)] -= 1
+    defect = float(np.max(np.abs(G)))
     return defect <= tol, defect
 
 
@@ -212,12 +209,8 @@ def tower(triple: HadamardTriple, k: int, cap: int = 2**20, dense_cap: int = 409
         _, defect = validate_triple(Rk, Bk, Lk)
         return HadamardTriple(pair, Lk, defect)
     for mat, vecs, label in ((Rk, Bk, "digit"), (Rk.T, Lk, "frequency")):
-        seen = set()
-        for v in vecs:
-            r = canonical_residue(mat, v)
-            if r in seen:
-                raise ResidueCollision(f"{label} tower loses residue distinctness")
-            seen.add(r)
+        if not residues_unique(mat, vecs):
+            raise ResidueCollision(f"{label} tower loses residue distinctness")
     return HadamardTriple(
         pair, Lk, triple.defect, note="residue-certified; defect inherited from base"
     )

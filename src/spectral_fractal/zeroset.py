@@ -305,6 +305,13 @@ def gcd_fast_path_1d(pair: AffinePair) -> str:
     return "empty" if g == 1 else "unknown"
 
 
+class ScanCandidates(list):
+    """Confirmed scan candidates, plus how many grid points survived the
+    prefilter (confirmed or not)."""
+
+    survivors: int = 0
+
+
 def scan_zero_set(
     pair: AffinePair,
     K: int = 10,
@@ -312,13 +319,14 @@ def scan_zero_set(
     h: float = 1 / 256,
     denominator_bound: int = 64,
     prefilter: float | None = None,
-) -> list[FVec]:
+) -> ScanCandidates:
     """Rational candidates for the periodic zero set found by a grid sweep.
 
     Grid points whose whole translate window stays below a Lipschitz-scaled
     prefilter are snapped to denominators <= denominator_bound and kept only
     if the snapped point passes the strict tolerance tau on the full window.
-    Sorted by least common denominator, then lexicographically.
+    Sorted by least common denominator, then lexicographically; the count
+    of prefilter survivors rides along as `survivors`.
     """
     d = pair.d
     if d > 2:
@@ -374,8 +382,9 @@ def scan_zero_set(
             out = out * c.denominator // gcd(out, c.denominator)
         return out
 
-    confirmed.sort(key=lambda v: (lcm_den(v), v))
-    return confirmed
+    out = ScanCandidates(sorted(confirmed, key=lambda v: (lcm_den(v), v)))
+    out.survivors = int(alive.sum())
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -398,6 +407,13 @@ def zero_set_empty_evidence(pair: AffinePair, K: int = 10, **scan_kw) -> Emptine
     if pair.d == 1 and gcd_fast_path_1d(pair) == "empty":
         return EmptinessEvidence("gcd-1d", note="digit differences are coprime")
     candidates = scan_zero_set(pair, K=K, **scan_kw)
+    if not candidates and candidates.survivors:
+        # a survivor may sit near a zero whose denominator the snap cannot reach
+        return EmptinessEvidence(
+            "inconclusive",
+            note=f"prefilter: {candidates.survivors} grid points survived "
+            f"but no snapped candidate was confirmed at window K={K}",
+        )
     if not candidates:
         return EmptinessEvidence("scan-clear", note=f"no survivors at window K={K}")
     for cand in candidates:

@@ -174,6 +174,14 @@ def test_zeroset_inconclusive_maps_to_4(tmp_path, capsys, monkeypatch):
     assert read_stdout_report(capsys)["results"]["empty"] is False
 
 
+def test_zeroset_unconfirmed_survivors_exit_4(tmp_path, capsys):
+    p = write_problem(tmp_path, {"R": [[2]], "B": [[0], [67]], "L": [[0], [1]]})
+    assert cli.main(["zeroset", p]) == 4
+    res = read_stdout_report(capsys)["results"]
+    assert res["kind"] == "inconclusive" and res["empty"] is False
+    assert "prefilter" in res["note"]
+
+
 # ---------------------------------------------------------------------------
 # frames
 

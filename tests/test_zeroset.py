@@ -269,6 +269,18 @@ def test_evidence_kinds(jp_triple, lebesgue_triple, skew_triple):
     assert ev.witness.point == (F(0), F(1, 3))
 
 
+def test_unconfirmed_survivors_are_inconclusive():
+    # 1/67 + k is a zero of mu_hat for every k, but 67 is beyond the snap's
+    # denominator bound: the survivors must not read as an empty zero set
+    pair = affine_pair([[2]], [(0,), (67,)])
+    found = scan_zero_set(pair)
+    assert found == [] and found.survivors > 0
+    ev = zero_set_empty_evidence(pair)
+    assert ev.kind == "inconclusive" and not ev.empty
+    assert ev.witness is None and "prefilter" in ev.note
+    assert abs(FourierEval(pair).mu_hat(np.array([[1 / 67 + 5]]))[0]) < 1e-12
+
+
 # ---------------------------------------------------------------------------
 # transfer dynamics
 
