@@ -89,14 +89,6 @@ _INCONCLUSIVE = (
 )
 
 
-def worker_count() -> int:
-    """Parallelism hint from SPECTRAL_FRACTAL_THREADS; recorded in timings."""
-    try:
-        return max(1, int(os.environ.get("SPECTRAL_FRACTAL_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 # ---------------------------------------------------------------------------
 # JSON value encoding.  Integers beyond 2^53 - 1 travel as decimal strings so
 # nothing is rounded by readers that parse numbers as doubles.
@@ -220,16 +212,6 @@ def inputs_digest(problem: dict) -> str:
         _canonical_problem(problem), sort_keys=True, separators=(",", ":")
     )
     return "sha256:" + hashlib.sha256(blob.encode()).hexdigest()
-
-
-def _resolve(flag_value, problem: dict, key: str, default):
-    """Precedence: command line flag, then problem params, then default."""
-    if flag_value is not None:
-        return flag_value
-    params = problem.get("params", {})
-    if key in params:
-        return params[key]
-    return default
 
 
 def _pair(problem: dict):
@@ -467,7 +449,7 @@ def build_report(command, problem, params, results, certificates, t0) -> dict:
         "params": params,
         "results": results,
         "certificates": certificates,
-        "timings": {"total_s": round(time.time() - t0, 6), "threads": worker_count()},
+        "timings": {"total_s": round(time.time() - t0, 6)},
     }
 
 
@@ -600,15 +582,50 @@ def run_verify(path: str) -> int:
 # argument parsing / dispatch
 
 
-def _add_common(sp):
+# Per command: (params key, flag, problem params key, default, type).  The
+# table declares each command's flags and resolves its params; a row with no
+# flag is set through the problem's params block only.
+_PARAMS = {
+    "validate": (
+        ("towers", "--depth", "depth", 4, int),
+        ("tol", "--tol", "tol", DEFECT_TOL, float),
+    ),
+    "spectrum": (
+        ("depth", "--depth", "depth", 6, int),
+        ("scan_window", "--window", "window", 10, int),
+        ("limit", "--cap", "limit", 4096, int),
+    ),
+    "zeroset": (("window", "--window", "window", 10, int),),
+    "frames": (
+        ("n", "--depth", "n", 1, int),
+        ("seed", "--seed", "seed", 0, int),
+        ("budget", None, "budget", 4, int),
+        ("strategy", None, "strategy", "leverage-swap", str),
+    ),
+    "reduce": (),
+    "render": (
+        ("resolution", "--resolution", "resolution", 256, int),
+        ("window", "--window", "window", 4, int),
+        ("cap", "--cap", "cap", 2**16, int),
+    ),
+}
+_PARAMS["quasiprod"] = _PARAMS["spectrum"]
+
+_FLAG_HELP = {
+    "--depth": "levels / tower height / frame level",
+    "--window": "scan or plot window",
+    "--tol": "acceptance tolerance",
+    "--seed": "random seed",
+    "--cap": "work and output size cap",
+    "--resolution": "image side length",
+}
+
+
+def _add_flags(sp, command: str) -> None:
     sp.add_argument("problem", help="problem JSON file")
-    sp.add_argument(
-        "--depth", type=int, default=None, help="levels / tower height / frame level"
-    )
-    sp.add_argument("--window", type=int, default=None, help="scan or shift window")
-    sp.add_argument("--tol", type=float, default=None, help="acceptance tolerance")
-    sp.add_argument("--seed", type=int, default=None, help="random seed")
-    sp.add_argument("--cap", type=int, default=None, help="work and output size cap")
+    for key, flag, _, _, typ in _PARAMS[command]:
+        if flag:
+            sp.add_argument(flag, dest=key, type=typ, default=None, help=_FLAG_HELP[flag])
     sp.add_argument("--out", default=None, help="output path (stdout if omitted)")
 
 
@@ -627,47 +644,28 @@ def make_parser() -> argparse.ArgumentParser:
         ("quasiprod", "split a non-orthonormal system into a product spectrum"),
         ("reduce", "normalize the digit system onto its invariant lattice"),
     ):
-        _add_common(sub.add_parser(name, help=help_))
+        _add_flags(sub.add_parser(name, help=help_), name)
     rp = sub.add_parser("render", help="write a PGM image of the attractor or |mu_hat|")
     rp.add_argument("what", choices=("attractor", "transform"))
-    _add_common(rp)
-    rp.add_argument("--resolution", type=int, default=None, help="image side length")
+    _add_flags(rp, "render")
     vp = sub.add_parser("verify", help="replay a report and check its claims")
     vp.add_argument("report", help="report JSON file")
     return p
 
 
 def _resolved_params(command: str, problem: dict, args) -> dict:
-    if command == "validate":
-        return {
-            "towers": int(_resolve(args.depth, problem, "depth", 4)),
-            "tol": float(_resolve(args.tol, problem, "tol", DEFECT_TOL)),
-        }
-    if command in ("spectrum", "quasiprod"):
-        return {
-            "depth": int(_resolve(args.depth, problem, "depth", 6)),
-            "scan_window": int(_resolve(args.window, problem, "window", 10)),
-            "limit": int(_resolve(args.cap, problem, "limit", 4096)),
-        }
-    if command == "zeroset":
-        return {"window": int(_resolve(args.window, problem, "window", 10))}
-    if command == "frames":
-        return {
-            "n": int(_resolve(args.depth, problem, "n", 1)),
-            "seed": int(_resolve(args.seed, problem, "seed", 0)),
-            "budget": int(_resolve(None, problem, "budget", 4)),
-            "strategy": str(_resolve(None, problem, "strategy", "leverage-swap")),
-        }
-    if command == "reduce":
-        return {}
-    if command == "render":
-        return {
-            "what": args.what,
-            "resolution": int(_resolve(args.resolution, problem, "resolution", 256)),
-            "window": int(_resolve(args.window, problem, "window", 4)),
-            "cap": int(_resolve(args.cap, problem, "cap", 2**16)),
-        }
-    raise InvalidInput(f"unknown command {command!r}")
+    """Precedence per param: command line flag, then problem params, then default."""
+    given = problem.get("params", {})
+    params = {"what": args.what} if command == "render" else {}
+    for key, flag, pkey, default, typ in _PARAMS[command]:
+        value = getattr(args, key) if flag else None
+        if value is None:
+            value = given.get(pkey, default)
+        try:
+            params[key] = typ(value)
+        except (TypeError, ValueError):
+            raise InvalidInput(f"params {pkey}: expected {typ.__name__}, got {value!r}") from None
+    return params
 
 
 def main(argv=None) -> int:

@@ -27,10 +27,7 @@ from .errors import (
     DigitsNotExtendable,
     EpsilonTooLarge,
     InvalidInput,
-    NoShiftFound,
     SimpleDigitsRequired,
-    Undecided,
-    ZeroSetNonEmpty,
 )
 from .intlat import (
     IntMatrix,
@@ -44,9 +41,9 @@ from .intlat import (
     residues_unique,
 )
 from .measure import FourierEval, attractor_box
-from .spectra import cover_constants
+from .spectra import _corrected_level, _require_empty, cover_constants
 from .triples import AffinePair, HadamardTriple, digit_sums
-from .zeroset import EmptinessEvidence, _window, zero_set_empty_evidence
+from .zeroset import EmptinessEvidence
 
 __all__ = [
     "frame_matrix",
@@ -586,7 +583,6 @@ class FrameSpectrum:
 def frame_spectrum_build(
     pair: AffinePair,
     reports,
-    corrections: bool = True,
     shift_window: int = 4,
     eps0: float = 0.25,
     evidence: EmptinessEvidence | None = None,
@@ -602,27 +598,20 @@ def frame_spectrum_build(
     complete-representative dual tile, so it applies whether or not the
     digit set carries a unitary frequency pairing.  Requires the periodic
     zero set empty; returned bounds are
-    (prod(1 - eps_j) * delta_hat, prod(1 + eps_j)).
+    (prod(1 - eps_j) * delta_hat, prod(1 + eps_j)), the delta_hat factor
+    warranted because every new point clears delta_hat after correction.
     """
     reports = tuple(reports)
     if not reports:
         raise InvalidInput("need at least one level report")
-    eps = _epsilons(reports)
-    if evidence is None:
-        evidence = zero_set_empty_evidence(pair)
-    if evidence.kind == "refuted":
-        raise ZeroSetNonEmpty(evidence.witness)
-    if not evidence.empty:
-        raise Undecided("periodic zero set could not be certified empty")
+    c_prod, C_prod = concatenated_bounds(reports)
+    evidence = _require_empty(pair, evidence)
     d = pair.d
     Rt = pair.R.T
     lbar = tuple(tuple(v) for v in complete_representatives(Rt))
     dual = HadamardTriple(pair, lbar, 0.0, note="complete-representative dual tile")
     cover = cover_constants(dual, window=shift_window, eps0=eps0)
     ev = FourierEval(pair)
-    Rt_inv = np.linalg.inv(Rt.to_array())
-    shifts = [tuple(s) for s in _window(shift_window, d)]
-    shift_arr = np.array(shifts, dtype=float)
 
     zero = (0,) * d
     exps = [0]
@@ -631,52 +620,18 @@ def frame_spectrum_build(
     current: list[IVec] = [zero]
     m = 0
     for k, rep in enumerate(reports, start=1):
-        P_prev = Rt.pow(m)
-        m += rep.n
-        P_new = Rt.pow(m)
         jset = [tuple(j) for j in rep.J_n]
-        nested = zero in jset
         if len(current) * len(jset) > cap:
             raise CapExceeded("frame spectrum size", len(current) * len(jset), cap)
-        bases = [
-            tuple(a + b for a, b in zip(lam, P_prev.matvec(j)))
-            for lam in current
-            for j in jset
-            if not (nested and j == zero)
-        ]
-        fresh: list[IVec] = []
-        if bases:
-            x = np.array(bases, dtype=float) @ np.linalg.matrix_power(Rt_inv, m).T
-            good = np.abs(ev.mu_hat(x)) ** 2 >= cover.m_cover - 1e-6
-            for i, b in enumerate(bases):
-                if good[i] or not corrections:
-                    fresh.append(b)
-                    continue
-                cand = x[i][None, :] + shift_arr
-                vals = np.abs(ev.mu_hat(cand)) ** 2
-                best = int(np.argmax(vals))
-                # the grid certificate warrants delta_hat off-grid; outside
-                # the covered region the inequality is simply checked
-                if vals[best] < cover.delta_hat - 1e-9:
-                    raise NoShiftFound(
-                        f"cover guarantee failed at level {k} (got {vals[best]:.3g})"
-                    )
-                kappa = shifts[best]
-                if all(c == 0 for c in kappa):
-                    fresh.append(b)
-                    continue
-                corr_log.append((k, b, kappa))
-                fresh.append(tuple(a + c for a, c in zip(b, P_new.matvec(kappa))))
-        current = current + fresh if nested else fresh
+        fresh, fixes = _corrected_level(ev, cover, current, jset, m, m + rep.n, k)
+        m += rep.n
+        corr_log.extend(fixes)
+        current = current + fresh if zero in jset else fresh
         if len(set(current)) != len(current):
             raise InvalidInput("level points collide; reports are inconsistent")
         blocks.append(tuple(fresh))
         exps.append(m)
-    c_prod, C_prod = 1.0, 1.0
-    for e in eps:
-        c_prod *= 1.0 - e
-        C_prod *= 1.0 + e
-    grade = "certified" if all(e <= 1e-10 for e in eps) else "measured"
+    grade = "certified" if all(rep.epsilon <= 1e-10 for rep in reports) else "measured"
     return FrameSpectrum(
         pair,
         reports,

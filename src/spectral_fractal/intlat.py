@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -104,9 +105,6 @@ class IntMatrix:
             raise SizeMismatch("matrix is not square")
         return h
 
-    def entry(self, i: int, j: int) -> int:
-        return self.rows[i][j]
-
     @property
     def T(self) -> "IntMatrix":
         h, w = self.shape
@@ -151,9 +149,6 @@ class IntMatrix:
 
     def det(self) -> int:
         return _bareiss_det(self.rows)
-
-    def trace(self) -> int:
-        return sum(self.rows[i][i] for i in range(self.d))
 
     def to_fractions(self) -> tuple[FVec, ...]:
         return tuple(tuple(Fraction(x) for x in row) for row in self.rows)
@@ -275,27 +270,27 @@ def f_nullspace(a) -> list[FVec]:
     return basis
 
 
+def f_rank(rows) -> int:
+    """Rank of a rational matrix given by its rows."""
+    m = tuple(tuple(Fraction(c) for c in r) for r in rows)
+    return len(m[0]) - len(f_nullspace(m)) if m else 0
+
+
 def clear_denominators(vec: Sequence[Fraction]) -> tuple[IVec, int]:
     """Return (integer vector, den) with vec = ivec / den and gcd(ivec, den) reduced."""
     den = 1
     for x in vec:
-        den = den * x.denominator // _gcd(den, x.denominator)
+        den = den * x.denominator // gcd(den, x.denominator)
     ints = [int(x * den) for x in vec]
     g = den
     for x in ints:
-        g = _gcd(g, abs(x))
+        g = gcd(g, abs(x))
         if g == 1:
             break
     if g > 1:
         den //= g
         ints = [x // g for x in ints]
     return tuple(ints), den
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +407,7 @@ class Lattice:
         g = den
         for c in canon:
             for x in c:
-                g = _gcd(g, abs(x))
+                g = gcd(g, abs(x))
                 if g == 1:
                     break
             if g == 1:
@@ -483,7 +478,7 @@ def dual_lattice(lat: Lattice) -> Lattice:
     den = 1
     for row in inv_t:
         for x in row:
-            den = den * x.denominator // _gcd(den, x.denominator)
+            den = den * x.denominator // gcd(den, x.denominator)
     cols = [tuple(int(inv_t[i][j] * den) for i in range(lat.dim)) for j in range(lat.dim)]
     return Lattice.from_columns(lat.dim, cols, den)
 

@@ -41,19 +41,22 @@ class FourierEval:
         R = pair.R.to_array()
         self._Rinv = np.linalg.inv(R)
         self._bmax = float(np.max(np.linalg.norm(pair.digit_array(), axis=1))) or 1.0
-        # sum of operator norms of (R^T)^{-j} = transposed powers of R^{-1}
+        # sum and sup of operator norms of (R^T)^{-j} = transposed powers of R^{-1}
         A = np.linalg.inv(R).T
         P = np.eye(pair.d)
         total = 0.0
+        sup = 0.0
         for _ in range(512):
             P = P @ A
             nrm = float(np.linalg.norm(P, 2))
             total += nrm
+            sup = max(sup, nrm)
             if nrm < 1e-15:
                 break
         else:
             raise InvalidInput("inverse powers do not contract; matrix not expansive?")
         self._norm_sum = total
+        self.norm_sup = sup
 
     def tail_bound(self, z_norm: float) -> float:
         """Bound on |product of dropped factors - 1| given |(R^T)^{-T} xi| <= z_norm."""
@@ -248,6 +251,8 @@ def render_attractor(pair: AffinePair, resolution: int, out: str, depth: int | N
     """Rasterize the depth-n approximant onto a grayscale grid; returns stats."""
     if resolution <= 0:
         raise InvalidInput("resolution must be positive")
+    if pair.d > 2:
+        raise InvalidInput("rendering supports d <= 2")
     if depth is None:
         depth = 1
         while pair.N ** (depth + 1) <= cap:
@@ -260,12 +265,10 @@ def render_attractor(pair: AffinePair, resolution: int, out: str, depth: int | N
     if pair.d == 1:
         img = np.zeros((1, resolution))
         img[0, idx[:, 0]] = 255
-    elif pair.d == 2:
+    else:
         img = np.zeros((resolution, resolution))
         # image rows run top-down; flip the second axis for a y-up picture
         img[resolution - 1 - idx[:, 1], idx[:, 0]] = 255
-    else:
-        raise InvalidInput("rendering supports d <= 2")
     write_pgm(img, out)
     return {"depth": depth, "atoms": len(pts), "pixels_on": int((img > 0).sum())}
 

@@ -54,6 +54,7 @@ from .intlat import (
     f_matvec,
     f_matmul,
     f_nullspace,
+    f_rank,
     hermite_normal_form,
     integer_kernel_basis,
     reduce_to_full,
@@ -81,14 +82,6 @@ __all__ = [
 
 # ---------------------------------------------------------------------------
 # block triangular form
-
-
-def _span_rank(vectors) -> int:
-    """Rank of a family of rational vectors (dimension minus kernel count)."""
-    vs = tuple(tuple(Fraction(c) for c in v) for v in vectors)
-    if not vs:
-        return 0
-    return len(vs[0]) - len(f_nullspace(vs))
 
 
 def _blocks(R: IntMatrix, r: int) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
@@ -130,7 +123,7 @@ def triangularize(R, W) -> TriangularForm:
     basis = tuple(tuple(Fraction(c) for c in w) for w in W)
     if not basis or any(len(w) != d for w in basis):
         raise InvalidInput("subspace basis must be nonempty vectors of matching length")
-    r = _span_rank(basis)
+    r = f_rank(basis)
     if r != len(basis):
         raise InvalidInput("subspace basis is linearly dependent")
     if r >= d:
@@ -138,7 +131,7 @@ def triangularize(R, W) -> TriangularForm:
     Rt = M.T.to_fractions()
     for w in basis:
         img = f_matvec(Rt, w)
-        if _span_rank(basis + (img,)) != r:
+        if f_rank(basis + (img,)) != r:
             raise NotInvariant("subspace is not invariant under the transposed matrix")
     # Integer rows annihilating W; their integer kernel is the saturation
     # W cap Z^d, read off the Hermite transform's kernel columns.

@@ -29,7 +29,7 @@ from .errors import (
     Undecided,
     ZeroSetNonEmpty,
 )
-from .intlat import IntMatrix, IVec
+from .intlat import IVec
 from .measure import FourierEval, attractor_box
 from .triples import AffinePair, HadamardTriple, digit_sums
 from .zeroset import EmptinessEvidence, _window, zero_set_empty_evidence
@@ -120,16 +120,6 @@ def canonical_tree(triple: HadamardTriple, K: int, cap: int = 2**16) -> Spectrum
     return replace(tree, delta_levels=deltas)
 
 
-def operator_norm_sup(Rt: IntMatrix, horizon: int = 64) -> float:
-    A = np.linalg.inv(Rt.to_array())
-    P = np.eye(Rt.d)
-    best = 0.0
-    for _ in range(horizon):
-        P = P @ A
-        best = max(best, float(np.linalg.norm(P, 2)))
-    return best
-
-
 def cover_constants(
     triple: HadamardTriple,
     window: int = 4,
@@ -172,6 +162,70 @@ def cover_constants(
     raise NoShiftFound("cover grid refinement did not stabilize")
 
 
+def _require_empty(pair: AffinePair, evidence: EmptinessEvidence | None) -> EmptinessEvidence:
+    """The zero-set gate of both constructions: refuted evidence raises
+    ZeroSetNonEmpty with its witness, any other non-empty verdict Undecided."""
+    if evidence is None:
+        evidence = zero_set_empty_evidence(pair)
+    if evidence.kind == "refuted":
+        raise ZeroSetNonEmpty(evidence.witness)
+    if not evidence.empty:
+        raise Undecided("periodic zero set could not be certified empty")
+    return evidence
+
+
+def _corrected_level(
+    ev: FourierEval,
+    cover: CoverConstants,
+    current,
+    J,
+    m_prev: int,
+    m_new: int,
+    k: int,
+) -> tuple[list[IVec], list[tuple[int, IVec, IVec]]]:
+    """New points of level k, shift-corrected against the cover certificate.
+
+    Bases are lambda + (R^T)^m_prev j over lambda in `current` and nonzero j
+    in J.  A base whose |mu_hat((R^T)^-m_new base)|^2 misses m_cover is
+    moved by (R^T)^m_new kappa, kappa the best translate in the cover
+    window; that never changes its residue mod (R^T)^m_new.  Returns the
+    new points and the (level, base, kappa) corrections.
+    """
+    Rt = ev.pair.R.T
+    P_prev = Rt.pow(m_prev)
+    steps = [P_prev.matvec(j) for j in J if any(j)]
+    bases = [tuple(a + b for a, b in zip(lam, s)) for lam in current for s in steps]
+    fresh: list[IVec] = []
+    corrections: list[tuple[int, IVec, IVec]] = []
+    if not bases:
+        return fresh, corrections
+    shifts = [tuple(s) for s in _window(cover.window, ev.pair.d)]
+    shift_arr = np.array(shifts, dtype=float)
+    P_new = Rt.pow(m_new)
+    Rt_inv = np.linalg.inv(Rt.to_array())
+    x = np.array(bases, dtype=float) @ np.linalg.matrix_power(Rt_inv, m_new).T
+    # tolerance matches the evaluator's depth-stability scale, well below
+    # any gap that would matter for the lower bound
+    good = np.abs(ev.mu_hat(x)) ** 2 >= cover.m_cover - 1e-6
+    for i, b in enumerate(bases):
+        if good[i]:
+            fresh.append(b)
+            continue
+        vals = np.abs(ev.mu_hat(x[i][None, :] + shift_arr)) ** 2
+        best = int(np.argmax(vals))
+        # the grid certificate only warrants delta_hat off-grid; the stricter
+        # m_cover test above merely selects representatives
+        if vals[best] < cover.delta_hat - 1e-9:
+            raise NoShiftFound(f"cover guarantee failed at level {k} (got {vals[best]:.3g})")
+        kappa = shifts[best]
+        if not any(kappa):
+            fresh.append(b)
+            continue
+        corrections.append((k, b, kappa))
+        fresh.append(tuple(a + c for a, c in zip(b, P_new.matvec(kappa))))
+    return fresh, corrections
+
+
 def corrected_tree(
     triple: HadamardTriple,
     K: int,
@@ -189,20 +243,13 @@ def corrected_tree(
     triple.require_validated()
     pair = triple.pair
     d = pair.d
-    if evidence is None:
-        evidence = zero_set_empty_evidence(pair)
-    if evidence.kind == "refuted":
-        raise ZeroSetNonEmpty(evidence.witness)
-    if not evidence.empty:
-        raise Undecided("periodic zero set could not be certified empty")
+    evidence = _require_empty(pair, evidence)
     cover = cover_constants(triple, window=shift_window, eps0=eps0)
     L, moved = _zero_frequency_shift(triple)
     Rt = triple.R.T
-    S = operator_norm_sup(Rt)
     ev = FourierEval(pair)
+    S = ev.norm_sup
     Rt_inv = np.linalg.inv(Rt.to_array())
-    shifts = [tuple(s) for s in _window(shift_window, d)]
-    shift_arr = np.array(shifts, dtype=float)
 
     exps = [0]
     blocks: list[tuple[IVec, ...]] = [((0,) * d,)]
@@ -223,43 +270,9 @@ def corrected_tree(
         J = digit_sums(Rt, L, gap, cap=cap)
         if len(current) * len(J) > cap:
             raise CapExceeded("spectrum tree", len(current) * len(J), cap)
-        P_prev = Rt.pow(exps[-1])
-        P_new = Rt.pow(n)
-        bases = []
-        for lam in current:
-            for j in J:
-                if all(c == 0 for c in j):
-                    continue
-                bases.append(tuple(a + b for a, b in zip(lam, P_prev.matvec(j))))
-        if bases:
-            # tolerance matches the evaluator's depth-stability scale, well
-            # below any gap that would matter for the lower bound
-            base_arr = np.array(bases, dtype=float)
-            x = base_arr @ np.linalg.matrix_power(Rt_inv, n).T
-            good = np.abs(ev.mu_hat(x)) ** 2 >= cover.m_cover - 1e-6
-            fresh: list[IVec] = []
-            for i, b in enumerate(bases):
-                if good[i]:
-                    fresh.append(b)
-                    continue
-                cand = x[i][None, :] + shift_arr
-                vals = np.abs(ev.mu_hat(cand)) ** 2
-                best = int(np.argmax(vals))
-                # the grid certificate only warrants delta_hat off-grid; the
-                # stricter m_cover test above merely selects representatives
-                if vals[best] < cover.delta_hat - 1e-9:
-                    raise NoShiftFound(
-                        f"cover guarantee failed at level {k} (got {vals[best]:.3g})"
-                    )
-                kappa = shifts[best]
-                if all(c == 0 for c in kappa):
-                    fresh.append(b)
-                    continue
-                corrections.append((k, b, kappa))
-                fresh.append(tuple(a + c for a, c in zip(b, P_new.matvec(kappa))))
-        else:
-            fresh = []
+        fresh, fixes = _corrected_level(ev, cover, current, J, exps[-1], n, k)
         assert len(set(fresh)) == len(fresh)
+        corrections.extend(fixes)
         blocks.append(tuple(fresh))
         current.extend(fresh)
         exps.append(n)
@@ -336,30 +349,3 @@ def completeness_partial(tree: SpectrumTree, xi) -> np.ndarray:
             acc = acc + vals.reshape(len(xi_arr), len(blk)).sum(axis=1)
         rows.append(acc.copy())
     return np.array(rows)
-
-
-@dataclass(frozen=True)
-class SpectrumDecision:
-    status: str  # "spectral" | "no-integer-spectrum" | "undecided"
-    tree: SpectrumTree | None = None
-    witness: object = None
-    evidence: EmptinessEvidence | None = None
-
-
-def zd_spectrum_decision(
-    triple: HadamardTriple,
-    K: int = 8,
-    evidence: EmptinessEvidence | None = None,
-    **tree_kw,
-) -> SpectrumDecision:
-    """Decide integer spectrality: a certified periodic zero forces
-    'no-integer-spectrum'; certified emptiness yields a corrected tree."""
-    triple.require_validated()
-    if evidence is None:
-        evidence = zero_set_empty_evidence(triple.pair)
-    if evidence.kind == "refuted":
-        return SpectrumDecision("no-integer-spectrum", None, evidence.witness, evidence)
-    if not evidence.empty:
-        return SpectrumDecision("undecided", None, None, evidence)
-    tree = corrected_tree(triple, K, evidence=evidence, **tree_kw)
-    return SpectrumDecision("spectral", tree, None, evidence)

@@ -35,6 +35,7 @@ from .intlat import (
     f_inverse,
     f_matvec,
     f_nullspace,
+    f_rank,
 )
 from .measure import FourierEval
 from .triples import AffinePair
@@ -105,6 +106,14 @@ def vanishing_orders_1d(digits: tuple[int, ...]) -> frozenset[int]:
     return frozenset(orders)
 
 
+def _lcm_den(v: FVec) -> int:
+    """Least common denominator of a tuple of fractions."""
+    out = 1
+    for c in v:
+        out = out * c.denominator // gcd(out, c.denominator)
+    return out
+
+
 def _frac_mod1(x: Fraction) -> Fraction:
     return x - (x.numerator // x.denominator)
 
@@ -142,9 +151,7 @@ def mask_zero_test(pair: AffinePair, ms: MaskZeroStructure, rho: FVec) -> tuple[
     for b in pair.B:
         e = _frac_mod1(sum((Fraction(bi) * ri for bi, ri in zip(b, rho)), Fraction(0)))
         exps.append(e)
-    den = 1
-    for e in exps:
-        den = den * e.denominator // gcd(den, e.denominator)
+    den = _lcm_den(exps)
     if den <= ms.general_cap:
         coeffs = [0] * den
         for e in exps:
@@ -376,13 +383,7 @@ def scan_zero_set(
             ok[idx[np.atleast_1d(vals) >= tau]] = False
         confirmed = [cand_list[i] for i in np.flatnonzero(ok)]
 
-    def lcm_den(v: FVec) -> int:
-        out = 1
-        for c in v:
-            out = out * c.denominator // gcd(out, c.denominator)
-        return out
-
-    out = ScanCandidates(sorted(confirmed, key=lambda v: (lcm_den(v), v)))
+    out = ScanCandidates(sorted(confirmed, key=lambda v: (_lcm_den(v), v)))
     out.survivors = int(alive.sum())
     return out
 
@@ -534,36 +535,13 @@ def rational_invariant_subspaces(A) -> list[tuple[IVec, ...]]:
         ok = True
         for c in lat.cols:
             img = M.matvec(c)
-            stacked = [list(row) for row in span_rows]
-            for i in range(d):
-                stacked[i] = list(span_rows[i]) + [Fraction(img[i])]
-            if _rank(tuple(tuple(r) for r in stacked)) != lat.rank:
+            stacked = [row + (Fraction(img[i]),) for i, row in enumerate(span_rows)]
+            if f_rank(stacked) != lat.rank:
                 ok = False
                 break
         if ok:
             results[key] = lat.cols
     return [results[k] for k in sorted(results, key=lambda t: (t[0], t[1]))]
-
-
-def _rank(rows) -> int:
-    m = [list(r) for r in rows]
-    if not m:
-        return 0
-    rank = 0
-    cols = len(m[0])
-    for c in range(cols):
-        piv = next((i for i in range(rank, len(m)) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        p = m[rank][c]
-        m[rank] = [x / p for x in m[rank]]
-        for i in range(len(m)):
-            if i != rank and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[rank])]
-        rank += 1
-    return rank
 
 
 def in_subspace_plus_integers(v: FVec, W: tuple[IVec, ...], d: int) -> bool:
@@ -641,13 +619,7 @@ def find_invariant_cycle(
                 continue
             cands.append(x)
 
-        def lcm_den(v: FVec) -> int:
-            out = 1
-            for c in v:
-                out = out * c.denominator // gcd(out, c.denominator)
-            return out
-
-        cands.sort(key=lambda v: (lcm_den(v), v))
+        cands.sort(key=lambda v: (_lcm_den(v), v))
         for x0 in cands:
             orbit = [x0]
             for _ in range(m - 1):

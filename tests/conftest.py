@@ -1,5 +1,6 @@
 import pytest
 
+from spectral_fractal.quasiprod import full_spectrum
 from spectral_fractal.triples import affine_pair, hadamard_triple
 
 
@@ -17,6 +18,12 @@ def skew_triple():
         [(0, 0), (0, 3), (1, 0), (1, 3)],
         [(0, 0), (2, 0), (0, 1), (2, 1)],
     )
+
+
+@pytest.fixture(scope="session")
+def skew_report(skew_triple):
+    # the full pipeline on skew takes seconds; shared by every module
+    return full_spectrum(skew_triple)
 
 
 @pytest.fixture(scope="session")

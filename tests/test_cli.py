@@ -161,6 +161,24 @@ def test_zeroset_refutation_is_a_finding(tmp_path):
     assert cli.main(["verify", out]) == 0
 
 
+def test_params_of_the_wrong_type_are_invalid(tmp_path):
+    p = write_problem(tmp_path, {**JP, "params": {"depth": "x"}})
+    assert cli.main(["spectrum", p]) == 2
+
+
+def test_flags_a_command_does_not_read_are_rejected(tmp_path):
+    p = write_problem(tmp_path, JP)
+    for argv in (
+        ["zeroset", p, "--depth", "3"],
+        ["reduce", p, "--window", "3"],
+        ["spectrum", p, "--seed", "1"],
+        ["frames", p, "--cap", "10"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+
+
 def test_zeroset_gcd_rule(tmp_path, capsys):
     assert cli.main(["zeroset", write_problem(tmp_path, {"R": [[2]], "B": [[0], [1]]})]) == 0
     rep = read_stdout_report(capsys)
@@ -355,14 +373,6 @@ def test_verify_rejects_non_reports(tmp_path):
     junk = tmp_path / "junk.json"
     junk.write_text("not json at all")
     assert cli.main(["verify", str(junk)]) == 2
-
-
-def test_thread_hint_recorded(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("SPECTRAL_FRACTAL_THREADS", "5")
-    assert cli.main(["zeroset", write_problem(tmp_path, MT)]) == 0
-    assert read_stdout_report(capsys)["timings"]["threads"] == 5
-    monkeypatch.setenv("SPECTRAL_FRACTAL_THREADS", "garbage")
-    assert cli.worker_count() == 1
 
 
 def test_module_entry_point():

@@ -23,8 +23,8 @@ from spectral_fractal.frames import (
     select_subset,
     tsosc_check,
 )
-from spectral_fractal.intlat import complete_representatives
-from spectral_fractal.measure import step_moment
+from spectral_fractal.intlat import complete_representatives, inverse_image
+from spectral_fractal.measure import FourierEval, step_moment
 from spectral_fractal.spectra import canonical_tree, corrected_tree
 from spectral_fractal.triples import affine_pair, digit_sums, hadamard_triple
 
@@ -278,12 +278,17 @@ def test_frame_build_middle_third(cantor_third_pair, mt_subset2):
     assert fs.corrections  # shifts do fire for these levels
 
 
-def test_frame_build_corrections_flag(cantor_third_pair, mt_subset2):
-    fs = frame_spectrum_build(
-        cantor_third_pair, [mt_subset2, mt_subset2], corrections=False
-    )
-    assert fs.corrections == ()
-    assert len(fs.points) == 16
+def test_frame_build_lower_bound_is_warranted(cantor_third_pair, mt_subset2):
+    # lower carries the factor delta_hat only because every new point clears
+    # it after correction; uncorrected points here fall to 0.0024
+    reports = [mt_subset2, mt_subset2]
+    fs = frame_spectrum_build(cantor_third_pair, reports)
+    delta_hat = fs.lower / concatenated_bounds(reports)[0]
+    ev = FourierEval(cantor_third_pair)
+    Rt = cantor_third_pair.R.T
+    for m, blk in zip(fs.exponents[1:], fs.blocks[1:]):
+        vals = np.abs(ev.mu_hat(inverse_image(Rt.pow(m), blk))) ** 2
+        assert vals.min() >= delta_hat - 1e-9
 
 
 def test_frame_build_zero_set_refused():

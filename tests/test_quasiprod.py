@@ -56,11 +56,6 @@ def skew_quasi(skew_triple):
 
 
 @pytest.fixture(scope="module")
-def skew_report(skew_triple):
-    return full_spectrum(skew_triple)
-
-
-@pytest.fixture(scope="module")
 def conj_report(conj_skew):
     return full_spectrum(conj_skew)
 

@@ -5,17 +5,17 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from spectral_fractal import quasiprod
 from spectral_fractal.errors import CapExceeded, Undecided, ZeroSetNonEmpty
+from spectral_fractal.measure import FourierEval
+from spectral_fractal.quasiprod import full_spectrum
 from spectral_fractal.spectra import (
-    SpectrumDecision,
     canonical_tree,
     completeness_partial,
     corrected_tree,
     cover_constants,
     delta_lower_bound,
-    operator_norm_sup,
     orthogonality_check,
-    zd_spectrum_decision,
 )
 from spectral_fractal.triples import hadamard_triple
 from spectral_fractal.zeroset import EmptinessEvidence, zero_set_empty_evidence
@@ -75,11 +75,10 @@ def test_cover_constants_jp(jp_triple):
     assert cov.window == 4
 
 
-def test_operator_norm_sup():
-    from spectral_fractal.intlat import IntMatrix
-
-    assert operator_norm_sup(IntMatrix.from_rows([[4]])) == pytest.approx(0.25)
-    assert operator_norm_sup(IntMatrix.from_rows([[2]])) == pytest.approx(0.5)
+def test_operator_norm_sup(jp_triple, lebesgue_triple):
+    # sup_j ||(R^T)^-j|| drives corrected_tree's level gaps
+    assert FourierEval(jp_triple.pair).norm_sup == pytest.approx(0.25)
+    assert FourierEval(lebesgue_triple.pair).norm_sup == pytest.approx(0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -163,38 +162,40 @@ def test_corrections_improve_completeness(lebesgue_triple):
 
 
 # ---------------------------------------------------------------------------
-# decision
+# decision: full_spectrum, and corrected_tree behind the zero-set gate
 
 
 def test_decision_spectral_1d(lebesgue_triple):
-    dec = zd_spectrum_decision(lebesgue_triple, K=5)
-    assert dec.status == "spectral"
-    assert dec.tree is not None and dec.tree.grade == "certified"
-    assert dec.evidence.kind == "gcd-1d"
+    rep = full_spectrum(lebesgue_triple, K=5)
+    assert rep.status == "spectral"
+    assert rep.tree is not None and rep.tree.grade == "certified"
+    assert rep.evidence.kind == "gcd-1d"
 
 
-def test_decision_refuses_skew(skew_triple, skew_evidence):
-    dec = zd_spectrum_decision(skew_triple, K=4, evidence=skew_evidence)
-    assert dec.status == "no-integer-spectrum"
-    assert dec.tree is None
-    assert dec.witness.point == (F(0), F(1, 3))
-    assert dec.witness.status == "in"
+def test_decision_refuses_skew(skew_report):
+    assert skew_report.integer_spectrum == "no"
+    assert skew_report.evidence.kind == "refuted"
+    assert skew_report.tree is None
+    assert skew_report.evidence.witness.point == (F(0), F(1, 3))
+    assert skew_report.evidence.witness.status == "in"
 
 
 def test_decision_sixfold_scan_path():
     # digit gcd is 3, so the 1D shortcut does not apply; the scan comes back
-    # clean and the construction goes through
+    # clean and the construction goes through.  full_spectrum would rescale
+    # the digits onto 3Z and take the gcd path, so build the tree directly.
     t = hadamard_triple([[6]], [(0,), (3,)], [(0,), (1,)])
-    dec = zd_spectrum_decision(t, K=5)
-    assert dec.status == "spectral"
-    assert dec.evidence.kind == "scan-clear"
-    assert delta_lower_bound(dec.tree) > 0.8
+    tree = corrected_tree(t, 5)
+    assert tree.grade == "certified"
+    assert tree.evidence.kind == "scan-clear"
+    assert delta_lower_bound(tree) > 0.8
 
 
-def test_decision_undecided_passthrough(jp_triple):
-    dec = zd_spectrum_decision(
-        jp_triple, K=4, evidence=EmptinessEvidence("inconclusive")
-    )
-    assert dec == SpectrumDecision(
-        "undecided", None, None, EmptinessEvidence("inconclusive")
-    )
+def test_decision_undecided_passthrough(jp_triple, monkeypatch):
+    evidence = EmptinessEvidence("inconclusive")
+    monkeypatch.setattr(quasiprod, "zero_set_empty_evidence", lambda *a, **k: evidence)
+    rep = full_spectrum(jp_triple, K=4)
+    assert rep.status == "undecided"
+    assert rep.evidence is evidence
+    assert rep.tree is None
+    assert rep.points == ()
