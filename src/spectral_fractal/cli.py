@@ -552,7 +552,15 @@ def run_verify(path: str) -> int:
     if report["inputs_digest"] != inputs_digest(problem):
         print("FAIL: inputs digest does not match the embedded problem")
         return EXIT_VERIFY_FAILED
+    if not isinstance(command, str) or command not in _PARAMS:
+        print(f"FAIL: reports for command {command!r} cannot be verified")
+        return EXIT_INVALID
     params = report["params"]
+    try:
+        _check_params(command, params)
+    except InvalidInput as exc:
+        print(f"FAIL: recorded params are invalid: {exc}")
+        return EXIT_INVALID
     try:
         if command == "render":
             with tempfile.TemporaryDirectory() as td:
@@ -561,11 +569,8 @@ def run_verify(path: str) -> int:
                 )
         elif command == "spectrum":
             results, certificates, _, _ = run_spectrum(problem, params)
-        elif command in _RUNNERS:
-            results, certificates, _ = _RUNNERS[command](problem, params)
         else:
-            print(f"FAIL: reports for command {command!r} cannot be verified")
-            return EXIT_INVALID
+            results, certificates, _ = _RUNNERS[command](problem, params)
     except SpectralFractalError as exc:
         print(f"FAIL: replay raised {type(exc).__name__}: {exc}")
         return EXIT_VERIFY_FAILED
@@ -666,6 +671,23 @@ def _resolved_params(command: str, problem: dict, args) -> dict:
         except (TypeError, ValueError):
             raise InvalidInput(f"params {pkey}: expected {typ.__name__}, got {value!r}") from None
     return params
+
+
+def _check_params(command: str, params) -> None:
+    """A report's resolved params must hold exactly the keys `_PARAMS` gives
+    the command, each value of its type; an int passes for a float, a bool
+    for nothing."""
+    types = {key: typ for key, _, _, _, typ in _PARAMS[command]}
+    if command == "render":
+        types["what"] = str
+    if not isinstance(params, dict) or set(params) != set(types):
+        got = sorted(params) if isinstance(params, dict) else type(params).__name__
+        raise InvalidInput(f"expected keys {sorted(types)}, got {got}")
+    for key, typ in types.items():
+        value = params[key]
+        ok = isinstance(value, (int, float) if typ is float else typ)
+        if isinstance(value, bool) or not ok:
+            raise InvalidInput(f"{key}: expected {typ.__name__}, got {value!r}")
 
 
 def main(argv=None) -> int:

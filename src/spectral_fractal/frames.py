@@ -6,8 +6,8 @@ columns by expanded digits b (level-n digit sums), entries
 unitary digit/frequency pairing make F_n unitary; complete representative
 rows make it a tight frame with bound (|det R|/N)^n; general subsets give
 two-sided bounds read off the extreme squared singular values.  This
-module computes those bounds (dense or matrix-free), selects
-well-conditioned frequency subsets, multiplies per-level bounds into
+module computes those bounds from the Gram matrix of the shorter side,
+selects well-conditioned frequency subsets, multiplies per-level bounds into
 concatenated ones, measures Parseval defects on random step functions,
 tests the tile-interior separation condition by sampling, and assembles
 frame spectra level by level with the same shift-correction machinery
@@ -52,7 +52,6 @@ __all__ = [
     "FrameReport",
     "select_subset",
     "concatenated_bounds",
-    "concatenated_sigma",
     "ParsevalStats",
     "parseval_defect",
     "TsoscResult",
@@ -65,9 +64,10 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # singular value bounds
 
-# matrix entries formed at a time by the blocked Gram and power iterations;
-# small next to a dense_cap-sized Gram, so the blocks add little to its peak
+# matrix entries formed at a time by the blocked Gram; small next to a
+# GRAM_SIDE-sized Gram, so the blocks add little to its peak
 _BLOCK = 2**18
+GRAM_SIDE = 4096  # largest Gram matrix side frame_matrix_bounds forms
 
 
 def _characters(M: IntMatrix, rows, cols) -> np.ndarray:
@@ -84,26 +84,15 @@ def frame_matrix(pair: AffinePair, n: int, J, cap: int = 2**20) -> np.ndarray:
     return F
 
 
-def frame_matrix_bounds(
-    pair: AffinePair,
-    n: int,
-    J,
-    dense_cap: int = 4096,
-    tol: float = 1e-9,
-    max_iter: int = 10**4,
-    cap: int = 2**26,
-    seed: int = 0,
-) -> tuple[float, float]:
+def frame_matrix_bounds(pair: AffinePair, n: int, J, cap: int = 2**26) -> tuple[float, float]:
     """Extreme squared singular values of the level-n matrix for rows J.
 
     With fewer rows than the N^n columns the rank is short, so sigma_min^2
-    is exactly 0 and only sigma_max^2 is computed.  While the shorter side
-    has at most dense_cap entries, its Gram matrix (F F* for a wide matrix,
-    F*F otherwise) is summed over blocks of the longer side and solved
-    densely; beyond that a power iteration on F*F (and on its spectral
-    complement for the small end, unless the rank settles it) runs over row
-    blocks, so no Gram matrix is formed.  Phases come from the exact
-    character kernel.
+    is exactly 0 and only sigma_max^2 is computed.  The Gram matrix of the
+    shorter side (F F* for a wide matrix, F*F otherwise) is summed over
+    blocks of the longer side and solved densely; a shorter side above
+    GRAM_SIDE raises CapExceeded before any character is formed.  Phases
+    come from the exact character kernel.
     """
     freqs = as_digit_list(J)
     if not freqs:
@@ -112,64 +101,24 @@ def frame_matrix_bounds(
     rows = len(freqs)
     if Nn * rows > cap:
         raise CapExceeded("frame matrix work", Nn * rows, cap)
+    side = min(rows, Nn)
+    if side > GRAM_SIDE:
+        raise CapExceeded("frame Gram side", side, GRAM_SIDE)
     wide = rows < Nn
     Rn = pair.R.pow(n)
     sums = digit_sums(pair.R, pair.B, n, cap=cap)
-
-    def block(r: slice, c: slice) -> np.ndarray:
-        return _characters(Rn, freqs[r], sums[c])
-
-    if min(rows, Nn) <= dense_cap:
-        side = min(rows, Nn)
-        K = np.zeros((side, side), dtype=complex)
-        step = max(1, _BLOCK // side)
-        for s in range(0, max(rows, Nn), step):
-            if wide:
-                P = block(slice(None), slice(s, s + step))
-                K += P @ P.conj().T
-            else:
-                P = block(slice(s, s + step), slice(None))
-                K += P.conj().T @ P
-        K /= Nn
-        w = np.linalg.eigvalsh(K)
-        return (0.0 if wide else float(max(w[0], 0.0))), float(w[-1])
-
-    step = max(1, _BLOCK // Nn)
-    starts = range(0, rows, step)
-    # a single row block is formed once and reused by every iteration
-    cached = [block(slice(None), slice(None))] if len(starts) == 1 else None
-
-    def gram_apply(v: np.ndarray) -> np.ndarray:
-        # (F* F) v, one pass over row blocks
-        out = np.zeros(Nn, dtype=complex)
-        for P in cached or (block(slice(s, s + step), slice(None)) for s in starts):
-            out += P.conj().T @ (P @ v)
-        return out / Nn
-
-    rng = np.random.default_rng(seed)
-
-    def power(shift: float | None) -> float:
-        # Rayleigh value of the dominant eigenpair; residual-based stop
-        v = rng.standard_normal(Nn) + 1j * rng.standard_normal(Nn)
-        v /= np.linalg.norm(v)
-        for _ in range(max_iter):
-            Av = gram_apply(v)
-            if shift is not None:
-                Av = shift * v - Av
-            est = float(np.real(np.vdot(v, Av)))
-            if np.linalg.norm(Av - est * v) <= tol * max(abs(est), 1.0):
-                return est
-            nrm = np.linalg.norm(Av)
-            if nrm < 1e-30:
-                return 0.0
-            v = Av / nrm
-        raise CapExceeded("power iterations", max_iter + 1, max_iter)
-
-    hi = power(None)
-    if wide:
-        return 0.0, float(hi)
-    lo = hi - power(hi)
-    return float(min(max(lo, 0.0), hi)), float(hi)
+    K = np.zeros((side, side), dtype=complex)
+    step = max(1, _BLOCK // side)
+    for s in range(0, max(rows, Nn), step):
+        if wide:
+            P = _characters(Rn, freqs, sums[s : s + step])
+            K += P @ P.conj().T
+        else:
+            P = _characters(Rn, freqs[s : s + step], sums)
+            K += P.conj().T @ P
+    K /= Nn
+    w = np.linalg.eigvalsh(K)
+    return (0.0 if wide else float(max(w[0], 0.0))), float(w[-1])
 
 
 def residues_distinct(R, J, n: int) -> bool:
@@ -332,35 +281,6 @@ def concatenated_bounds(reports) -> tuple[float, float]:
     return c, C
 
 
-def stacked_frequencies(Rt: IntMatrix, reports) -> list[IVec]:
-    """lambda_1 + (R^T)^{n_1} lambda_2 + ... over the level J sets."""
-    lams: list[IVec] = [(0,) * Rt.d]
-    m = 0
-    for rep in reports:
-        P = Rt.pow(m)
-        lams = [
-            tuple(a + b for a, b in zip(lam, P.matvec(j)))
-            for lam in lams
-            for j in rep.J_n
-        ]
-        m += rep.n
-    return lams
-
-
-def concatenated_sigma(pair: AffinePair, reports, cap: int = 4096) -> tuple[float, float]:
-    """Direct squared singular values of the concatenated-level matrix.
-
-    Stacked frequencies against total-level digits form the matrix whose
-    bounds the per-level products control, so the result must land inside
-    [prod sigma_min^2, prod sigma_max^2].
-    """
-    total = sum(rep.n for rep in reports)
-    if pair.N**total > cap:
-        raise CapExceeded("concatenated digits", pair.N**total, cap)
-    lams = stacked_frequencies(pair.R.T, reports)
-    return frame_matrix_bounds(pair, total, lams)
-
-
 # ---------------------------------------------------------------------------
 # Parseval defect on step functions
 
@@ -425,6 +345,12 @@ def parseval_defect(
 # tile separation check
 
 
+TSOSC_MARGIN = 4.0**-8  # distance a sample must keep from every other tile copy
+TSOSC_DEPTH = 24  # deepest cell level of the descent
+TSOSC_SEED = 0
+TSOSC_BRANCHES = 64  # live branches one sample may keep
+
+
 @dataclass(frozen=True)
 class TsoscResult:
     """Sampled verdict on the tile-interior separation condition."""
@@ -436,33 +362,27 @@ class TsoscResult:
     note: str = ""
 
 
-def tsosc_check(
-    pair: AffinePair,
-    samples: int = 20000,
-    depth: int = 24,
-    margin: float = 4.0**-8,
-    seed: int = 0,
-    branch_budget: int = 64,
-    state_cap: int = 2 * 10**6,
-) -> TsoscResult:
+def tsosc_check(pair: AffinePair, samples: int = 20000, state_cap: int = 2 * 10**6) -> TsoscResult:
     """Test whether sampled attractor points avoid the tile boundary.
 
     The digits embed in a complete representative set B-bar (raising
     DigitsNotExtendable on a residue collision), whose attractor tiles
     space under integer translates.  A sampled point x is accepted when,
     for every nonzero nearby translate k, branch-and-bound descent proves
-    dist(x - k, tile) > margin: depth-i cells are enclosed exactly in
+    dist(x - k, tile) > TSOSC_MARGIN: depth-i cells are enclosed exactly in
     boxes offset + R^{-i} box (componentwise halfwidth |R^{-i}| h), and a
-    branch is pruned once its box sits farther than margin from the
-    sample.  Descent stops when cells shrink under the margin; any
-    surviving branch, or a sample whose live branches exceed the budget,
-    flags that sample as a near-miss.  All points accepted gives "Holds"
+    branch is pruned once its box sits farther than the margin from the
+    sample.  Descent stops when cells shrink under the margin (at most
+    TSOSC_DEPTH levels); any surviving branch, or a sample whose live
+    branches exceed TSOSC_BRANCHES, flags that sample as a near-miss.
+    Samples are drawn with seed TSOSC_SEED.  All points accepted gives "Holds"
     (a sampled verdict, not a proof); anything unresolved gives "Unknown".
     One dimension with digits inside {0, ..., R-1} is the classical
     trivial case.
     """
     R = pair.R
     d = pair.d
+    margin = TSOSC_MARGIN
     if d == 1:
         r = R.rows[0][0]
         if r > 0 and all(0 <= b[0] < r for b in pair.B):
@@ -484,16 +404,16 @@ def tsosc_check(
     mid = (lo + hi) / 2.0
     half = (hi - lo) / 2.0
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(TSOSC_SEED)
     src = pair.digit_array()
     xs = np.zeros((samples, d))
     for _ in range(48):
         xs = (xs + src[rng.integers(0, len(src), size=samples)]) @ Rinv.T
 
     # stop once every cell box fits inside the margin ball
-    eff_depth = depth
+    eff_depth = TSOSC_DEPTH
     P = np.eye(d)
-    for i in range(1, depth + 1):
+    for i in range(1, TSOSC_DEPTH + 1):
         P = P @ Rinv
         if 2 * float(np.linalg.norm(np.abs(P) @ half)) <= margin:
             eff_depth = i
@@ -533,7 +453,7 @@ def tsosc_check(
             offs, idx = offs[keep], idx[keep]
             if len(idx):
                 counts = np.bincount(idx, minlength=samples)
-                over = counts > branch_budget
+                over = counts > TSOSC_BRANCHES
                 if over.any():
                     flagged |= over
                     inside_budget = ~over[idx]
@@ -583,8 +503,6 @@ class FrameSpectrum:
 def frame_spectrum_build(
     pair: AffinePair,
     reports,
-    shift_window: int = 4,
-    eps0: float = 0.25,
     evidence: EmptinessEvidence | None = None,
     cap: int = 2**16,
 ) -> FrameSpectrum:
@@ -610,7 +528,7 @@ def frame_spectrum_build(
     Rt = pair.R.T
     lbar = tuple(tuple(v) for v in complete_representatives(Rt))
     dual = HadamardTriple(pair, lbar, 0.0, note="complete-representative dual tile")
-    cover = cover_constants(dual, window=shift_window, eps0=eps0)
+    cover = cover_constants(dual)
     ev = FourierEval(pair)
 
     zero = (0,) * d

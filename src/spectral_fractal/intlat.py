@@ -433,11 +433,6 @@ class Lattice:
     def is_standard(self) -> bool:
         return self.den == 1 and self.rank == self.dim and self.basis_matrix.rows == IntMatrix.identity(self.dim).rows
 
-    def covolume(self) -> Fraction:
-        if self.rank != self.dim:
-            raise RankDeficient("covolume needs a full-rank lattice")
-        return Fraction(abs(self.basis_matrix.det()), self.den ** self.dim)
-
     def contains(self, v) -> bool:
         vv = [Fraction(x) for x in (v if not isinstance(v, (int, np.integer)) else (v,))]
         if len(vv) != self.dim:
@@ -462,25 +457,6 @@ class Lattice:
 
     def __contains__(self, v) -> bool:
         return self.contains(v)
-
-
-def lattice_eq(a: Lattice, b: Lattice) -> bool:
-    return a.dim == b.dim and a.den == b.den and a.cols == b.cols
-
-
-def dual_lattice(lat: Lattice) -> Lattice:
-    """Dual {x : <x, g> in Z for all lattice vectors g}; needs full rank."""
-    if lat.rank != lat.dim:
-        raise RankDeficient("dual of a lower-rank lattice is not discrete")
-    G = lat.basis_matrix.to_fractions()
-    scaled = tuple(tuple(x / lat.den for x in row) for row in G)
-    inv_t = f_transpose(f_inverse(scaled))
-    den = 1
-    for row in inv_t:
-        for x in row:
-            den = den * x.denominator // gcd(den, x.denominator)
-    cols = [tuple(int(inv_t[i][j] * den) for i in range(lat.dim)) for j in range(lat.dim)]
-    return Lattice.from_columns(lat.dim, cols, den)
 
 
 # ---------------------------------------------------------------------------
@@ -716,7 +692,10 @@ def _has_reciprocal_root_pair(p: Sequence[int]) -> bool:
     return len(a) > 1
 
 
-def is_expansive(R, margin: float = 1e-9) -> bool:
+_EXPANSIVE_MARGIN = 1e-9  # moduli this close to 1 get the exact tests
+
+
+def is_expansive(R) -> bool:
     """True iff every eigenvalue modulus exceeds 1 (with a certified margin).
 
     Borderline moduli are resolved exactly where possible (rational roots at
@@ -728,16 +707,16 @@ def is_expansive(R, margin: float = 1e-9) -> bool:
     if p[-1] == 0:
         return False  # zero eigenvalue
     mods = np.abs(np.roots(np.array(p, dtype=float)))
-    if np.all(mods > 1 + margin):
+    if np.all(mods > 1 + _EXPANSIVE_MARGIN):
         return True
-    if np.any(mods < 1 - margin):
+    if np.any(mods < 1 - _EXPANSIVE_MARGIN):
         return False
     if _poly_eval_int(p, 1) == 0 or _poly_eval_int(p, -1) == 0:
         return False
     if _has_reciprocal_root_pair(p):
         return False
     raise AmbiguousSpectrum(
-        f"eigenvalue modulus within {margin} of 1 for {M}; cannot classify"
+        f"eigenvalue modulus within {_EXPANSIVE_MARGIN} of 1 for {M}; cannot classify"
     )
 
 
@@ -779,8 +758,8 @@ class ConjugationRecord:
         return ConjugationRecord(fwd, f_inverse(fwd), note)
 
     @staticmethod
-    def identity(d: int, note: str = "identity") -> "ConjugationRecord":
-        return ConjugationRecord(f_identity(d), f_identity(d), note)
+    def identity(d: int) -> "ConjugationRecord":
+        return ConjugationRecord(f_identity(d), f_identity(d), "identity")
 
     @property
     def dim(self) -> int:

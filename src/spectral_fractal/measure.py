@@ -6,9 +6,9 @@ R^{-1}B, R^{-2}B, ...; its transform is the convergent product
     mu_hat(xi) = prod_{j >= 1} mask((R^T)^{-j} xi).
 
 Products are truncated adaptively: depth grows until the remaining argument
-is tiny in sup norm *and* a rigorous first-order tail bound drops below a
-configurable tolerance (default 1e-9), so deepening further cannot move any
-reported value by more than that.
+is below ETA in sup norm *and* a rigorous first-order tail bound drops below
+TAIL_TOL, so deepening further cannot move any reported value by more than
+that.  A point that needs more than MAX_DEPTH factors raises CapExceeded.
 """
 
 from __future__ import annotations
@@ -19,25 +19,21 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidInput, SimpleDigitsRequired, SizeMismatch
+from .errors import CapExceeded, InvalidInput, SimpleDigitsRequired, SizeMismatch
 from .intlat import FVec, adjugate, inverse_image, is_simple_digit_set
 from .triples import AffinePair, _xi_grid, digit_sums, mask_eval
+
+ETA = 1e-4  # sup norm the remaining argument must reach
+TAIL_TOL = 1e-9  # bound on what the dropped factors may still move
+MAX_DEPTH = 64  # most mask factors one evaluation may take
+_BOX_TOL = 1e-12  # padding tail of the attractor box
 
 
 class FourierEval:
     """Cached evaluator for mu_hat of one pair."""
 
-    def __init__(
-        self,
-        pair: AffinePair,
-        eta: float = 1e-4,
-        tail_tol: float = 1e-9,
-        max_depth: int = 64,
-    ):
+    def __init__(self, pair: AffinePair):
         self.pair = pair
-        self.eta = float(eta)
-        self.tail_tol = float(tail_tol)
-        self.max_depth = int(max_depth)
         R = pair.R.to_array()
         self._Rinv = np.linalg.inv(R)
         self._bmax = float(np.max(np.linalg.norm(pair.digit_array(), axis=1))) or 1.0
@@ -66,17 +62,20 @@ class FourierEval:
         return _xi_grid(self.pair.d, xi)
 
     def depth_for(self, xi) -> int:
+        """Factors needed for the whole batch; CapExceeded beyond MAX_DEPTH."""
         arr, _ = self._prepare(xi)
         z = arr.reshape(-1, self.pair.d)
         T = 0
-        while T < self.max_depth:
+        while True:
             sup = float(np.max(np.abs(z))) if z.size else 0.0
             nrm2 = float(np.max(np.linalg.norm(z, axis=1))) if z.size else 0.0
-            if sup <= self.eta and self.tail_bound(nrm2) <= self.tail_tol:
-                break
+            if sup <= ETA and self.tail_bound(nrm2) <= TAIL_TOL:
+                return T
+            if T == MAX_DEPTH:
+                what = f"mu_hat factors (tail bound {self.tail_bound(nrm2):.2g} left)"
+                raise CapExceeded(what, T + 1, MAX_DEPTH)
             z = z @ self._Rinv
             T += 1
-        return T
 
     def mu_hat_truncated(self, xi, depth: int):
         """Finite product of exactly `depth` mask factors."""
@@ -93,27 +92,6 @@ class FourierEval:
         arr, scalar = self._prepare(xi)
         out = self.mu_hat_truncated(arr, self.depth_for(arr))
         return out[0] if scalar else out
-
-
-def refinement_identity_defect(ev: FourierEval, xi, n: int, cap: int = 2**20) -> float:
-    """|mu_hat(xi) - mask_of_level_n((R^T)^{-n} xi) * mu_hat((R^T)^{-n} xi)|.
-
-    The level mask is summed directly over the N^n expanded digits, so this
-    genuinely cross-checks the product against the convolution structure.
-    """
-    pair = ev.pair
-    arr, scalar = ev._prepare(xi)
-    z = arr
-    for _ in range(n):
-        z = z @ ev._Rinv
-    t2 = ev.depth_for(z)
-    lhs = ev.mu_hat_truncated(arr, n + t2)
-    level = np.array(digit_sums(pair.R, pair.B, n, cap), dtype=float)
-    phases = z @ level.T
-    mask_n = np.exp(-2j * np.pi * phases).mean(axis=-1)
-    rhs = mask_n * ev.mu_hat_truncated(z, t2)
-    defect = np.max(np.abs(lhs - rhs))
-    return float(defect)
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +160,7 @@ def discrete_approximant(pair: AffinePair, n: int, cap: int = 2**20) -> Discrete
     return DiscreteMeasure(atoms, tuple(c * w for _, c in items))
 
 
-def attractor_box(pair: AffinePair, tol: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
+def attractor_box(pair: AffinePair) -> tuple[np.ndarray, np.ndarray]:
     """Componentwise bounding box of the attractor, padded by a tail bound."""
     d = pair.d
     Rinv = np.linalg.inv(pair.R.to_array())
@@ -197,7 +175,7 @@ def attractor_box(pair: AffinePair, tol: float = 1e-12) -> tuple[np.ndarray, np.
         lo += imgs.min(axis=0)
         hi += imgs.max(axis=0)
         tail = float(np.sum(np.abs(P))) * bmax  # crude but safe overestimate
-        if tail < tol:
+        if tail < _BOX_TOL:
             lo -= tail
             hi += tail
             return lo, hi

@@ -64,6 +64,11 @@ from .triples import HadamardTriple, hadamard_triple
 from .spectra import SpectrumTree, corrected_tree
 from .zeroset import EmptinessEvidence, find_invariant_cycle, zero_set_empty_evidence
 
+T_WINDOW = 60  # the product sweep keeps |t| <= T_WINDOW transverse steps
+XI_GRID = 4  # sweep points per axis, at cell centres of [0,1)^d
+THRESHOLD = 0.95  # minimum sweep sum that accepts a beta
+SAMPLE = 32  # frequencies a SpectrumReport carries in `points`
+
 __all__ = [
     "TriangularForm",
     "triangularize",
@@ -227,7 +232,6 @@ class QuasiProduct:
     c_digits: tuple[tuple[IVec, ...], ...]
     R2_conj: IntMatrix
     sub: HadamardTriple
-    orbit_seconds: tuple[FVec, ...]
 
     @property
     def transverse_index(self) -> int:
@@ -294,7 +298,7 @@ def decompose(triple: HadamardTriple, r: int, orbit) -> QuasiProduct:
         )
     sub = hadamard_triple(R1, u_values, L1).require_validated()
     return QuasiProduct(
-        triple, r, R1, R2, Q, u_values, tuple(v_reps), tuple(c_digits), R2c, sub, ys
+        triple, r, R1, R2, Q, u_values, tuple(v_reps), tuple(c_digits), R2c, sub
     )
 
 
@@ -321,20 +325,17 @@ def product_spectrum(
     quasi: QuasiProduct,
     lam1_points,
     betas=None,
-    t_window: int = 60,
-    xi_grid: int = 4,
-    threshold: float = 0.95,
     cap: int = 2 ** 23,
 ) -> ProductSpectrum:
     """Test Lambda_1 x (1/beta) Z against a truncated completeness sweep.
 
     For each candidate denominator beta the sum sum_{lam} |mu_hat(xi+lam)|^2
     over the truncated product set is evaluated on an off-lattice grid of
-    xi; the first beta whose minimum clears ``threshold`` is accepted.  The
-    default beta list is q, 2q, 3q with q the transverse lattice index.
-    Truncation keeps |t| <= t_window, ordered by |t| so the recorded partial
-    sums are monotone.  Raises NoBetaAccepted with all sweep minima when
-    every candidate fails.
+    xi (XI_GRID points per axis); the first beta whose minimum clears
+    THRESHOLD is accepted.  The default beta list is q, 2q, 3q with q the
+    transverse lattice index.  Truncation keeps |t| <= T_WINDOW, ordered by
+    |t| so the recorded partial sums are monotone.  Raises NoBetaAccepted
+    with all sweep minima when every candidate fails.
     """
     d = triple.R.d
     r = quasi.r
@@ -346,8 +347,8 @@ def product_spectrum(
     lam1 = [tuple(float(c) for c in p) for p in lam1_points]
     if not lam1:
         raise InvalidInput("need a nonempty base frequency set")
-    ts = sorted(range(-t_window, t_window + 1), key=lambda t: (abs(t), t))
-    axes = [(np.arange(xi_grid) + 0.5) / xi_grid for _ in range(d)]
+    ts = sorted(range(-T_WINDOW, T_WINDOW + 1), key=lambda t: (abs(t), t))
+    axes = [(np.arange(XI_GRID) + 0.5) / XI_GRID for _ in range(d)]
     mesh = np.meshgrid(*axes, indexing="ij")
     grid = np.stack([m.ravel() for m in mesh], axis=-1)
     needed = len(lam1) * len(ts) * len(grid)
@@ -370,7 +371,7 @@ def product_spectrum(
             if total < minv:
                 minv = total
                 min_partials = partials
-            if total < threshold:
+            if total < THRESHOLD:
                 ok = False
                 break
         if ok:
@@ -378,8 +379,8 @@ def product_spectrum(
                 beta=int(beta),
                 step=Fraction(1, int(beta)),
                 minimum=minv,
-                threshold=threshold,
-                t_window=t_window,
+                threshold=THRESHOLD,
+                t_window=T_WINDOW,
                 lam1_count=len(lam1),
                 partials=tuple(float(x) for x in min_partials),
                 rejected=tuple(rejected),
@@ -387,7 +388,7 @@ def product_spectrum(
         rejected.append((int(beta), minv))
     raise NoBetaAccepted(
         "no transverse denominator reached "
-        f"{threshold}: " + ", ".join(f"beta={b} min={m:.4f}" for b, m in rejected)
+        f"{THRESHOLD}: " + ", ".join(f"beta={b} min={m:.4f}" for b, m in rejected)
     )
 
 
@@ -462,12 +463,7 @@ _QUASI_FAILURES = (
 def full_spectrum(
     triple: HadamardTriple,
     K: int = 6,
-    sample: int = 32,
-    max_period: int = 12,
     scan_K: int = 10,
-    t_window: int = 60,
-    xi_grid: int = 4,
-    threshold: float = 0.95,
     limit: int = 4096,
     _depth: int = 0,
 ) -> SpectrumReport:
@@ -514,7 +510,7 @@ def full_spectrum(
         tree = corrected_tree(triple, K, evidence=evidence)
         pts = [
             map_frequency_back(tuple(Fraction(int(c)) for c in p), recs)
-            for p in tree.points[:sample]
+            for p in tree.points[:SAMPLE]
         ]
         return SpectrumReport(
             "spectral", "orthonormal", "yes", recs, evidence, tree, None, None,
@@ -527,7 +523,7 @@ def full_spectrum(
         )
     witness = evidence.witness
     try:
-        cycle = find_invariant_cycle(pair, max_period=max_period)
+        cycle = find_invariant_cycle(pair)
         if not cycle.W:
             raise CycleNotFound("cycle found but no invariant direction certified")
         tri = triangularize(triple.R, cycle.W)
@@ -536,11 +532,7 @@ def full_spectrum(
         t2 = hadamard_triple(tri.R_new, B2, L2).require_validated()
         orbit2 = tuple(tri.record.apply_frequency_point(x) for x in cycle.orbit)
         quasi = decompose(t2, tri.r, orbit2)
-        sub_report = full_spectrum(
-            quasi.sub, K=K, sample=sample, max_period=max_period, scan_K=scan_K,
-            t_window=t_window, xi_grid=xi_grid, threshold=threshold, limit=limit,
-            _depth=_depth + 1,
-        )
+        sub_report = full_spectrum(quasi.sub, K=K, scan_K=scan_K, limit=limit, _depth=_depth + 1)
         if sub_report.status != "spectral":
             return SpectrumReport(
                 "undecided", "quasi-product", "no", recs, evidence, None, quasi,
@@ -548,9 +540,7 @@ def full_spectrum(
                 note="leading-block subsystem spectrum undecided",
             )
         lam1 = report_frequencies(sub_report, limit)
-        product = product_spectrum(
-            t2, quasi, lam1, t_window=t_window, xi_grid=xi_grid, threshold=threshold,
-        )
+        product = product_spectrum(t2, quasi, lam1)
     except _QUASI_FAILURES as exc:
         return SpectrumReport(
             "undecided", "quasi-product", "no", recs, evidence, None, None, None,
@@ -561,11 +551,11 @@ def full_spectrum(
     inner = (*recs, tri.record)
     pts = []
     for t in sorted(range(-2, 3), key=lambda t: (abs(t), t)):
-        for lam in lam1[: max(1, sample // 5)]:
+        for lam in lam1[: max(1, SAMPLE // 5)]:
             pts.append(map_frequency_back(lam + (Fraction(t, product.beta),), inner))
-            if len(pts) >= sample:
+            if len(pts) >= SAMPLE:
                 break
-        if len(pts) >= sample:
+        if len(pts) >= SAMPLE:
             break
     return SpectrumReport(
         "spectral", "quasi-product", "no", inner, evidence, None, quasi, product,

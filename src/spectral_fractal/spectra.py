@@ -34,6 +34,12 @@ from .measure import FourierEval, attractor_box
 from .triples import AffinePair, HadamardTriple, digit_sums
 from .zeroset import EmptinessEvidence, _window, zero_set_empty_evidence
 
+SHIFT_WINDOW = 4  # shifts kappa range over [-SHIFT_WINDOW, SHIFT_WINDOW]^d
+EPS0 = 0.25  # cover padding, and how close old points must contract to 0
+MAX_REFINE = 8  # halvings of the cover grid step before giving up
+MAX_GAP = 32  # largest exponent gap between two tree levels
+PAIR_LIMIT = 4000  # orthogonality_check samples pairs beyond this many
+
 
 @dataclass(frozen=True)
 class CoverConstants:
@@ -120,14 +126,10 @@ def canonical_tree(triple: HadamardTriple, K: int, cap: int = 2**16) -> Spectrum
     return replace(tree, delta_levels=deltas)
 
 
-def cover_constants(
-    triple: HadamardTriple,
-    window: int = 4,
-    eps0: float = 0.25,
-    max_refine: int = 8,
-) -> CoverConstants:
-    """Grid certificate: every point of the padded dual attractor box has an
-    integer translate in [-window, window]^d with |mu_hat|^2 >= delta_hat."""
+def cover_constants(triple: HadamardTriple) -> CoverConstants:
+    """Grid certificate: every point of the dual attractor box, padded by
+    EPS0, has an integer translate in [-SHIFT_WINDOW, SHIFT_WINDOW]^d with
+    |mu_hat|^2 >= delta_hat."""
     pair = triple.pair
     d = pair.d
     ev = FourierEval(pair)
@@ -136,11 +138,11 @@ def cover_constants(
     L, _ = _zero_frequency_shift(triple)
     dual = AffinePair(pair.R.T, L)
     lo, hi = attractor_box(dual)
-    lo = lo - eps0
-    hi = hi + eps0
-    shifts = np.array(_window(window, d), dtype=float)
-    h = eps0 / 2
-    for _ in range(max_refine):
+    lo = lo - EPS0
+    hi = hi + EPS0
+    shifts = np.array(_window(SHIFT_WINDOW, d), dtype=float)
+    h = EPS0 / 2
+    for _ in range(MAX_REFINE):
         axes = [np.arange(lo[i], hi[i] + h, h) for i in range(d)]
         if d == 1:
             grid = axes[0][:, None]
@@ -153,11 +155,11 @@ def cover_constants(
         corr = 2 * np.pi * C * (h * np.sqrt(d) / 2)
         if m_cover < 1e-10:
             raise NoShiftFound(
-                f"no usable translate within window {window}; enlarge the window"
+                f"no usable translate within window {SHIFT_WINDOW}"
             )
         if corr <= 0.15 * np.sqrt(m_cover):
             delta_hat = (np.sqrt(m_cover) - corr) ** 2
-            return CoverConstants(eps0, h, window, m_cover, float(corr), float(delta_hat))
+            return CoverConstants(EPS0, h, SHIFT_WINDOW, m_cover, float(corr), float(delta_hat))
         h /= 2
     raise NoShiftFound("cover grid refinement did not stabilize")
 
@@ -230,10 +232,7 @@ def corrected_tree(
     triple: HadamardTriple,
     K: int,
     cap: int = 2**16,
-    shift_window: int = 4,
-    eps0: float = 0.25,
     evidence: EmptinessEvidence | None = None,
-    max_gap: int = 32,
 ) -> SpectrumTree:
     """Spectrum construction with existence-grade bookkeeping.
 
@@ -244,7 +243,7 @@ def corrected_tree(
     pair = triple.pair
     d = pair.d
     evidence = _require_empty(pair, evidence)
-    cover = cover_constants(triple, window=shift_window, eps0=eps0)
+    cover = cover_constants(triple)
     L, moved = _zero_frequency_shift(triple)
     Rt = triple.R.T
     ev = FourierEval(pair)
@@ -261,12 +260,12 @@ def corrected_tree(
         while True:
             imgs = arr @ np.linalg.matrix_power(Rt_inv, n).T
             worst = float(np.linalg.norm(imgs, axis=1).max()) if len(arr) else 0.0
-            if S * worst < eps0 or n - exps[-1] >= max_gap:
+            if S * worst < EPS0 or n - exps[-1] >= MAX_GAP:
                 break
             n += 1
         gap = n - exps[-1]
-        if gap >= max_gap:
-            raise CapExceeded("level gap", gap, max_gap)
+        if gap >= MAX_GAP:
+            raise CapExceeded("level gap", gap, MAX_GAP)
         J = digit_sums(Rt, L, gap, cap=cap)
         if len(current) * len(J) > cap:
             raise CapExceeded("spectrum tree", len(current) * len(J), cap)
@@ -301,29 +300,22 @@ def _measure_deltas(tree: SpectrumTree) -> tuple[float, ...]:
     return tuple(out)
 
 
-def delta_lower_bound(tree: SpectrumTree) -> float:
-    """min over levels of min_lambda |mu_hat((R^T)^(-n_k) lambda)|^2."""
-    deltas = tree.delta_levels or _measure_deltas(tree)
-    return min(deltas)
-
-
-def orthogonality_check(
-    tree: SpectrumTree, pair_limit: int = 4000, seed: int = 0
-) -> float:
-    """max |mu_hat(lambda - lambda')| over (sampled) distinct pairs."""
+def orthogonality_check(tree: SpectrumTree, seed: int = 0) -> float:
+    """max |mu_hat(lambda - lambda')| over distinct pairs; PAIR_LIMIT seeded
+    samples when there are more pairs than that."""
     pts = tree.points
     n = len(pts)
     ev = FourierEval(tree.triple.pair)
     pairs = n * (n - 1) // 2
     arr = np.array(pts, dtype=float)
-    if pairs <= pair_limit:
+    if pairs <= PAIR_LIMIT:
         diffs = [
             arr[i] - arr[j] for i in range(n) for j in range(i + 1, n)
         ]
     else:
         rng = np.random.default_rng(seed)
-        ii = rng.integers(0, n, size=pair_limit)
-        jj = rng.integers(0, n - 1, size=pair_limit)
+        ii = rng.integers(0, n, size=PAIR_LIMIT)
+        jj = rng.integers(0, n - 1, size=PAIR_LIMIT)
         jj = np.where(jj >= ii, jj + 1, jj)
         diffs = list(arr[ii] - arr[jj])
     vals = np.abs(ev.mu_hat(np.array(diffs)))

@@ -12,7 +12,6 @@ noise (~1e-15).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,13 +27,13 @@ from .intlat import (
     IntMatrix,
     IVec,
     as_digit_list,
-    canonical_residue,
     character_phases,
     is_expansive,
     residues_unique,
 )
 
 DEFECT_TOL = 1e-10
+DENSE_TOWER = 4096  # largest tower whose unitary `tower` forms and checks
 
 
 @dataclass(frozen=True)
@@ -158,10 +157,6 @@ class HadamardTriple:
             )
         return self
 
-    def dual_pair(self) -> AffinePair:
-        """The transposed system (R^T, L); its attractor hosts the frequency trees."""
-        return AffinePair(self.R.T, self.L)
-
 
 def hadamard_triple(R, B, L) -> HadamardTriple:
     pair = affine_pair(R, B)
@@ -191,10 +186,10 @@ def digit_sums(R, B, n: int, cap: int = 2**20) -> list[IVec]:
     return out
 
 
-def tower(triple: HadamardTriple, k: int, cap: int = 2**20, dense_cap: int = 4096) -> HadamardTriple:
+def tower(triple: HadamardTriple, k: int, cap: int = 2**20) -> HadamardTriple:
     """The level-k system (R^k, B_k, L_k); re-validated when small enough.
 
-    Beyond `dense_cap` elements the full unitary is too large to form, so the
+    Beyond DENSE_TOWER elements the full unitary is too large to form, so the
     exact residue-distinctness certificate is checked instead and the base
     defect is inherited (see `note`).
     """
@@ -205,7 +200,7 @@ def tower(triple: HadamardTriple, k: int, cap: int = 2**20, dense_cap: int = 409
     Bk = tuple(digit_sums(triple.R, triple.B, k, cap))
     Lk = tuple(digit_sums(triple.R.T, triple.L, k, cap))
     pair = AffinePair(Rk, Bk)
-    if len(Bk) <= dense_cap:
+    if len(Bk) <= DENSE_TOWER:
         _, defect = validate_triple(Rk, Bk, Lk)
         return HadamardTriple(pair, Lk, defect)
     for mat, vecs, label in ((Rk, Bk, "digit"), (Rk.T, Lk, "frequency")):
@@ -214,69 +209,3 @@ def tower(triple: HadamardTriple, k: int, cap: int = 2**20, dense_cap: int = 409
     return HadamardTriple(
         pair, Lk, triple.defect, note="residue-certified; defect inherited from base"
     )
-
-
-def lift_digits(J, R, n: int, shifts) -> tuple[IVec, ...]:
-    """Shift each frequency by (R^T)^n k_j; residues mod (R^T)^n are untouched.
-
-    `shifts` is a sequence of integer vectors aligned with J (or a dict from
-    index to vector; missing entries shift by zero).
-    """
-    M = IntMatrix.from_rows(R)
-    freqs = as_digit_list(J)
-    Rt_n = M.T.pow(n)
-    seen = set()
-    for j in freqs:
-        r = canonical_residue(Rt_n, j)
-        if r in seen:
-            raise ResidueCollision("frequencies collide modulo (R^T)^n")
-        seen.add(r)
-    if isinstance(shifts, dict):
-        shift_list = [shifts.get(i, (0,) * M.d) for i in range(len(freqs))]
-    else:
-        shift_list = list(shifts)
-        if len(shift_list) != len(freqs):
-            raise SizeMismatch("one shift per frequency required")
-    out = []
-    for j, s in zip(freqs, shift_list):
-        sv = Rt_n.matvec(tuple(int(x) for x in s))
-        out.append(tuple(a + b for a, b in zip(j, sv)))
-    for j, o in zip(freqs, out):
-        assert canonical_residue(Rt_n, o) == canonical_residue(Rt_n, j)
-    return tuple(out)
-
-
-def transfer_partition_check(triple: HadamardTriple, grid) -> float:
-    """Max deviation of sum_l u((R^T)^{-1}(x + l)) from 1 over the grid.
-
-    For a validated system this is an identity, so the return value is float
-    noise; large values flag a broken L.
-    """
-    pair = triple.pair
-    arr, _ = _xi_grid(pair.d, grid)
-    inv_t = np.linalg.inv(pair.R.T.to_array())
-    total = np.zeros(arr.shape[:-1])
-    for l in triple.L:
-        pts = (arr + np.array(l, dtype=float)) @ inv_t.T
-        total += u_eval(pair, pts)
-    return float(np.max(np.abs(total - 1.0)))
-
-
-def search_frequency_digits_1d(R: int, B, limit: int | None = None) -> list[tuple[IVec, ...]]:
-    """Exhaustive search for valid 1D frequency sets inside [0, |R|).
-
-    Only meant for small N; complements validate_triple in tests.  Returns
-    every subset (containing 0) that passes validation.
-    """
-    r = abs(int(R))
-    digs = as_digit_list(B)
-    N = len(digs)
-    if N > (limit or 6):
-        raise CapExceeded("frequency search", N, limit or 6)
-    found = []
-    for combo in itertools.combinations(range(1, r), N - 1):
-        L = ((0,),) + tuple((c,) for c in combo)
-        ok, _ = validate_triple([[R]], digs, L)
-        if ok:
-            found.append(L)
-    return found

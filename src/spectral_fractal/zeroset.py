@@ -42,6 +42,11 @@ from .triples import AffinePair
 
 OUT_FLOOR = 1e-3  # truncated |mu_hat| above this certifies "not a zero" (numeric grade)
 NUMERIC_ZERO = 1e-12
+SCAN_TAU = 1e-7  # a confirmed scan candidate stays below this on the whole window
+SCAN_STEP = 1 / 256  # grid spacing of the scan over [0,1)^d
+SNAP_DENOMINATOR = 64  # survivors snap to rationals with at most this denominator
+CYCLE_K = 6  # translate window for certifying cycle points and directions
+CYCLE_J = 30  # mask levels tried per translate there
 
 
 # ---------------------------------------------------------------------------
@@ -95,12 +100,18 @@ def vanishing_orders_1d(digits: tuple[int, ...]) -> frozenset[int]:
     while poly and poly[0] == 0:
         poly.pop(0)
     orders = set()
+    # phi(q) >= sqrt(q / 2), so every q with phi(q) <= deg is at most 2 deg^2
     qmax = 2 * deg * deg + 8
+    phi = list(range(qmax + 1))
+    for p in range(2, qmax + 1):
+        if phi[p] == p:  # p is prime
+            for m in range(p, qmax + 1, p):
+                phi[m] -= phi[m] // p
     for q in range(2, qmax + 1):
-        cyc = cyclotomic(q)
-        if len(cyc) - 1 > deg:
+        # Phi_q has degree phi(q); it cannot divide a nonzero poly of lower degree
+        if phi[q] > deg:
             continue
-        _, rem = _poly_divmod(poly[:], cyc)
+        _, rem = _poly_divmod(poly[:], cyclotomic(q))
         if not rem:
             orders.add(q)
     return frozenset(orders)
@@ -319,21 +330,14 @@ class ScanCandidates(list):
     survivors: int = 0
 
 
-def scan_zero_set(
-    pair: AffinePair,
-    K: int = 10,
-    tau: float = 1e-7,
-    h: float = 1 / 256,
-    denominator_bound: int = 64,
-    prefilter: float | None = None,
-) -> ScanCandidates:
+def scan_zero_set(pair: AffinePair, K: int = 10) -> ScanCandidates:
     """Rational candidates for the periodic zero set found by a grid sweep.
 
     Grid points whose whole translate window stays below a Lipschitz-scaled
-    prefilter are snapped to denominators <= denominator_bound and kept only
-    if the snapped point passes the strict tolerance tau on the full window.
-    Sorted by least common denominator, then lexicographically; the count
-    of prefilter survivors rides along as `survivors`.
+    prefilter are snapped to denominators <= SNAP_DENOMINATOR and kept only
+    if the snapped point passes the strict tolerance SCAN_TAU on the full
+    window.  Sorted by least common denominator, then lexicographically;
+    the count of prefilter survivors rides along as `survivors`.
     """
     d = pair.d
     if d > 2:
@@ -344,16 +348,16 @@ def scan_zero_set(
     lo, hi = attractor_box(pair)
     radius = float(np.linalg.norm(np.maximum(np.abs(lo), np.abs(hi))))
     lip = 2 * np.pi * max(radius, 1e-9)
-    pre = prefilter if prefilter is not None else max(tau, lip * h * np.sqrt(d))
-    n = int(round(1 / h))
-    axes = [np.arange(n) * h for _ in range(d)]
+    pre = max(SCAN_TAU, lip * SCAN_STEP * np.sqrt(d))
+    n = int(round(1 / SCAN_STEP))
+    axes = [np.arange(n) * SCAN_STEP for _ in range(d)]
     if d == 1:
         grid = axes[0][:, None]
     else:
         X, Y = np.meshgrid(axes[0], axes[1], indexing="ij")
         grid = np.stack([X.ravel(), Y.ravel()], axis=-1)
     # candidate generation only needs a small translate window; the snapped
-    # points are re-confirmed below against the full window at tolerance tau
+    # points are re-confirmed below against the full window at SCAN_TAU
     alive = np.ones(len(grid), dtype=bool)
     for k in _window(min(K, 3), d):
         if not alive.any():
@@ -366,7 +370,7 @@ def scan_zero_set(
     candidates: set[FVec] = set()
     for gp in grid[alive]:
         snapped = tuple(
-            _frac_mod1(Fraction(float(c)).limit_denominator(denominator_bound))
+            _frac_mod1(Fraction(float(c)).limit_denominator(SNAP_DENOMINATOR))
             for c in gp
         )
         candidates.add(snapped)
@@ -380,7 +384,7 @@ def scan_zero_set(
                 break
             vals = np.abs(ev.mu_hat(pts[ok] + np.array(k, dtype=float)))
             idx = np.flatnonzero(ok)
-            ok[idx[np.atleast_1d(vals) >= tau]] = False
+            ok[idx[np.atleast_1d(vals) >= SCAN_TAU]] = False
         confirmed = [cand_list[i] for i in np.flatnonzero(ok)]
 
     out = ScanCandidates(sorted(confirmed, key=lambda v: (_lcm_den(v), v)))
@@ -403,11 +407,11 @@ class EmptinessEvidence:
         return self.kind in ("gcd-1d", "scan-clear")
 
 
-def zero_set_empty_evidence(pair: AffinePair, K: int = 10, **scan_kw) -> EmptinessEvidence:
+def zero_set_empty_evidence(pair: AffinePair, K: int = 10) -> EmptinessEvidence:
     """Best-effort decision on whether the periodic zero set is empty."""
     if pair.d == 1 and gcd_fast_path_1d(pair) == "empty":
         return EmptinessEvidence("gcd-1d", note="digit differences are coprime")
-    candidates = scan_zero_set(pair, K=K, **scan_kw)
+    candidates = scan_zero_set(pair, K=K)
     if not candidates and candidates.survivors:
         # a survivor may sit near a zero whose denominator the snap cannot reach
         return EmptinessEvidence(
@@ -443,16 +447,15 @@ class Transition:
         return self.weight > 1e-12
 
 
-def transition_targets(pair: AffinePair, x, ell_set=None) -> list[Transition]:
-    """All one-step inverse-branch moves (R^T)^{-1}(x + l) with their u-weights."""
+def transition_targets(pair: AffinePair, x) -> list[Transition]:
+    """All one-step inverse-branch moves (R^T)^{-1}(x + l) with their u-weights,
+    l over the complete representatives of R^T."""
     point = tuple(Fraction(c) for c in x)
     rt_inv = _rt_inv_fracs(pair)
-    if ell_set is None:
-        ell_set = complete_representatives(pair.R.T)
     out = []
     from .triples import u_eval
 
-    for ell in ell_set:
+    for ell in complete_representatives(pair.R.T):
         tgt = f_matvec(rt_inv, tuple(c + e for c, e in zip(point, ell)))
         w = float(u_eval(pair, np.array([[float(c) for c in tgt]]))[0])
         out.append(Transition(tuple(ell), tgt, w))
@@ -583,18 +586,13 @@ class InvariantCycle:
 
 
 def find_invariant_cycle(
-    pair: AffinePair,
-    max_period: int = 12,
-    K: int = 6,
-    J: int = 30,
-    candidate_cap: int = 4096,
+    pair: AffinePair, max_period: int = 12, candidate_cap: int = 4096
 ) -> InvariantCycle:
     """Search for x0 with (R^T)^m x0 = x0 (mod Z^d) whose whole orbit certifies
     into the periodic zero set; attach an invariant rational direction W when
     sampled points of x0 + W certify as well."""
     d = pair.d
     Rt = pair.R.T
-    ev_window = K
     seen: set[FVec] = set()
     skipped = []
     for m in range(1, max_period + 1):
@@ -627,14 +625,14 @@ def find_invariant_cycle(
             certs = []
             good = True
             for pt in orbit:
-                cert = certify_zero(pair, pt, K=ev_window, J=J)
+                cert = certify_zero(pair, pt, K=CYCLE_K, J=CYCLE_J)
                 certs.append(cert)
                 if cert.status != "in":
                     good = False
                     break
             if not good:
                 continue
-            W = _attach_invariant_direction(pair, x0, K=ev_window, J=J)
+            W = _attach_invariant_direction(pair, x0)
             transitions, descent = _log_transitions(pair, orbit, W)
             return InvariantCycle(
                 x0, m, tuple(orbit), W, tuple(certs), transitions, descent
@@ -645,7 +643,7 @@ def find_invariant_cycle(
     )
 
 
-def _attach_invariant_direction(pair: AffinePair, x0: FVec, K: int, J: int):
+def _attach_invariant_direction(pair: AffinePair, x0: FVec):
     try:
         subspaces = rational_invariant_subspaces(pair.R.T)
     except DimensionUnsupported:
@@ -658,7 +656,7 @@ def _attach_invariant_direction(pair: AffinePair, x0: FVec, K: int, J: int):
                 pt = tuple(
                     _frac_mod1(c + t * b) for c, b in zip(x0, basis_vec)
                 )
-                if certify_zero(pair, pt, K=K, J=J).status != "in":
+                if certify_zero(pair, pt, K=CYCLE_K, J=CYCLE_J).status != "in":
                     ok = False
                     break
             if not ok:

@@ -1,0 +1,167 @@
+"""Test-side helpers: constructions and identities the tests check the
+package against.  None of them is called by the package itself."""
+
+from __future__ import annotations
+
+import itertools
+from fractions import Fraction
+from math import gcd
+
+import numpy as np
+
+from spectral_fractal.errors import RankDeficient, ResidueCollision, SizeMismatch
+from spectral_fractal.frames import frame_matrix_bounds
+from spectral_fractal.intlat import (
+    IntMatrix,
+    Lattice,
+    as_digit_list,
+    canonical_residue,
+    f_inverse,
+    f_transpose,
+)
+from spectral_fractal.measure import FourierEval
+from spectral_fractal.triples import validate_triple
+
+
+# ---------------------------------------------------------------------------
+# lattices
+
+
+def lattice_eq(a: Lattice, b: Lattice) -> bool:
+    return a.dim == b.dim and a.den == b.den and a.cols == b.cols
+
+
+def dual_lattice(lat: Lattice) -> Lattice:
+    """Dual {x : <x, g> in Z for all lattice vectors g}; needs full rank."""
+    if lat.rank != lat.dim:
+        raise RankDeficient("dual of a lower-rank lattice is not discrete")
+    G = lat.basis_matrix.to_fractions()
+    scaled = tuple(tuple(x / lat.den for x in row) for row in G)
+    inv_t = f_transpose(f_inverse(scaled))
+    den = 1
+    for row in inv_t:
+        for x in row:
+            den = den * x.denominator // gcd(den, x.denominator)
+    cols = [tuple(int(inv_t[i][j] * den) for i in range(lat.dim)) for j in range(lat.dim)]
+    return Lattice.from_columns(lat.dim, cols, den)
+
+
+# ---------------------------------------------------------------------------
+# digit systems
+
+
+def lift_digits(J, R, n: int, shifts) -> tuple[tuple[int, ...], ...]:
+    """Shift each frequency j by (R^T)^n k_j, one shift per frequency; the
+    frequencies must be pairwise distinct mod (R^T)^n, and stay so."""
+    Rt_n = IntMatrix.from_rows(R).T.pow(n)
+    freqs = as_digit_list(J)
+    if len({canonical_residue(Rt_n, j) for j in freqs}) != len(freqs):
+        raise ResidueCollision("frequencies collide modulo (R^T)^n")
+    shifts = list(shifts)
+    if len(shifts) != len(freqs):
+        raise SizeMismatch("one shift per frequency required")
+    return tuple(
+        tuple(a + b for a, b in zip(j, Rt_n.matvec(tuple(int(x) for x in s))))
+        for j, s in zip(freqs, shifts)
+    )
+
+
+def _mask(digits: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """(1/N) sum_b exp(-2 pi i <b, y>) over the last axis of y."""
+    return np.exp(-2j * np.pi * (y @ digits.T)).mean(axis=-1)
+
+
+def transfer_partition_check(triple, grid) -> float:
+    """Max deviation of sum_l |m_B((R^T)^{-1}(x + l))|^2 from 1 over the grid.
+
+    For a valid system this is an identity, so the value is float noise;
+    large values flag a broken L.
+    """
+    d = triple.R.d
+    x = np.asarray(grid, dtype=float)
+    if d == 1 and x.shape[-1:] != (1,):
+        x = x[..., None]
+    digits = np.array(triple.B, dtype=float)
+    inv_t = np.linalg.inv(np.array(triple.R.rows, dtype=float).T)
+    total = sum(
+        np.abs(_mask(digits, (x + np.array(l, dtype=float)) @ inv_t.T)) ** 2 for l in triple.L
+    )
+    return float(np.max(np.abs(total - 1.0)))
+
+
+def search_frequency_digits_1d(R: int, B) -> list[tuple[tuple[int, ...], ...]]:
+    """Every frequency set {0} + (N - 1) values in [1, |R|) that validates."""
+    digs = as_digit_list(B)
+    found = []
+    for combo in itertools.combinations(range(1, abs(int(R))), len(digs) - 1):
+        L = ((0,),) + tuple((c,) for c in combo)
+        if validate_triple([[R]], digs, L)[0]:
+            found.append(L)
+    return found
+
+
+# ---------------------------------------------------------------------------
+# transform identities
+
+
+def refinement_identity_defect(ev: FourierEval, xi, n: int) -> float:
+    """|mu_hat(xi) - m_n((R^T)^{-n} xi) mu_hat((R^T)^{-n} xi)|, max over xi.
+
+    The level-n mask m_n is summed directly over the N^n digit expansions
+    sum_i R^(n-i) c_i, enumerated here, so the product is checked against
+    the convolution structure of the measure.
+    """
+    pair = ev.pair
+    d = pair.d
+    x = np.asarray(xi, dtype=float).reshape(-1, d)
+    R = np.array(pair.R.rows, dtype=float)
+    z = x @ np.linalg.matrix_power(np.linalg.inv(R), n)
+    t2 = ev.depth_for(z)
+    lhs = ev.mu_hat_truncated(x, n + t2)
+    digits = np.array(pair.B, dtype=float)
+    powers = [np.linalg.matrix_power(R, n - i) for i in range(1, n + 1)]
+    level = np.array(
+        [sum(P @ c for P, c in zip(powers, cs)) for cs in itertools.product(digits, repeat=n)]
+    )
+    rhs = _mask(level, z) * ev.mu_hat_truncated(z, t2)
+    return float(np.max(np.abs(lhs - rhs)))
+
+
+def delta_lower_bound(tree) -> float:
+    """min over levels k of min_lambda |mu_hat((R^T)^(-n_k) lambda)|^2,
+    rescaled here with correctly rounded exact inverses."""
+    ev = FourierEval(tree.triple.pair)
+    Rt = tree.triple.R.T
+    out = []
+    for k, n in enumerate(tree.exponents):
+        M = Rt.pow(n).to_fractions()
+        inv = f_inverse(M)
+        x = np.array(
+            [[float(sum((a * b for a, b in zip(row, p)), Fraction(0))) for row in inv]
+             for p in tree.level_points(k)]
+        )
+        out.append(float((np.abs(ev.mu_hat(x)) ** 2).min()))
+    return min(out)
+
+
+# ---------------------------------------------------------------------------
+# frames
+
+
+def stacked_frequencies(Rt: IntMatrix, reports) -> list[tuple[int, ...]]:
+    """lambda_1 + (R^T)^{n_1} lambda_2 + ... over the level J sets."""
+    lams = [(0,) * Rt.d]
+    m = 0
+    for rep in reports:
+        P = Rt.pow(m)
+        lams = [tuple(a + b for a, b in zip(lam, P.matvec(j))) for lam in lams for j in rep.J_n]
+        m += rep.n
+    return lams
+
+
+def concatenated_sigma(pair, reports) -> tuple[float, float]:
+    """Squared singular values of the concatenated-level matrix: stacked
+    frequencies against total-level digits, whose bounds the per-level
+    products control."""
+    total = sum(rep.n for rep in reports)
+    return frame_matrix_bounds(pair, total, stacked_frequencies(pair.R.T, reports))

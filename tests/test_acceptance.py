@@ -19,7 +19,6 @@ from spectral_fractal.frames import (
 from spectral_fractal.intlat import (
     Lattice,
     complete_representatives,
-    lattice_eq,
     reduce_to_full,
     smallest_invariant_lattice,
 )
@@ -39,6 +38,8 @@ from spectral_fractal.triples import (
     validate_triple,
 )
 from spectral_fractal.zeroset import certify_zero, zero_set_empty_evidence
+
+from oracles import lattice_eq
 
 SKEW_R = [[4, 0], [1, 2]]
 SKEW_B = [(0, 0), (0, 3), (1, 0), (1, 3)]

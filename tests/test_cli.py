@@ -368,6 +368,20 @@ def test_verify_detects_tampered_problem(tmp_path):
     assert cli.main(["verify", str(bad)]) == 1
 
 
+def test_verify_checks_params_before_replay(tmp_path, capsys):
+    # a bad type and a missing key both print FAIL and exit 2, no traceback
+    out = str(tmp_path / "r.json")
+    assert cli.main(["spectrum", write_problem(tmp_path, JP), "--out", out]) == 0
+    for edit in (lambda p: p.update(depth="x"), lambda p: p.pop("limit")):
+        rep = json.load(open(out))
+        edit(rep["params"])
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(rep))
+        capsys.readouterr()
+        assert cli.main(["verify", str(bad)]) == 2
+        assert capsys.readouterr().out.startswith("FAIL: recorded params are invalid")
+
+
 def test_verify_rejects_non_reports(tmp_path):
     assert cli.main(["verify", write_problem(tmp_path, JP)]) == 2
     junk = tmp_path / "junk.json"

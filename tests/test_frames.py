@@ -1,5 +1,7 @@
 """Frame bounds, subset selection, Parseval defects, tile checks, assembly."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,6 @@ from spectral_fractal.errors import (
 from spectral_fractal.frames import (
     FrameReport,
     concatenated_bounds,
-    concatenated_sigma,
     frame_matrix,
     frame_matrix_bounds,
     frame_spectrum_build,
@@ -27,6 +28,8 @@ from spectral_fractal.intlat import complete_representatives, inverse_image
 from spectral_fractal.measure import FourierEval, step_moment
 from spectral_fractal.spectra import canonical_tree, corrected_tree
 from spectral_fractal.triples import affine_pair, digit_sums, hadamard_triple
+
+from oracles import concatenated_sigma
 
 
 @pytest.fixture(scope="module")
@@ -68,19 +71,20 @@ def test_colliding_rows_degenerate():
     assert residues_distinct(pair.R, [(0,), (3,)], 1)
 
 
-def test_matrix_free_matches_dense(cantor_third_pair):
-    J = [(0,), (1,), (5,), (7,), (8,), (2,), (13,), (22,), (11,), (4,)]
-    dense = frame_matrix_bounds(cantor_third_pair, 3, J)
-    mfree = frame_matrix_bounds(cantor_third_pair, 3, J, dense_cap=4)
-    assert abs(dense[0] - mfree[0]) < 1e-7
-    assert abs(dense[1] - mfree[1]) < 1e-7
-
-
 def test_bounds_validation(cantor_third_pair):
     with pytest.raises(InvalidInput):
         frame_matrix_bounds(cantor_third_pair, 1, [])
     with pytest.raises(CapExceeded):
         frame_matrix_bounds(cantor_third_pair, 8, [(0,)] * 40, cap=100)
+
+
+def test_bounds_refuse_a_gram_side_beyond_4096(cantor_third_pair):
+    # 5000 rows against 2^13 = 8192 columns: both sides exceed the Gram cap
+    rows = [(j,) for j in range(5000)]
+    t0 = time.monotonic()
+    with pytest.raises(CapExceeded, match="frame Gram side"):
+        frame_matrix_bounds(cantor_third_pair, 13, rows)
+    assert time.monotonic() - t0 < 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -13,16 +13,16 @@ from spectral_fractal.intlat import (
     canonical_residue,
     charpoly,
     complete_representatives,
-    dual_lattice,
     f_inverse,
     hermite_normal_form,
     integer_kernel_basis,
     is_expansive,
     is_simple_digit_set,
-    lattice_eq,
     reduce_to_full,
     smallest_invariant_lattice,
 )
+
+from oracles import dual_lattice, lattice_eq
 
 ints = st.integers(min_value=-9, max_value=9)
 

@@ -157,10 +157,9 @@ def test_wide_frame_matrix_is_rank_bounded():
 def test_wide_matrix_free_path():
     pair = affine_pair(*JP[:2])
     rows = digit_sums([[4]], JP[2], 3)
-    dense = frame_matrix_bounds(pair, 6, rows)
-    mfree = frame_matrix_bounds(pair, 6, rows, dense_cap=4)
-    assert dense[0] == mfree[0] == 0.0
-    assert abs(dense[1] - 1) < 1e-12 and abs(mfree[1] - 1) < 1e-9
+    lo, hi = frame_matrix_bounds(pair, 6, rows)
+    assert lo == 0.0
+    assert abs(hi - 1) < 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -3,20 +3,22 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from spectral_fractal.errors import InvalidInput, SimpleDigitsRequired
+from spectral_fractal.errors import CapExceeded, InvalidInput, SimpleDigitsRequired
 from spectral_fractal.measure import (
+    MAX_DEPTH,
     DiscreteMeasure,
     FourierEval,
     attractor_box,
     discrete_approximant,
     mu_hat_field,
-    refinement_identity_defect,
     render_attractor,
     render_field,
     step_moment,
     write_pgm,
 )
 from spectral_fractal.triples import affine_pair
+
+from oracles import refinement_identity_defect
 
 
 @pytest.fixture
@@ -65,6 +67,15 @@ def test_mu_hat_agrees_with_discrete_oracle(jp_pair):
     lhs = ev.mu_hat_truncated(xs, 6)
     rhs = dm.fourier(xs)
     assert np.max(np.abs(lhs - rhs)) < 1e-12
+
+
+def test_mu_hat_depth_cap_is_not_silent():
+    # at |xi| = 1e15 the 64th factor still leaves a tail bound of 3.4e-4
+    ev = FourierEval(affine_pair([[2]], [(0,), (1,)]))
+    assert ev.depth_for(1e6) < MAX_DEPTH
+    for xi in (1e15, 1e18):
+        with pytest.raises(CapExceeded, match="mu_hat factors"):
+            ev.mu_hat(xi)
 
 
 def test_refinement_identity(jp_pair, skew_pair):

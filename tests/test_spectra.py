@@ -14,11 +14,12 @@ from spectral_fractal.spectra import (
     completeness_partial,
     corrected_tree,
     cover_constants,
-    delta_lower_bound,
     orthogonality_check,
 )
 from spectral_fractal.triples import hadamard_triple
 from spectral_fractal.zeroset import EmptinessEvidence, zero_set_empty_evidence
+
+from oracles import delta_lower_bound
 
 F = Fraction
 

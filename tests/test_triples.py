@@ -12,14 +12,13 @@ from spectral_fractal.triples import (
     digit_sums,
     hadamard_matrix,
     hadamard_triple,
-    lift_digits,
     mask_eval,
-    search_frequency_digits_1d,
     tower,
-    transfer_partition_check,
     u_eval,
     validate_triple,
 )
+
+from oracles import lift_digits, search_frequency_digits_1d, transfer_partition_check
 
 
 def test_jp_matrix_is_fourier_pair(jp_triple):

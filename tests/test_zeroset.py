@@ -1,5 +1,6 @@
 """Periodic zero set: scanning, exact certification, cycles."""
 
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -75,6 +76,17 @@ def test_cyclotomic_product_identity():
 )
 def test_vanishing_orders_known(digits, orders):
     assert vanishing_orders_1d(digits) == frozenset(orders)
+
+
+def test_vanishing_orders_wide_digits_are_fast():
+    # Phi_q is built only for q with phi(q) <= 30 (the parent took 17 s here)
+    t0 = time.monotonic()
+    assert vanishing_orders_1d((0, 30)) == frozenset({4, 12, 20, 60})
+    assert time.monotonic() - t0 < 1.0
+    # 1 + x^67 vanishes at primitive q-th roots exactly for q = 2 and 134
+    assert vanishing_orders_1d((0, 67)) == frozenset({2, 134})
+    cert = certify_zero(affine_pair([[2]], [(0,), (67,)]), (F(1, 67),))
+    assert (cert.status, cert.grade) == ("in", "exact")
 
 
 def test_vanishing_orders_numeric_oracle():
