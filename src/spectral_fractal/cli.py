@@ -588,8 +588,9 @@ def run_verify(path: str) -> int:
 
 
 # Per command: (params key, flag, problem params key, default, type).  The
-# table declares each command's flags and resolves its params; a row with no
-# flag is set through the problem's params block only.
+# table declares each command's flags and the keys and types of its params;
+# a row with no flag is set through the problem's params block only, except
+# render's positional `what`.
 _PARAMS = {
     "validate": (
         ("towers", "--depth", "depth", 4, int),
@@ -609,6 +610,7 @@ _PARAMS = {
     ),
     "reduce": (),
     "render": (
+        ("what", None, "what", None, str),
         ("resolution", "--resolution", "resolution", 256, int),
         ("window", "--window", "window", 4, int),
         ("cap", "--cap", "cap", 2**16, int),
@@ -659,11 +661,11 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def _resolved_params(command: str, problem: dict, args) -> dict:
-    """Precedence per param: command line flag, then problem params, then default."""
+    """Precedence per param: command line argument, then problem params, then default."""
     given = problem.get("params", {})
-    params = {"what": args.what} if command == "render" else {}
-    for key, flag, pkey, default, typ in _PARAMS[command]:
-        value = getattr(args, key) if flag else None
+    params = {}
+    for key, _, pkey, default, typ in _PARAMS[command]:
+        value = getattr(args, key, None)
         if value is None:
             value = given.get(pkey, default)
         try:
@@ -678,8 +680,6 @@ def _check_params(command: str, params) -> None:
     the command, each value of its type; an int passes for a float, a bool
     for nothing."""
     types = {key: typ for key, _, _, _, typ in _PARAMS[command]}
-    if command == "render":
-        types["what"] = str
     if not isinstance(params, dict) or set(params) != set(types):
         got = sorted(params) if isinstance(params, dict) else type(params).__name__
         raise InvalidInput(f"expected keys {sorted(types)}, got {got}")

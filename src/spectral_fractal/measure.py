@@ -8,7 +8,9 @@ R^{-1}B, R^{-2}B, ...; its transform is the convergent product
 Products are truncated adaptively: depth grows until the remaining argument
 is below ETA in sup norm *and* a rigorous first-order tail bound drops below
 TAIL_TOL, so deepening further cannot move any reported value by more than
-that.  A point that needs more than MAX_DEPTH factors raises CapExceeded.
+that.  Each evaluator derives its depth cap from R and B: the fewest factors
+after which every |xi| <= XI_MAX passes both tests.  A point that needs more
+raises CapExceeded.
 """
 
 from __future__ import annotations
@@ -25,7 +27,9 @@ from .triples import AffinePair, _xi_grid, digit_sums, mask_eval
 
 ETA = 1e-4  # sup norm the remaining argument must reach
 TAIL_TOL = 1e-9  # bound on what the dropped factors may still move
-MAX_DEPTH = 64  # most mask factors one evaluation may take
+# every |xi| (2-norm) up to XI_MAX is served; a double holds such xi only to
+# about 1e-4, so the phases of the first factors mean little beyond it
+XI_MAX = 1e12
 _BOX_TOL = 1e-12  # padding tail of the attractor box
 
 
@@ -40,19 +44,23 @@ class FourierEval:
         # sum and sup of operator norms of (R^T)^{-j} = transposed powers of R^{-1}
         A = np.linalg.inv(R).T
         P = np.eye(pair.d)
-        total = 0.0
-        sup = 0.0
+        norms = []
         for _ in range(512):
             P = P @ A
-            nrm = float(np.linalg.norm(P, 2))
-            total += nrm
-            sup = max(sup, nrm)
-            if nrm < 1e-15:
+            norms.append(float(np.linalg.norm(P, 2)))
+            if norms[-1] < 1e-15:
                 break
         else:
             raise InvalidInput("inverse powers do not contract; matrix not expansive?")
-        self._norm_sum = total
-        self.norm_sup = sup
+        self._norm_sum = sum(norms)
+        self.norm_sup = max(norms)
+        # depth cap: |(R^T)^{-T} xi| <= ||(R^T)^{-T}|| |xi|, so once that norm
+        # times XI_MAX is within ETA and the tail tolerance, every xi in range stops
+        reach = min(ETA, TAIL_TOL / self.tail_bound(1.0)) / XI_MAX
+        while norms[-1] > reach:
+            P = P @ A
+            norms.append(float(np.linalg.norm(P, 2)))
+        self.max_depth = next(t for t, nrm in enumerate(norms, 1) if nrm <= reach)
 
     def tail_bound(self, z_norm: float) -> float:
         """Bound on |product of dropped factors - 1| given |(R^T)^{-T} xi| <= z_norm."""
@@ -62,7 +70,7 @@ class FourierEval:
         return _xi_grid(self.pair.d, xi)
 
     def depth_for(self, xi) -> int:
-        """Factors needed for the whole batch; CapExceeded beyond MAX_DEPTH."""
+        """Factors needed for the whole batch; CapExceeded beyond max_depth."""
         arr, _ = self._prepare(xi)
         z = arr.reshape(-1, self.pair.d)
         T = 0
@@ -71,9 +79,9 @@ class FourierEval:
             nrm2 = float(np.max(np.linalg.norm(z, axis=1))) if z.size else 0.0
             if sup <= ETA and self.tail_bound(nrm2) <= TAIL_TOL:
                 return T
-            if T == MAX_DEPTH:
+            if T == self.max_depth:
                 what = f"mu_hat factors (tail bound {self.tail_bound(nrm2):.2g} left)"
-                raise CapExceeded(what, T + 1, MAX_DEPTH)
+                raise CapExceeded(what, T + 1, T)
             z = z @ self._Rinv
             T += 1
 

@@ -5,7 +5,8 @@ import pytest
 
 from spectral_fractal.errors import CapExceeded, InvalidInput, SimpleDigitsRequired
 from spectral_fractal.measure import (
-    MAX_DEPTH,
+    TAIL_TOL,
+    XI_MAX,
     DiscreteMeasure,
     FourierEval,
     attractor_box,
@@ -70,12 +71,27 @@ def test_mu_hat_agrees_with_discrete_oracle(jp_pair):
 
 
 def test_mu_hat_depth_cap_is_not_silent():
-    # at |xi| = 1e15 the 64th factor still leaves a tail bound of 3.4e-4
+    # 73 factors serve every |xi| <= XI_MAX = 1e12; at 1e15 the 73rd factor
+    # still leaves a tail bound of 6.7e-7
     ev = FourierEval(affine_pair([[2]], [(0,), (1,)]))
-    assert ev.depth_for(1e6) < MAX_DEPTH
+    assert ev.max_depth == 73
+    assert ev.depth_for(XI_MAX) <= ev.max_depth
     for xi in (1e15, 1e18):
         with pytest.raises(CapExceeded, match="mu_hat factors"):
             ev.mu_hat(xi)
+
+
+def test_mu_hat_depth_cap_follows_the_contraction():
+    # R = [[0,2],[1,0]] halves xi only every second factor, so |xi| = 5 needs
+    # 73 or 74 factors where (2, {0,1}) needs 35
+    ev = FourierEval(affine_pair([[0, 2], [1, 0]], [(0, 0), (1, 0)]))
+    xs = np.array([(2.5, 4.3), (4.1, -2.9), (-1.7, 4.7), (0.4, 5.1)])
+    assert 64 < ev.depth_for(xs) <= ev.max_depth
+    vals = ev.mu_hat(xs)
+    assert np.min(np.abs(vals)) > 1e-4
+    assert np.max(np.abs(vals - ev.mu_hat_truncated(xs, ev.max_depth))) <= TAIL_TOL
+    for xi in ((XI_MAX, 0.0), (0.0, -XI_MAX), (0.6 * XI_MAX, 0.8 * XI_MAX)):
+        assert ev.depth_for(xi) <= ev.max_depth
 
 
 def test_refinement_identity(jp_pair, skew_pair):
