@@ -150,20 +150,6 @@ def _parse_rows(v, where: str) -> list[list[int]]:
     return [[_parse_int(c, where) for c in row] for row in v]
 
 
-_PARAM_KEYS = {
-    "depth",
-    "window",
-    "tol",
-    "seed",
-    "cap",
-    "n",
-    "resolution",
-    "limit",
-    "budget",
-    "strategy",
-}
-
-
 def load_problem(path: str) -> dict:
     """Parse and normalize a problem file; unknown keys are rejected."""
     try:
@@ -617,6 +603,8 @@ _PARAMS = {
     ),
 }
 _PARAMS["quasiprod"] = _PARAMS["spectrum"]
+# keys a problem file's params block may hold; render's `what` is positional
+_PARAM_KEYS = {pkey for rows in _PARAMS.values() for _, _, pkey, _, _ in rows} - {"what"}
 
 _FLAG_HELP = {
     "--depth": "levels / tower height / frame level",

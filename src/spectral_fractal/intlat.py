@@ -20,7 +20,7 @@ Conventions
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -660,19 +660,18 @@ def _poly_eval_int(p: Sequence[int], x: int) -> int:
     return acc
 
 
-def _poly_mod(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    a = a[:]
-    while len(a) >= len(b) and a:
-        if a[0] == 0:
-            a.pop(0)
-            continue
-        f = a[0] / b[0]
-        for i in range(len(b)):
-            a[i] -= f * b[i]
-        a.pop(0)
-    while a and a[0] == 0:
-        a.pop(0)
-    return a
+def poly_divmod(a: Sequence, b: Sequence) -> tuple[list, list]:
+    """Quotient and remainder, highest-degree coefficient first; exact for
+    integers over a monic b and for Fractions.  No leading zeros remain."""
+    a, q = list(a), []
+    for i in range(len(a) - len(b) + 1):
+        q.append(a[i] if b[0] == 1 else Fraction(a[i]) / b[0])
+        for j in range(1, len(b)):
+            a[i + j] -= q[-1] * b[j]
+    rem = a[len(q) :]
+    while rem and rem[0] == 0:
+        rem.pop(0)
+    return q, rem
 
 
 def _has_reciprocal_root_pair(p: Sequence[int]) -> bool:
@@ -688,7 +687,7 @@ def _has_reciprocal_root_pair(p: Sequence[int]) -> bool:
     while b and b[0] == 0:
         b.pop(0)
     while b:
-        a, b = b, _poly_mod(a, b)
+        a, b = b, poly_divmod(a, b)[1]
     return len(a) > 1
 
 
@@ -756,10 +755,6 @@ class ConjugationRecord:
             raise InvalidInput("matrix is not unimodular")
         fwd = M.to_fractions()
         return ConjugationRecord(fwd, f_inverse(fwd), note)
-
-    @staticmethod
-    def identity(d: int) -> "ConjugationRecord":
-        return ConjugationRecord(f_identity(d), f_identity(d), "identity")
 
     @property
     def dim(self) -> int:

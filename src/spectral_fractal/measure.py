@@ -16,13 +16,12 @@ raises CapExceeded.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
 
 from .errors import CapExceeded, InvalidInput, SimpleDigitsRequired, SizeMismatch
-from .intlat import FVec, adjugate, inverse_image, is_simple_digit_set
+from .intlat import adjugate, inverse_image, is_simple_digit_set
 from .triples import AffinePair, _xi_grid, digit_sums, mask_eval
 
 ETA = 1e-4  # sup norm the remaining argument must reach
@@ -108,25 +107,27 @@ class FourierEval:
 
 @dataclass(frozen=True)
 class DiscreteMeasure:
-    """Finite atomic stand-in for mu at convolution depth n."""
+    """Finite atomic stand-in for mu at convolution depth n.
 
-    atoms: tuple[FVec, ...]
-    weights: tuple[Fraction, ...]
+    Atom i sits at atoms[i] / den and carries weight counts[i] / N^n; the
+    numerator rows are exact integers (object array), sorted and distinct.
+    """
 
-    def __post_init__(self):
-        if sum(self.weights, Fraction(0)) != 1:
-            raise InvalidInput("weights must sum to one")
+    atoms: np.ndarray
+    den: int
+    counts: np.ndarray
 
     @cached_property
     def points(self) -> np.ndarray:
-        return np.array([[float(c) for c in a] for a in self.atoms], dtype=float)
+        # Python-int true division rounds each coordinate correctly
+        return (self.atoms / self.den).astype(float)
 
     @cached_property
     def weight_array(self) -> np.ndarray:
-        return np.array([float(w) for w in self.weights])
+        return self.counts / self.counts.sum()
 
     def fourier(self, xi):
-        d = len(self.atoms[0])
+        d = self.atoms.shape[1]
         arr, scalar = _xi_grid(d, xi)
         flat = arr.reshape(-1, d)
         # atom chunks keep about 2^20 phase entries (and their exponentials)
@@ -142,30 +143,19 @@ class DiscreteMeasure:
 
 
 def discrete_approximant(pair: AffinePair, n: int, cap: int = 2**20) -> DiscreteMeasure:
-    """Atoms R^{-n} b for b in the level-n digit sums, weights 1/N^n (merged)."""
+    """Atoms R^{-n} b for b in the level-n digit sums, weights 1/N^n (merged).
+
+    R^{-n} b = s adj(R^n) b / |det R^n| with s the sign of the determinant,
+    so equal atoms are equal integer rows s adj(R^n) b: those are sorted and
+    merged, and no fraction is formed.
+    """
     sums = digit_sums(pair.R, pair.B, n, cap)
     adj, det = adjugate(pair.R.pow(n))
-    # merge on the integer vectors adj(R^n) b; dividing by det afterwards keeps
-    # everything exact while avoiding per-atom Fraction arithmetic
     sign = 1 if det > 0 else -1
-    adet = abs(det)
-    w = Fraction(1, pair.N**n)
-    counts: dict = {}
-    if pair.d == 1:
-        a = sign * adj.rows[0][0]
-        for b in sums:
-            k = a * b[0]
-            counts[k] = counts.get(k, 0) + 1
-        items = sorted(counts.items())
-        atoms = tuple((Fraction(k, adet),) for k, _ in items)
-    else:
-        rows = [tuple(sign * a for a in row) for row in adj.rows]
-        for b in sums:
-            key = tuple(sum(a * c for a, c in zip(row, b)) for row in rows)
-            counts[key] = counts.get(key, 0) + 1
-        items = sorted(counts.items())
-        atoms = tuple(tuple(Fraction(k, adet) for k in key) for key, _ in items)
-    return DiscreteMeasure(atoms, tuple(c * w for _, c in items))
+    keys = sums @ np.array(adj.rows, dtype=object).T * sign
+    keys = keys[np.lexsort(keys.T[::-1])]
+    starts = np.flatnonzero(np.r_[True, np.any(keys[1:] != keys[:-1], axis=1)])
+    return DiscreteMeasure(keys[starts], abs(det), np.diff(np.r_[starts, len(keys)]))
 
 
 def attractor_box(pair: AffinePair) -> tuple[np.ndarray, np.ndarray]:

@@ -29,7 +29,7 @@ from .errors import (
     Undecided,
     ZeroSetNonEmpty,
 )
-from .intlat import IVec
+from .intlat import IVec, as_digit_list
 from .measure import FourierEval, attractor_box
 from .triples import AffinePair, HadamardTriple, digit_sums
 from .zeroset import EmptinessEvidence, _window, zero_set_empty_evidence
@@ -266,7 +266,7 @@ def corrected_tree(
         gap = n - exps[-1]
         if gap >= MAX_GAP:
             raise CapExceeded("level gap", gap, MAX_GAP)
-        J = digit_sums(Rt, L, gap, cap=cap)
+        J = as_digit_list(digit_sums(Rt, L, gap, cap=cap))
         if len(current) * len(J) > cap:
             raise CapExceeded("spectrum tree", len(current) * len(J), cap)
         fresh, fixes = _corrected_level(ev, cover, current, J, exps[-1], n, k)

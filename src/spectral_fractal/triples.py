@@ -169,20 +169,22 @@ def hadamard_triple(R, B, L) -> HadamardTriple:
 # towers
 
 
-def digit_sums(R, B, n: int, cap: int = 2**20) -> list[IVec]:
+def digit_sums(R, B, n: int, cap: int = 2**20) -> np.ndarray:
     """The level-n digit expansion sum_{i=1..n} R^(n-i) c_i, c_i in B.
 
-    Tuples (c_1, ..., c_n) are enumerated lexicographically with the most
-    significant digit first, so 1D sets come out sorted when B is sorted.
+    One row per tuple (c_1, ..., c_n), enumerated lexicographically with the
+    most significant digit first, so 1D sets come out sorted when B is
+    sorted.  Entries are Python ints in an object array: exact at any size.
     """
     M = IntMatrix.from_rows(R)
-    digs = as_digit_list(B)
+    digs = np.array(as_digit_list(B), dtype=object).reshape(-1, M.d)
     N = len(digs)
     if N**n > cap:
         raise CapExceeded("digit tower", N**n, cap)
-    out: list[IVec] = [(0,) * M.d]
+    Rt = np.array(M.T.rows, dtype=object)
+    out = np.zeros((1, M.d), dtype=object)
     for _ in range(n):
-        out = [tuple(x + y for x, y in zip(M.matvec(v), b)) for v in out for b in digs]
+        out = ((out @ Rt)[:, None, :] + digs).reshape(-1, M.d)
     return out
 
 
@@ -197,8 +199,8 @@ def tower(triple: HadamardTriple, k: int, cap: int = 2**20) -> HadamardTriple:
         raise InvalidInput("tower level must be nonnegative")
     triple.require_validated()
     Rk = triple.R.pow(k)
-    Bk = tuple(digit_sums(triple.R, triple.B, k, cap))
-    Lk = tuple(digit_sums(triple.R.T, triple.L, k, cap))
+    Bk = as_digit_list(digit_sums(triple.R, triple.B, k, cap))
+    Lk = as_digit_list(digit_sums(triple.R.T, triple.L, k, cap))
     pair = AffinePair(Rk, Bk)
     if len(Bk) <= DENSE_TOWER:
         _, defect = validate_triple(Rk, Bk, Lk)

@@ -19,7 +19,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from functools import lru_cache
+from math import gcd, isqrt, prod
 
 import numpy as np
 
@@ -36,6 +37,7 @@ from .intlat import (
     f_matvec,
     f_nullspace,
     f_rank,
+    poly_divmod,
 )
 from .measure import FourierEval
 from .triples import AffinePair
@@ -53,66 +55,71 @@ CYCLE_J = 30  # mask levels tried per translate there
 # cyclotomic helpers (integer polynomials, highest-degree coefficient first)
 
 
-def _poly_divmod(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
-    # b must be monic
-    assert b[0] == 1
-    a = a[:]
-    q = []
-    while len(a) >= len(b):
-        c = a[0]
-        q.append(c)
-        for i in range(len(b)):
-            a[i] -= c * b[i]
-        assert a[0] == 0
-        a.pop(0)
-    while a and a[0] == 0:
-        a.pop(0)
-    return q, a
-
-
-_CYCLO: dict[int, list[int]] = {1: [1, -1]}
-
-
+@lru_cache(maxsize=None)
 def cyclotomic(q: int) -> list[int]:
-    if q in _CYCLO:
-        return _CYCLO[q]
-    poly = [1] + [0] * (q - 1) + [-1]  # x^q - 1
-    for div in range(1, q):
-        if q % div == 0:
-            poly, rem = _poly_divmod(poly, cyclotomic(div))
-            assert not rem
-    _CYCLO[q] = poly
-    return poly
+    """Phi_q as the Moebius product of the factors (x^e - 1)^mu(q/e), e | q.
+
+    mu(q/e) is nonzero only for e = q / prod(S), S a set of distinct primes
+    of q, where it is (-1)^|S|.  Each factor multiplies or exactly divides
+    in one linear pass (lowest degree first here), multiplications first.
+    """
+    primes = [p for p in range(2, q + 1) if q % p == 0 and all(p % r for r in range(2, p))]
+    subsets = itertools.chain(*(itertools.combinations(primes, k) for k in range(len(primes) + 1)))
+    p = [1]
+    for odd, e in sorted((len(S) % 2, q // prod(S)) for S in subsets):
+        if not odd:  # p (x^e - 1)
+            p = [a - b for a, b in zip([0] * e + p, p + [0] * e)]
+        else:  # p / (x^e - 1)
+            p = [-c for c in p[: len(p) - e]]
+            for i in range(e, len(p)):
+                p[i] += p[i - e]
+    return p[::-1]
+
+
+def _orders_with_totient_at_most(bound: int) -> list[int]:
+    """Every q >= 2 with phi(q) <= bound, built from prime powers p^k with
+    phi(p^k) = p^(k-1) (p - 1)."""
+    primes = [p for p in range(2, bound + 2) if all(p % r for r in range(2, isqrt(p) + 1))]
+    out = []
+
+    def extend(i: int, q: int, phi: int):
+        out.append(q)
+        for j in range(i, len(primes)):
+            p = primes[j]
+            pk, phik = p, phi * (p - 1)
+            if phik > bound:
+                break
+            while phik <= bound:
+                extend(j + 1, q * pk, phik)
+                pk, phik = pk * p, phik * p
+
+    extend(0, 1, 1)
+    return sorted(out)[1:]
 
 
 def vanishing_orders_1d(digits: tuple[int, ...]) -> frozenset[int]:
     """Orders q such that every primitive q-th root of unity kills the digit mask.
 
     The mask at t = p/q (reduced) vanishes exactly when q is in this set, so
-    rational mask zeros in one dimension are decided exactly.
+    rational mask zeros in one dimension are decided exactly.  Phi_q has
+    degree phi(q), so only q with phi(q) <= deg can divide the digit
+    polynomial P.  A float value |P(e^(2 pi i/q))| above the rounding bound
+    proves P(zeta_q) != 0; the other q are decided by exact division of P,
+    its exponents folded mod q (Phi_q divides x^q - 1), by Phi_q.
     """
     lo = min(digits)
-    exps = sorted(dd - lo for dd in digits)
-    deg = exps[-1]
-    poly = [0] * (deg + 1)
-    for e in exps:
-        poly[deg - e] += 1
-    while poly and poly[0] == 0:
-        poly.pop(0)
+    exps = np.array([dd - lo for dd in digits], dtype=np.int64)
+    deg = int(exps.max())
+    n = len(exps)
+    # each term is off by a few ulp and summing n of them adds at most n^2 eps
+    bound = 1e-14 * n * (n + 1)
     orders = set()
-    # phi(q) >= sqrt(q / 2), so every q with phi(q) <= deg is at most 2 deg^2
-    qmax = 2 * deg * deg + 8
-    phi = list(range(qmax + 1))
-    for p in range(2, qmax + 1):
-        if phi[p] == p:  # p is prime
-            for m in range(p, qmax + 1, p):
-                phi[m] -= phi[m] // p
-    for q in range(2, qmax + 1):
-        # Phi_q has degree phi(q); it cannot divide a nonzero poly of lower degree
-        if phi[q] > deg:
+    for q in _orders_with_totient_at_most(deg):
+        r = exps % q
+        if abs(np.exp(2j * np.pi * (r / q)).sum()) > bound:
             continue
-        _, rem = _poly_divmod(poly[:], cyclotomic(q))
-        if not rem:
+        coeffs = np.bincount(r)[::-1].tolist()
+        if not poly_divmod(coeffs, cyclotomic(q))[1]:
             orders.add(q)
     return frozenset(orders)
 
@@ -172,7 +179,7 @@ def mask_zero_test(pair: AffinePair, ms: MaskZeroStructure, rho: FVec) -> tuple[
             poly.pop(0)
         if not poly:
             return True, "exact"
-        _, rem = _poly_divmod(poly, cyclotomic(den))
+        _, rem = poly_divmod(poly, cyclotomic(den))
         return (not rem), "exact"
     val = abs(
         np.exp(-2j * np.pi * np.array([float(e) for e in exps])).sum()
@@ -429,7 +436,12 @@ def zero_set_empty_evidence(pair: AffinePair, K: int = 10) -> EmptinessEvidence:
             return EmptinessEvidence(
                 "inconclusive", witness=cert, note="candidate resisted certification"
             )
-    return EmptinessEvidence("scan-clear", note="all scan candidates certified out")
+    # a certified-out candidate says nothing of survivors that did not snap
+    return EmptinessEvidence(
+        "inconclusive",
+        note=f"certification: all {len(candidates)} scan candidates certified out, "
+        f"but {candidates.survivors} prefilter survivors are not accounted for",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -494,7 +506,7 @@ def rational_invariant_subspaces(A) -> list[tuple[IVec, ...]]:
             factors.append(work)
             break
         factors.append([1, -root])
-        q, rem = _poly_divmod(work, [1, -root])
+        q, rem = poly_divmod(work, [1, -root])
         assert not rem
         work = q
     results: dict[tuple, tuple[IVec, ...]] = {}

@@ -12,10 +12,12 @@ import numpy as np
 from spectral_fractal.errors import RankDeficient, ResidueCollision, SizeMismatch
 from spectral_fractal.frames import frame_matrix_bounds
 from spectral_fractal.intlat import (
+    ConjugationRecord,
     IntMatrix,
     Lattice,
     as_digit_list,
     canonical_residue,
+    f_identity,
     f_inverse,
     f_transpose,
 )
@@ -44,6 +46,10 @@ def dual_lattice(lat: Lattice) -> Lattice:
             den = den * x.denominator // gcd(den, x.denominator)
     cols = [tuple(int(inv_t[i][j] * den) for i in range(lat.dim)) for j in range(lat.dim)]
     return Lattice.from_columns(lat.dim, cols, den)
+
+
+def identity_record(d: int) -> ConjugationRecord:
+    return ConjugationRecord(f_identity(d), f_identity(d), "identity")
 
 
 # ---------------------------------------------------------------------------
@@ -98,6 +104,31 @@ def search_frequency_digits_1d(R: int, B) -> list[tuple[tuple[int, ...], ...]]:
         if validate_triple([[R]], digs, L)[0]:
             found.append(L)
     return found
+
+
+# ---------------------------------------------------------------------------
+# discrete approximants
+
+
+def fraction_approximant(pair, n: int):
+    """Reference atoms R^{-n} b and weights of the depth-n approximant.
+
+    The digit sums are built one tuple at a time and every atom is a tuple of
+    Fractions; equal atoms are merged in a dict.  Returns (atoms, weights),
+    both sorted by atom.
+    """
+    R = pair.R
+    inv = R.pow(n).inverse_fractions()
+    sums = [(0,) * pair.d]
+    for _ in range(n):
+        sums = [tuple(x + y for x, y in zip(R.matvec(v), b)) for v in sums for b in pair.B]
+    counts: dict = {}
+    for b in sums:
+        atom = tuple(sum((a * c for a, c in zip(row, b)), Fraction(0)) for row in inv)
+        counts[atom] = counts.get(atom, 0) + 1
+    items = sorted(counts.items())
+    w = Fraction(1, pair.N**n)
+    return [a for a, _ in items], [c * w for _, c in items]
 
 
 # ---------------------------------------------------------------------------

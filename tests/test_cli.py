@@ -50,6 +50,18 @@ def test_load_problem_rejects_unknown_keys(tmp_path):
         cli.load_problem(p2)
 
 
+def test_problem_params_keys_are_the_table_keys(tmp_path):
+    # the keys a params block may hold come from cli._PARAMS; render's
+    # positional `what` is not one of them
+    keys = ["budget", "cap", "depth", "limit", "n", "resolution", "seed", "strategy", "tol", "window"]
+    for i, key in enumerate(keys):
+        p = write_problem(tmp_path, {"R": [[4]], "B": [[0]], "params": {key: 1}}, f"k{i}.json")
+        assert cli.load_problem(p)["params"] == {key: 1}
+    p = write_problem(tmp_path, {"R": [[4]], "B": [[0]], "params": {"what": "attractor"}}, "w.json")
+    with pytest.raises(InvalidInput):
+        cli.load_problem(p)
+
+
 def test_load_problem_rejects_non_integers(tmp_path):
     for bad in ([[4.5]], [[True]], [["x"]]):
         p = write_problem(tmp_path, {"R": bad, "B": [[0]]})

@@ -22,7 +22,7 @@ from spectral_fractal.intlat import (
     smallest_invariant_lattice,
 )
 
-from oracles import dual_lattice, lattice_eq
+from oracles import dual_lattice, identity_record, lattice_eq
 
 ints = st.integers(min_value=-9, max_value=9)
 
@@ -243,7 +243,7 @@ def test_reduce_rank_deficient_projection():
 def test_reduce_identity_when_standard():
     red = reduce_to_full([[4, 0], [1, 2]], [(0, 0), (0, 3), (1, 0), (1, 3)])
     assert red.rank == 2
-    assert red.record.forward == ConjugationRecord.identity(2).forward
+    assert red.record.forward == identity_record(2).forward
     assert set(red.B) == {(0, 0), (0, 3), (1, 0), (1, 3)}
 
 

@@ -19,7 +19,7 @@ from spectral_fractal.measure import (
 )
 from spectral_fractal.triples import affine_pair
 
-from oracles import refinement_identity_defect
+from oracles import fraction_approximant, refinement_identity_defect
 
 
 @pytest.fixture
@@ -103,17 +103,25 @@ def test_refinement_identity(jp_pair, skew_pair):
         assert refinement_identity_defect(ev2, xi, 2) < 1e-9
 
 
+def _fractions(dm):
+    """Atoms and weights of an approximant as exact Fractions."""
+    atoms = [tuple(Fraction(int(k), dm.den) for k in row) for row in dm.atoms]
+    total = int(dm.counts.sum())
+    return atoms, [Fraction(int(c), total) for c in dm.counts]
+
+
 def test_discrete_approximant_atoms(jp_pair):
     dm = discrete_approximant(jp_pair, 2)
-    got = sorted(a[0] for a in dm.atoms)
+    atoms, weights = _fractions(dm)
+    got = sorted(a[0] for a in atoms)
     assert got == [Fraction(0), Fraction(1, 8), Fraction(1, 2), Fraction(5, 8)]
-    assert all(w == Fraction(1, 4) for w in dm.weights)
+    assert all(w == Fraction(1, 4) for w in weights)
 
 
 def test_discrete_approximant_middle_third():
     pair = affine_pair([[3]], [(0,), (2,)])
     dm = discrete_approximant(pair, 2)
-    got = sorted(a[0] for a in dm.atoms)
+    got = sorted(a[0] for a in _fractions(dm)[0])
     assert got == [Fraction(0), Fraction(2, 9), Fraction(2, 3), Fraction(8, 9)]
 
 
@@ -121,9 +129,33 @@ def test_discrete_approximant_merges_collisions():
     # digits congruent mod R produce overlapping atoms; weights must merge
     pair = affine_pair([[2]], [(0,), (1,), (2,)])
     dm = discrete_approximant(pair, 2)
-    assert sum(dm.weights, Fraction(0)) == 1
+    _, weights = _fractions(dm)
+    assert int(dm.counts.sum()) == 3**2  # one count per digit string
+    assert sum(weights, Fraction(0)) == 1
     assert len(dm.atoms) == 7  # 9 digit strings, two pairs collide
-    assert max(dm.weights) == Fraction(2, 9)
+    assert max(weights) == Fraction(2, 9)
+
+
+@pytest.mark.parametrize(
+    "R, B, depths",
+    [
+        ([[4]], [(0,), (2,)], (1, 3, 7)),
+        ([[3]], [(0,), (2,)], (2, 5, 9)),
+        ([[4, 0], [1, 2]], [(0, 0), (0, 3), (1, 0), (1, 3)], (1, 2, 4)),
+        ([[2]], [(0,), (1,), (2,)], (1, 3, 6)),
+    ],
+    ids=["jp", "mt", "skew", "colliding"],
+)
+def test_discrete_approximant_matches_fraction_oracle(R, B, depths):
+    pair = affine_pair(R, B)
+    for n in depths:
+        dm = discrete_approximant(pair, n)
+        atoms, weights = fraction_approximant(pair, n)
+        assert _fractions(dm) == (atoms, weights)
+        want_points = np.array([[float(c) for c in a] for a in atoms])
+        want_weights = np.array([float(w) for w in weights])
+        assert np.array_equal(dm.points, want_points)
+        assert np.array_equal(dm.weight_array, want_weights)
 
 
 def test_attractor_boxes(jp_pair):

@@ -76,8 +76,15 @@ def test_u_is_a_probability_weight(xs):
 
 
 def test_digit_sums_jp():
-    assert digit_sums([[4]], [(0,), (2,)], 2) == [(0,), (2,), (8,), (10,)]
-    assert digit_sums([[3]], [(0,), (2,)], 2) == [(0,), (2,), (6,), (8,)]
+    assert digit_sums([[4]], [(0,), (2,)], 2).tolist() == [[0], [2], [8], [10]]
+    assert digit_sums([[3]], [(0,), (2,)], 2).tolist() == [[0], [2], [6], [8]]
+
+
+def test_digit_sums_are_exact_beyond_int64():
+    sums = digit_sums([[1000]], [0, 1], 16)
+    assert sums.shape == (2**16, 1)
+    assert sums[-1, 0] == sum(1000**i for i in range(16))  # about 1e45
+    assert sums[1, 0] == 1 and sums[2**15, 0] == 1000**15
 
 
 def test_digit_sums_cap():

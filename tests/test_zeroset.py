@@ -89,6 +89,15 @@ def test_vanishing_orders_wide_digits_are_fast():
     assert (cert.status, cert.grade) == ("in", "exact")
 
 
+def test_vanishing_orders_500_wide_digits_are_fast():
+    # 970 orders have phi(q) <= 500; a float value above its rounding bound
+    # rules most out, and Phi_q is a cached Moebius product
+    t0 = time.monotonic()
+    assert vanishing_orders_1d((0, 500)) == frozenset({8, 40, 200, 1000})
+    assert time.monotonic() - t0 < 1.0
+    assert cyclotomic(105)[:8] == [1, 1, 1, 0, 0, -1, -1, -2]  # first entry beyond +-1
+
+
 def test_vanishing_orders_numeric_oracle():
     # roots of unity of listed orders kill the mask; nearby orders do not
     for digits in [(0, 2), (0, 3), (0, 1, 2, 3), (0, 1, 5)]:
@@ -291,6 +300,22 @@ def test_unconfirmed_survivors_are_inconclusive():
     assert ev.kind == "inconclusive" and not ev.empty
     assert ev.witness is None and "prefilter" in ev.note
     assert abs(FourierEval(pair).mu_hat(np.array([[1 / 67 + 5]]))[0]) < 1e-12
+
+
+def test_candidates_certified_out_are_inconclusive(monkeypatch, skew_triple):
+    # certifying every snapped candidate out does not account for the
+    # prefilter survivors that did not snap, so emptiness is not shown
+    from spectral_fractal import zeroset
+
+    found = zeroset.ScanCandidates([(F(0), F(1, 3))])
+    found.survivors = 5
+    monkeypatch.setattr(zeroset, "scan_zero_set", lambda pair, K: found)
+    monkeypatch.setattr(
+        zeroset, "certify_zero", lambda pair, cand, K: ZeroCertificate(cand, K, 30, "out")
+    )
+    ev = zero_set_empty_evidence(skew_triple.pair)
+    assert ev.kind == "inconclusive" and not ev.empty
+    assert ev.note.startswith("certification:")
 
 
 # ---------------------------------------------------------------------------
