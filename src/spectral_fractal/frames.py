@@ -405,7 +405,7 @@ def tsosc_check(pair: AffinePair, samples: int = 20000, state_cap: int = 2 * 10*
     half = (hi - lo) / 2.0
 
     rng = np.random.default_rng(TSOSC_SEED)
-    src = pair.digit_array()
+    src = pair.digit_array
     xs = np.zeros((samples, d))
     for _ in range(48):
         xs = (xs + src[rng.integers(0, len(src), size=samples)]) @ Rinv.T

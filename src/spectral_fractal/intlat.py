@@ -20,6 +20,7 @@ Conventions
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -581,17 +582,7 @@ def complete_representatives(R) -> list[IVec]:
     if dt == 0:
         raise RankDeficient("residues modulo a singular matrix")
     H = _hnf_cached(M)
-    diag = [H.rows[i][i] for i in range(d)]
-    out: list[IVec] = []
-
-    def rec(i: int, prefix: list[int]):
-        if i == d:
-            out.append(tuple(prefix))
-            return
-        for x in range(diag[i]):
-            rec(i + 1, prefix + [x])
-
-    rec(0, [])
+    out: list[IVec] = list(itertools.product(*(range(H.rows[i][i]) for i in range(d))))
     assert len(out) == dt
     return out
 

@@ -13,6 +13,7 @@ noise (~1e-15).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -62,8 +63,12 @@ class AffinePair:
     def N(self) -> int:
         return len(self.B)
 
+    @cached_property
     def digit_array(self) -> np.ndarray:
-        return np.array(self.B, dtype=float)
+        """The digits as a read-only (N, d) float array, built once per pair."""
+        arr = np.array(self.B, dtype=float)
+        arr.flags.writeable = False
+        return arr
 
 
 def affine_pair(R, B) -> AffinePair:
@@ -86,8 +91,9 @@ def _xi_grid(pair_d: int, xi) -> tuple[np.ndarray, bool]:
 def mask_eval(pair: AffinePair, xi):
     """Digit mask (1/N) sum_b exp(-2 pi i <b, xi>); vectorized over points."""
     arr, scalar = _xi_grid(pair.d, xi)
-    phases = arr @ pair.digit_array().T  # (..., N)
-    vals = np.exp(-2j * np.pi * phases).mean(axis=-1)
+    vals = -2j * np.pi * (arr @ pair.digit_array.T)  # (..., N)
+    np.exp(vals, out=vals)
+    vals = vals.sum(axis=-1) / pair.N  # what .mean computes, without its overhead
     return vals[0] if scalar else vals
 
 

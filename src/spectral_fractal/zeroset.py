@@ -4,8 +4,12 @@ The periodic zero set Z is the set of xi such that mu_hat(xi + k) = 0 for
 every integer vector k.  Nonemptiness blocks integer spectra, so deciding it
 matters.  Strategy:
 
-* scan: float sweep of [0,1)^d against a window of integer translates, then
-  snap near-misses to small-denominator rationals;
+* refute first: Z is invariant under the transfer dynamics, so a non-empty
+  Z carries cycles; the periodic points of R^T, enumerated exactly and
+  passed through a float prefilter, are certified before anything else;
+* scan (the fallback for emptiness, d <= 2): float sweep of [0,1)^d against
+  a window of integer translates, then snap near-misses to
+  small-denominator rationals;
 * certify: for a rational candidate, produce per-translate witnesses "the
   level-j mask factor vanishes", checked in exact arithmetic whenever the
   digit set factors axis-by-axis (vanishing sums of roots of unity reduce to
@@ -30,6 +34,7 @@ from .intlat import (
     IntMatrix,
     IVec,
     Lattice,
+    adjugate,
     charpoly,
     clear_denominators,
     complete_representatives,
@@ -49,6 +54,8 @@ SCAN_STEP = 1 / 256  # grid spacing of the scan over [0,1)^d
 SNAP_DENOMINATOR = 64  # survivors snap to rationals with at most this denominator
 CYCLE_K = 6  # translate window for certifying cycle points and directions
 CYCLE_J = 30  # mask levels tried per translate there
+CYCLE_PERIOD = 12  # periods m searched for cycle points
+CYCLE_CAP = 4096  # periods with more than this many points mod Z^d are skipped
 
 
 # ---------------------------------------------------------------------------
@@ -337,6 +344,19 @@ class ScanCandidates(list):
     survivors: int = 0
 
 
+def _below_on_window(ev: FourierEval, pts: np.ndarray, K: int, tol: float) -> np.ndarray:
+    """Mask of the points whose |mu_hat| stays below tol on every translate
+    |k| <= K; one mu_hat call per translate, on the points still alive."""
+    alive = np.ones(len(pts), dtype=bool)
+    for k in _window(K, pts.shape[1]):
+        if not alive.any():
+            break
+        idx = np.flatnonzero(alive)
+        vals = np.abs(ev.mu_hat(pts[idx] + np.array(k, dtype=float)))
+        alive[idx[np.atleast_1d(vals) >= tol]] = False
+    return alive
+
+
 def scan_zero_set(pair: AffinePair, K: int = 10) -> ScanCandidates:
     """Rational candidates for the periodic zero set found by a grid sweep.
 
@@ -365,15 +385,7 @@ def scan_zero_set(pair: AffinePair, K: int = 10) -> ScanCandidates:
         grid = np.stack([X.ravel(), Y.ravel()], axis=-1)
     # candidate generation only needs a small translate window; the snapped
     # points are re-confirmed below against the full window at SCAN_TAU
-    alive = np.ones(len(grid), dtype=bool)
-    for k in _window(min(K, 3), d):
-        if not alive.any():
-            break
-        pts = grid[alive] + np.array(k, dtype=float)
-        vals = np.abs(ev.mu_hat(pts))
-        keep = vals < pre
-        idx = np.flatnonzero(alive)
-        alive[idx[~keep]] = False
+    alive = _below_on_window(ev, grid, min(K, 3), pre)
     candidates: set[FVec] = set()
     for gp in grid[alive]:
         snapped = tuple(
@@ -385,18 +397,71 @@ def scan_zero_set(pair: AffinePair, K: int = 10) -> ScanCandidates:
     confirmed = []
     if cand_list:
         pts = np.array([[float(c) for c in v] for v in cand_list])
-        ok = np.ones(len(cand_list), dtype=bool)
-        for k in _window(K, d):
-            if not ok.any():
-                break
-            vals = np.abs(ev.mu_hat(pts[ok] + np.array(k, dtype=float)))
-            idx = np.flatnonzero(ok)
-            ok[idx[np.atleast_1d(vals) >= SCAN_TAU]] = False
+        ok = _below_on_window(ev, pts, K, SCAN_TAU)
         confirmed = [cand_list[i] for i in np.flatnonzero(ok)]
 
     out = ScanCandidates(sorted(confirmed, key=lambda v: (_lcm_den(v), v)))
     out.survivors = int(alive.sum())
     return out
+
+
+# ---------------------------------------------------------------------------
+# periodic points
+
+
+def _periodic_points(pair: AffinePair, max_period: int, candidate_cap: int):
+    """Per period m <= max_period with A = (R^T)^m - I invertible: (m, L, a).
+
+    Row i is the point a[i] / L[i] of [0,1)^d, L[i] its least common
+    denominator: the nonzero x with (R^T)^m x = x (mod Z^d) that no earlier
+    period yielded, sorted by (L, x).  They are x = s adj(A) z / |det A|
+    mod 1 over the residues z modulo A, s the sign of det A, computed in
+    integers.  L and a are None when |det A| exceeds candidate_cap.
+    """
+    d = pair.d
+    Rt = pair.R.T
+    seen: set[tuple[int, IVec]] = set()
+    for m in range(1, max_period + 1):
+        Am = Rt.pow(m).rows
+        A = IntMatrix.from_rows([[Am[i][j] - (i == j) for j in range(d)] for i in range(d)])
+        adj, det = adjugate(A)
+        D = abs(det)
+        if D == 0:
+            continue
+        if D > candidate_cap:
+            yield m, None, None
+            continue
+        s = 1 if det > 0 else -1
+        # entries below D on both sides: the products stay far inside int64
+        adj_t = np.array([[s * c % D for c in row] for row in adj.T.rows], dtype=np.int64)
+        num = np.array(complete_representatives(A), dtype=np.int64) @ adj_t % D
+        g = np.gcd(np.gcd.reduce(num, axis=1), D)
+        L, a = D // g, num // g[:, None]
+        order = np.lexsort((*a.T[::-1], L))
+        L, a = L[order], a[order]
+        keys = list(zip(L.tolist(), map(tuple, a.tolist())))
+        new = [key[0] > 1 and key not in seen for key in keys]
+        seen.update(keys)
+        yield m, L[new], a[new]
+
+
+def _cycle_candidates(
+    pair: AffinePair, K: int, max_period: int, candidate_cap: int, skipped: list[int]
+):
+    """(m, x) over the periodic points of `_periodic_points`, in its order,
+    that keep |mu_hat| below SCAN_TAU on the translates |k| <= min(K, 3) (the
+    scan's confirmation test, batched per period); x as Fractions.  Periods
+    over the cap are appended to `skipped`."""
+    ev = FourierEval(pair)
+    for m, L, a in _periodic_points(pair, max_period, candidate_cap):
+        if L is None:
+            skipped.append(m)
+            continue
+        if not len(L):
+            continue
+        # a and L are below 2^53, so each quotient is the correctly rounded x
+        for i in np.flatnonzero(_below_on_window(ev, a / L[:, None], min(K, 3), SCAN_TAU)):
+            yield m, tuple(Fraction(int(c), int(L[i])) for c in a[i])
 
 
 # ---------------------------------------------------------------------------
@@ -415,9 +480,18 @@ class EmptinessEvidence:
 
 
 def zero_set_empty_evidence(pair: AffinePair, K: int = 10) -> EmptinessEvidence:
-    """Best-effort decision on whether the periodic zero set is empty."""
+    """Best-effort decision on whether the periodic zero set is empty.
+
+    A non-empty zero set carries invariant cycles, so the periodic points
+    come first: the first one that certifies "in" at window K refutes
+    emptiness.  Otherwise (d <= 2 only) the grid scan decides.
+    """
     if pair.d == 1 and gcd_fast_path_1d(pair) == "empty":
         return EmptinessEvidence("gcd-1d", note="digit differences are coprime")
+    for _, x in _cycle_candidates(pair, K, CYCLE_PERIOD, CYCLE_CAP, []):
+        cert = certify_zero(pair, x, K=K)
+        if cert.status == "in":
+            return EmptinessEvidence("refuted", witness=cert)
     candidates = scan_zero_set(pair, K=K)
     if not candidates and candidates.survivors:
         # a survivor may sit near a zero whose denominator the snap cannot reach
@@ -598,52 +672,24 @@ class InvariantCycle:
 
 
 def find_invariant_cycle(
-    pair: AffinePair, max_period: int = 12, candidate_cap: int = 4096
+    pair: AffinePair, max_period: int = CYCLE_PERIOD, candidate_cap: int = CYCLE_CAP
 ) -> InvariantCycle:
     """Search for x0 with (R^T)^m x0 = x0 (mod Z^d) whose whole orbit certifies
     into the periodic zero set; attach an invariant rational direction W when
-    sampled points of x0 + W certify as well."""
-    d = pair.d
+    sampled points of x0 + W certify as well.  Only periodic points that
+    pass the float prefilter are certified."""
     Rt = pair.R.T
-    seen: set[FVec] = set()
-    skipped = []
-    for m in range(1, max_period + 1):
-        Am_rows = Rt.pow(m).rows
-        A = IntMatrix.from_rows(
-            [[Am_rows[i][j] - (1 if i == j else 0) for j in range(d)] for i in range(d)]
-        )
-        dt = abs(A.det())
-        if dt == 0:
-            continue
-        if dt > candidate_cap:
-            skipped.append(m)
-            continue
-        inv = f_inverse(A.to_fractions())
-        cands = []
-        for z in complete_representatives(A):
-            x = tuple(_frac_mod1(c) for c in f_matvec(inv, z))
-            if x in seen:
-                continue
-            seen.add(x)
-            if all(c == 0 for c in x):
-                continue
-            cands.append(x)
-
-        cands.sort(key=lambda v: (_lcm_den(v), v))
-        for x0 in cands:
-            orbit = [x0]
-            for _ in range(m - 1):
-                orbit.append(tuple(_frac_mod1(c) for c in Rt.matvec_frac(orbit[-1])))
-            certs = []
-            good = True
-            for pt in orbit:
-                cert = certify_zero(pair, pt, K=CYCLE_K, J=CYCLE_J)
-                certs.append(cert)
-                if cert.status != "in":
-                    good = False
-                    break
-            if not good:
-                continue
+    skipped: list[int] = []
+    for m, x0 in _cycle_candidates(pair, CYCLE_K, max_period, candidate_cap, skipped):
+        orbit = [x0]
+        for _ in range(m - 1):
+            orbit.append(tuple(_frac_mod1(c) for c in Rt.matvec_frac(orbit[-1])))
+        certs = []
+        for pt in orbit:
+            certs.append(certify_zero(pair, pt, K=CYCLE_K, J=CYCLE_J))
+            if certs[-1].status != "in":
+                break
+        else:
             W = _attach_invariant_direction(pair, x0)
             transitions, descent = _log_transitions(pair, orbit, W)
             return InvariantCycle(

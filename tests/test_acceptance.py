@@ -211,3 +211,20 @@ def test_c11_parseval_lower_estimates(jp_triple):
         prev = st.minimum
     assert prev >= 0.99
     assert time.monotonic() - t0 < 120.0
+
+
+def test_c12_cycle_first_refutation(skew_triple):
+    """The exact cycle point (0, 1/3) refutes an empty zero set before any grid
+    scan, and the whole quasi-product decision stays within its budget.
+
+    The decision's budget is 3 s, not the 1.5 s target: on a 2-core host its
+    product sweep alone (16 mu_hat batches of 7,744 points) takes 1.1-1.3 s."""
+    t0 = time.monotonic()
+    evd = zero_set_empty_evidence(skew_triple.pair)
+    assert evd.kind == "refuted"
+    assert evd.witness.point == (Fraction(0), Fraction(1, 3))
+    assert time.monotonic() - t0 < 1.0
+    t0 = time.monotonic()
+    rep = full_spectrum(skew_triple)
+    assert rep.status == "spectral" and rep.branch == "quasi-product"
+    assert time.monotonic() - t0 < 3.0

@@ -65,6 +65,29 @@ def test_mask_batch_shapes():
     assert np.allclose(mask_eval(pair, grid), 1.0)
 
 
+def test_digit_array_is_built_once_and_read_only():
+    pair = affine_pair([[4, 0], [1, 2]], [(0, 0), (0, 3), (1, 0), (1, 3)])
+    assert pair.digit_array is pair.digit_array
+    assert not pair.digit_array.flags.writeable
+    with pytest.raises(ValueError):
+        pair.digit_array[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("N", [2, 3, 4, 5, 8, 9, 16])
+def test_mask_values_equal_the_direct_mean(N):
+    # the in-place evaluation keeps every value of exp(...).mean bit for bit
+    rng = np.random.default_rng(N)
+    digits = [tuple(int(c) for c in row) for row in rng.choice(50, size=(N, 2), replace=False)]
+    pair = affine_pair([[3, 1], [0, 3]], digits)
+    xi = rng.uniform(-400, 400, size=(999, 2))
+
+    def direct(x):
+        return np.exp(-2j * np.pi * (x @ np.array(digits, dtype=float).T)).mean(axis=-1)
+
+    assert np.array_equal(mask_eval(pair, xi), direct(xi))
+    assert mask_eval(pair, xi[0]) == direct(xi[:1])[0]
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.lists(st.floats(-50, 50), min_size=1, max_size=4))
 def test_u_is_a_probability_weight(xs):

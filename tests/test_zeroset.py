@@ -302,6 +302,71 @@ def test_unconfirmed_survivors_are_inconclusive():
     assert abs(FourierEval(pair).mu_hat(np.array([[1 / 67 + 5]]))[0]) < 1e-12
 
 
+def _no_scan(pair, K):
+    raise AssertionError("the grid scan ran")
+
+
+def test_skew_refuted_from_cycle_points_before_the_scan(monkeypatch, skew_triple):
+    # (0, 1/3) is a period-2 point of R^T; certifying it needs no grid scan
+    from spectral_fractal import zeroset
+
+    monkeypatch.setattr(zeroset, "scan_zero_set", _no_scan)
+    ev = zero_set_empty_evidence(skew_triple.pair)
+    assert ev.kind == "refuted"
+    assert ev.witness.point == (F(0), F(1, 3))
+    assert (ev.witness.status, ev.witness.grade) == ("in", "exact")
+    assert len(ev.witness.witnesses) == 441
+    assert replay_certificate(skew_triple.pair, ev.witness)
+
+
+def test_preperiodic_zero_still_reaches_the_scan(monkeypatch):
+    # 1/2 is the only zero of (2, {0,2}) mod 1, and 2 * 1/2 = 0 mod 1: no
+    # periodic point certifies, so the witness comes from the scan
+    from spectral_fractal import zeroset
+
+    pair = affine_pair([[2]], [(0,), (2,)])
+    scans = []
+    scan = zeroset.scan_zero_set
+    monkeypatch.setattr(zeroset, "scan_zero_set", lambda p, K: scans.append(K) or scan(p, K))
+    ev = zero_set_empty_evidence(pair)
+    assert scans == [10]
+    assert ev.kind == "refuted" and ev.witness.point == (F(1, 2),)
+
+
+def test_periodic_points_of_the_skew_matrix(skew_triple):
+    # A = R^T - I has |det A| = 3; period 2 adds the rest of the 45 points,
+    # sorted by least common denominator, then coordinatewise
+    from spectral_fractal.zeroset import _periodic_points
+
+    periods = list(_periodic_points(skew_triple.pair, 4, 4096))
+    assert [m for m, _, _ in periods] == [1, 2, 3, 4]
+    assert [len(L) for _, L, _ in periods] == [2, 42, 441 - 3, 3825 - 45]
+    L, a = periods[0][1], periods[0][2]
+    assert L.tolist() == [3, 3] and a.tolist() == [[1, 0], [2, 0]]
+    L, a = periods[1][1], periods[1][2]
+    assert (L[0], tuple(a[0])) == (3, (0, 1))
+    assert sorted(L.tolist()) == L.tolist()
+    Rt = skew_triple.pair.R.T.pow(2)
+    for den, num in zip(L.tolist(), a.tolist()):
+        x = tuple(F(c, den) for c in num)
+        assert all((y - c).denominator == 1 for y, c in zip(Rt.matvec_frac(x), x))
+    assert [m for m, L, _ in _periodic_points(skew_triple.pair, 6, 4096) if L is None] == [5, 6]
+
+
+def test_three_dimensional_zero_set_is_refuted():
+    # beyond the scan's d <= 2: the skew system times a binary third axis
+    # carries the skew witness, now at (0, 1/3, 0)
+    R = [[4, 0, 0], [1, 2, 0], [0, 0, 2]]
+    B = [(x, y, z) for x, y in [(0, 0), (0, 3), (1, 0), (1, 3)] for z in (0, 1)]
+    pair = affine_pair(R, B)
+    with pytest.raises(DimensionUnsupported):
+        scan_zero_set(pair)
+    ev = zero_set_empty_evidence(pair)
+    assert ev.kind == "refuted"
+    assert ev.witness.point == (F(0), F(1, 3), F(0))
+    assert (ev.witness.grade, len(ev.witness.witnesses)) == ("exact", 21**3)
+
+
 def test_candidates_certified_out_are_inconclusive(monkeypatch, skew_triple):
     # certifying every snapped candidate out does not account for the
     # prefilter survivors that did not snap, so emptiness is not shown
@@ -385,6 +450,16 @@ def test_find_cycle_skew(skew_triple):
     assert cyc.W == ((1, 0),)
     assert cyc.descent_ok
     assert all(c.status == "in" for c in cyc.certificates)
+
+
+def test_no_cycle_for_67_is_fast():
+    # the 8,030 periodic points of x -> 2x with period <= 12 all fail the
+    # float prefilter (2 has order 66 mod 67), so none is certified
+    pair = affine_pair([[2]], [(0,), (67,)])
+    t0 = time.monotonic()
+    with pytest.raises(CycleNotFound):
+        find_invariant_cycle(pair)
+    assert time.monotonic() - t0 < 1.0
 
 
 def test_no_cycle_for_scaled_binary():
