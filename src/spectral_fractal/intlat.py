@@ -434,31 +434,6 @@ class Lattice:
     def is_standard(self) -> bool:
         return self.den == 1 and self.rank == self.dim and self.basis_matrix.rows == IntMatrix.identity(self.dim).rows
 
-    def contains(self, v) -> bool:
-        vv = [Fraction(x) for x in (v if not isinstance(v, (int, np.integer)) else (v,))]
-        if len(vv) != self.dim:
-            raise SizeMismatch("vector length does not match lattice dimension")
-        scaled = [x * self.den for x in vv]
-        if any(x.denominator != 1 for x in scaled):
-            return False
-        w = [int(x) for x in scaled]
-        # forward substitution along the pivot rows of the echelon basis
-        piv_rows = []
-        for j, col in enumerate(self.cols):
-            i = next(i for i in range(self.dim) if col[i] != 0)
-            piv_rows.append(i)
-        for j, col in enumerate(self.cols):
-            i = piv_rows[j]
-            q, r = divmod(w[i], col[i])
-            if r != 0:
-                return False
-            for t in range(self.dim):
-                w[t] -= q * col[t]
-        return all(x == 0 for x in w)
-
-    def __contains__(self, v) -> bool:
-        return self.contains(v)
-
 
 # ---------------------------------------------------------------------------
 # residues
@@ -750,12 +725,6 @@ class ConjugationRecord:
     @property
     def dim(self) -> int:
         return len(self.forward)
-
-    def is_unimodular(self) -> bool:
-        if any(x.denominator != 1 for row in self.forward for x in row):
-            return False
-        M = IntMatrix.from_rows([[int(x) for x in row] for row in self.forward])
-        return M.det() in (1, -1)
 
     def apply_matrix(self, R: IntMatrix) -> IntMatrix:
         conj = f_matmul(f_matmul(self.forward, R.to_fractions()), self.backward)

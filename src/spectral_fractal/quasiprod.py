@@ -519,11 +519,11 @@ def full_spectrum(
     if evidence.kind != "refuted":
         return SpectrumReport(
             "undecided", "", "unknown", recs, evidence, None, None, None, None,
-            (), note="zero-set scan inconclusive",
+            (), note=f"zero-set scan inconclusive: {evidence.note}",
         )
     witness = evidence.witness
     try:
-        cycle = find_invariant_cycle(pair)
+        cycle = find_invariant_cycle(pair, witness)
         if not cycle.W:
             raise CycleNotFound("cycle found but no invariant direction certified")
         tri = triangularize(triple.R, cycle.W)

@@ -97,12 +97,6 @@ def mask_eval(pair: AffinePair, xi):
     return vals[0] if scalar else vals
 
 
-def u_eval(pair: AffinePair, x):
-    """Squared mask modulus; the transition weight in [0, 1]."""
-    m = mask_eval(pair, x)
-    return np.abs(m) ** 2
-
-
 def hadamard_matrix(R, B, L) -> np.ndarray:
     """The candidate unitary, rows indexed by L, columns by B."""
     M = IntMatrix.from_rows(R)

@@ -13,9 +13,12 @@ matters.  Strategy:
 * certify: for a rational candidate, produce per-translate witnesses "the
   level-j mask factor vanishes", checked in exact arithmetic whenever the
   digit set factors axis-by-axis (vanishing sums of roots of unity reduce to
-  cyclotomic divisibility), falling back to numerics otherwise;
-* dynamics: the transfer weight u moves Z into itself, so certified points
-  organize into cycles modulo Z^d with an invariant rational direction W.
+  cyclotomic divisibility), falling back to numerics otherwise; the point
+  steps through the levels as integer numerators over a common denominator;
+* cycle: from the refuting witness x0 the orbit of x -> R^T x (mod Z^d) is
+  walked; when x0 is periodic, its orbit, certified at the witness's own
+  window, is the invariant cycle, and an invariant rational direction W is
+  attached when sampled points of x0 + W certify as well.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt, prod
+from operator import mul
 
 import numpy as np
 
@@ -38,8 +42,6 @@ from .intlat import (
     charpoly,
     clear_denominators,
     complete_representatives,
-    f_inverse,
-    f_matvec,
     f_nullspace,
     f_rank,
     poly_divmod,
@@ -52,8 +54,6 @@ NUMERIC_ZERO = 1e-12
 SCAN_TAU = 1e-7  # a confirmed scan candidate stays below this on the whole window
 SCAN_STEP = 1 / 256  # grid spacing of the scan over [0,1)^d
 SNAP_DENOMINATOR = 64  # survivors snap to rationals with at most this denominator
-CYCLE_K = 6  # translate window for certifying cycle points and directions
-CYCLE_J = 30  # mask levels tried per translate there
 CYCLE_PERIOD = 12  # periods m searched for cycle points
 CYCLE_CAP = 4096  # periods with more than this many points mod Z^d are skipped
 
@@ -151,9 +151,6 @@ class MaskZeroStructure:
     axis_orders: tuple[frozenset[int], ...] = ()
     general_cap: int = 600
 
-    def axis_zero(self, i: int, t: Fraction) -> bool:
-        return _frac_mod1(t).denominator in self.axis_orders[i]
-
 
 def mask_zero_structure(pair: AffinePair) -> MaskZeroStructure:
     d = pair.d
@@ -166,31 +163,31 @@ def mask_zero_structure(pair: AffinePair) -> MaskZeroStructure:
     return MaskZeroStructure(False)
 
 
-def mask_zero_test(pair: AffinePair, ms: MaskZeroStructure, rho: FVec) -> tuple[bool, str]:
-    """(mask vanishes at rho, grade).  Grade 'exact' means a rigorous verdict."""
+def mask_zero_test(pair: AffinePair, ms: MaskZeroStructure, v: IVec, den: int) -> tuple[bool, str]:
+    """(mask vanishes at the point v / den, grade) for integer numerators v.
+
+    Grade 'exact' means a rigorous verdict.  A coordinate c / den reduces
+    mod 1 to the denominator den / gcd(c, den), and the phases <b, v> / den
+    share the reduced denominator den / gcd(den, <b, v> over b).
+    """
     if ms.product:
-        hit = any(ms.axis_zero(i, rho[i]) for i in range(pair.d))
+        hit = any(den // gcd(c, den) in orders for c, orders in zip(v, ms.axis_orders))
         return hit, "exact"
     # vanishing sum of roots of unity: reduce to divisibility by one cyclotomic
-    exps = []
-    for b in pair.B:
-        e = _frac_mod1(sum((Fraction(bi) * ri for bi, ri in zip(b, rho)), Fraction(0)))
-        exps.append(e)
-    den = _lcm_den(exps)
-    if den <= ms.general_cap:
-        coeffs = [0] * den
+    nums = [sum(bi * c for bi, c in zip(b, v)) for b in pair.B]
+    g = gcd(den, *nums)
+    q = den // g
+    exps = [n // g % q for n in nums]
+    if q <= ms.general_cap:
+        coeffs = [0] * q
         for e in exps:
-            coeffs[int(e * den) % den] += 1
-        poly = list(reversed(coeffs))
-        while poly and poly[0] == 0:
+            coeffs[e] += 1
+        poly = coeffs[::-1]
+        while poly[0] == 0:
             poly.pop(0)
-        if not poly:
-            return True, "exact"
-        _, rem = poly_divmod(poly, cyclotomic(den))
-        return (not rem), "exact"
-    val = abs(
-        np.exp(-2j * np.pi * np.array([float(e) for e in exps])).sum()
-    ) / pair.N
+        return not poly_divmod(poly, cyclotomic(q))[1], "exact"
+    # int / int is correctly rounded, as float(Fraction(e, q)) is
+    val = abs(np.exp(-2j * np.pi * np.array([e / q for e in exps])).sum()) / pair.N
     return val < NUMERIC_ZERO, "numeric"
 
 
@@ -211,6 +208,10 @@ class ZeroCertificate:
     out_value: float = 0.0
     grade: str = "exact"
     unresolved: tuple[IVec, ...] = ()
+
+    def __str__(self) -> str:
+        """The point alone, as notes and messages print it: (0, 1/3)."""
+        return "(" + ", ".join(map(str, self.point)) + ")"
 
     def to_dict(self) -> dict:
         return {
@@ -248,8 +249,30 @@ def _window(K: int, d: int):
     return pts
 
 
-def _rt_inv_fracs(pair: AffinePair):
-    return f_inverse(pair.R.T.to_fractions())
+def _numerators(point: FVec) -> tuple[IVec, int]:
+    """(a, L) with point = a / L, L the least common denominator."""
+    L = _lcm_den(point)
+    return tuple(c.numerator * (L // c.denominator) for c in point), L
+
+
+@lru_cache(maxsize=256)
+def _inverse_step(R: IntMatrix) -> tuple[tuple[IVec, ...], int]:
+    """(s adj(R^T), |det R|), s the sign of det R: their quotient is (R^T)^-1."""
+    adj, det = adjugate(R.T)
+    s = 1 if det > 0 else -1
+    return tuple(tuple(s * c for c in row) for row in adj.rows), abs(det)
+
+
+def _pullbacks(pair: AffinePair, a: IVec, L: int, k: IVec):
+    """(R^T)^-j (a / L + k) for j = 1, 2, ... as (integer numerators, common
+    denominator): the numerators step v -> s adj(R^T) v over L |det R|^j."""
+    step, D = _inverse_step(pair.R)
+    v = tuple(c + kk * L for c, kk in zip(a, k))
+    den = L
+    while True:
+        v = tuple(sum(map(mul, row, v)) for row in step)
+        den *= D
+        yield v, den
 
 
 def certify_zero(pair: AffinePair, xi0, K: int = 10, J: int = 30) -> ZeroCertificate:
@@ -263,25 +286,23 @@ def certify_zero(pair: AffinePair, xi0, K: int = 10, J: int = 30) -> ZeroCertifi
     if len(point) != pair.d:
         raise InvalidInput("candidate point has wrong dimension")
     ms = mask_zero_structure(pair)
-    rt_inv = _rt_inv_fracs(pair)
+    a, L = _numerators(point)
     ev = FourierEval(pair)
     witnesses: list[tuple[IVec, int]] = []
     unresolved: list[IVec] = []
     grade = "exact"
     for k in _window(K, pair.d):
-        shifted = tuple(c + kk for c, kk in zip(point, k))
-        rho = shifted
         found = None
-        for j in range(1, J + 1):
-            rho = f_matvec(rt_inv, rho)
-            hit, g = mask_zero_test(pair, ms, rho)
+        for j, (v, den) in enumerate(itertools.islice(_pullbacks(pair, a, L, k), J), 1):
+            hit, g = mask_zero_test(pair, ms, v, den)
             if hit:
                 found = j
                 if g == "numeric":
                     grade = "numeric"
                 break
         if found is None:
-            mod = abs(complex(ev.mu_hat(np.array([float(c) for c in shifted]))))
+            shifted = np.array([(c + kk * L) / L for c, kk in zip(a, k)])
+            mod = abs(complex(ev.mu_hat(shifted)))
             if mod > OUT_FLOOR:
                 return ZeroCertificate(
                     point, K, J, "out", tuple(witnesses), k, float(mod), "numeric"
@@ -300,17 +321,16 @@ def certify_zero(pair: AffinePair, xi0, K: int = 10, J: int = 30) -> ZeroCertifi
 def replay_certificate(pair: AffinePair, cert: ZeroCertificate) -> bool:
     """Re-verify every witness of a certificate; used by the report verifier."""
     ms = mask_zero_structure(pair)
-    rt_inv = _rt_inv_fracs(pair)
     if cert.status == "in":
         expected = {tuple(k) for k in _window(cert.K, pair.d)}
         if {k for k, _ in cert.witnesses} != expected:
             return False
+        a, L = _numerators(cert.point)
         for k, j in cert.witnesses:
-            rho = tuple(c + kk for c, kk in zip(cert.point, k))
-            for _ in range(j):
-                rho = f_matvec(rt_inv, rho)
-            hit, _ = mask_zero_test(pair, ms, rho)
-            if not hit:
+            if j < 1:
+                return False
+            v, den = next(itertools.islice(_pullbacks(pair, a, L, k), j - 1, None))
+            if not mask_zero_test(pair, ms, v, den)[0]:
                 return False
         return True
     if cert.status == "out":
@@ -445,23 +465,18 @@ def _periodic_points(pair: AffinePair, max_period: int, candidate_cap: int):
         yield m, L[new], a[new]
 
 
-def _cycle_candidates(
-    pair: AffinePair, K: int, max_period: int, candidate_cap: int, skipped: list[int]
-):
-    """(m, x) over the periodic points of `_periodic_points`, in its order,
-    that keep |mu_hat| below SCAN_TAU on the translates |k| <= min(K, 3) (the
-    scan's confirmation test, batched per period); x as Fractions.  Periods
-    over the cap are appended to `skipped`."""
+def _cycle_candidates(pair: AffinePair, K: int):
+    """The periodic points of `_periodic_points` (periods <= CYCLE_PERIOD,
+    |det| <= CYCLE_CAP), in its order, that keep |mu_hat| below SCAN_TAU on
+    the translates |k| <= min(K, 3) (the scan's confirmation test, batched
+    per period); as tuples of Fractions."""
     ev = FourierEval(pair)
-    for m, L, a in _periodic_points(pair, max_period, candidate_cap):
-        if L is None:
-            skipped.append(m)
-            continue
-        if not len(L):
+    for _, L, a in _periodic_points(pair, CYCLE_PERIOD, CYCLE_CAP):
+        if L is None or not len(L):
             continue
         # a and L are below 2^53, so each quotient is the correctly rounded x
         for i in np.flatnonzero(_below_on_window(ev, a / L[:, None], min(K, 3), SCAN_TAU)):
-            yield m, tuple(Fraction(int(c), int(L[i])) for c in a[i])
+            yield tuple(Fraction(int(c), int(L[i])) for c in a[i])
 
 
 # ---------------------------------------------------------------------------
@@ -488,7 +503,7 @@ def zero_set_empty_evidence(pair: AffinePair, K: int = 10) -> EmptinessEvidence:
     """
     if pair.d == 1 and gcd_fast_path_1d(pair) == "empty":
         return EmptinessEvidence("gcd-1d", note="digit differences are coprime")
-    for _, x in _cycle_candidates(pair, K, CYCLE_PERIOD, CYCLE_CAP, []):
+    for x in _cycle_candidates(pair, K):
         cert = certify_zero(pair, x, K=K)
         if cert.status == "in":
             return EmptinessEvidence("refuted", witness=cert)
@@ -519,33 +534,7 @@ def zero_set_empty_evidence(pair: AffinePair, K: int = 10) -> EmptinessEvidence:
 
 
 # ---------------------------------------------------------------------------
-# transfer dynamics on the zero set
-
-
-@dataclass(frozen=True)
-class Transition:
-    ell: IVec
-    target: FVec
-    weight: float
-
-    @property
-    def possible(self) -> bool:
-        return self.weight > 1e-12
-
-
-def transition_targets(pair: AffinePair, x) -> list[Transition]:
-    """All one-step inverse-branch moves (R^T)^{-1}(x + l) with their u-weights,
-    l over the complete representatives of R^T."""
-    point = tuple(Fraction(c) for c in x)
-    rt_inv = _rt_inv_fracs(pair)
-    out = []
-    from .triples import u_eval
-
-    for ell in complete_representatives(pair.R.T):
-        tgt = f_matvec(rt_inv, tuple(c + e for c, e in zip(point, ell)))
-        w = float(u_eval(pair, np.array([[float(c) for c in tgt]]))[0])
-        out.append(Transition(tuple(ell), tgt, w))
-    return out
+# invariant cycles
 
 
 def rational_invariant_subspaces(A) -> list[tuple[IVec, ...]]:
@@ -633,31 +622,6 @@ def rational_invariant_subspaces(A) -> list[tuple[IVec, ...]]:
     return [results[k] for k in sorted(results, key=lambda t: (t[0], t[1]))]
 
 
-def in_subspace_plus_integers(v: FVec, W: tuple[IVec, ...], d: int) -> bool:
-    """Exact membership of v in W + Z^d (W a rational subspace given by columns).
-
-    With N an integer matrix whose rows span the annihilator of W, the
-    condition is N v in N Z^d, a lattice membership test in the quotient.
-    """
-    vv = tuple(Fraction(c) for c in v)
-    if not W:
-        return all(c.denominator == 1 for c in vv)
-    wt = tuple(tuple(Fraction(x) for x in c) for c in W)  # rows = basis transposed
-    normals = f_nullspace(wt)
-    if not normals:
-        return True  # W is everything
-    nrows = []
-    for nrm in normals:
-        iv, _ = clear_denominators(nrm)
-        nrows.append(iv)
-    m = len(nrows)
-    img = Lattice.from_columns(m, [tuple(r[j] for r in nrows) for j in range(d)])
-    nv = tuple(
-        sum((Fraction(a) * b for a, b in zip(r, vv)), Fraction(0)) for r in nrows
-    )
-    return img.contains(nv)
-
-
 @dataclass(frozen=True)
 class InvariantCycle:
     """A certified cycle of the periodic zero set modulo Z^d."""
@@ -667,41 +631,39 @@ class InvariantCycle:
     orbit: tuple[FVec, ...]
     W: tuple[IVec, ...]
     certificates: tuple[ZeroCertificate, ...]
-    transitions: tuple[tuple[Transition, ...], ...]
-    descent_ok: bool
 
 
-def find_invariant_cycle(
-    pair: AffinePair, max_period: int = CYCLE_PERIOD, candidate_cap: int = CYCLE_CAP
-) -> InvariantCycle:
-    """Search for x0 with (R^T)^m x0 = x0 (mod Z^d) whose whole orbit certifies
-    into the periodic zero set; attach an invariant rational direction W when
-    sampled points of x0 + W certify as well.  Only periodic points that
-    pass the float prefilter are certified."""
+def find_invariant_cycle(pair: AffinePair, witness: ZeroCertificate) -> InvariantCycle:
+    """The cycle of x -> R^T x (mod Z^d) through a refuting witness.
+
+    The orbit of x0 = witness.point is walked in integers for at most
+    CYCLE_PERIOD steps; x0 keeps the witness certificate and every other
+    orbit point is certified at the witness's window.  An invariant rational
+    direction W is attached when sampled points of x0 + W certify at that
+    window as well.  Raises CycleNotFound naming the point when x0 is not
+    periodic or an orbit point fails to certify.
+    """
     Rt = pair.R.T
-    skipped: list[int] = []
-    for m, x0 in _cycle_candidates(pair, CYCLE_K, max_period, candidate_cap, skipped):
-        orbit = [x0]
-        for _ in range(m - 1):
-            orbit.append(tuple(_frac_mod1(c) for c in Rt.matvec_frac(orbit[-1])))
-        certs = []
-        for pt in orbit:
-            certs.append(certify_zero(pair, pt, K=CYCLE_K, J=CYCLE_J))
-            if certs[-1].status != "in":
-                break
-        else:
-            W = _attach_invariant_direction(pair, x0)
-            transitions, descent = _log_transitions(pair, orbit, W)
-            return InvariantCycle(
-                x0, m, tuple(orbit), W, tuple(certs), transitions, descent
-            )
-    raise CycleNotFound(
-        f"no certified cycle with period <= {max_period}"
-        + (f" (periods {skipped} skipped by candidate cap)" if skipped else "")
-    )
+    a, L = _numerators(witness.point)
+    nums = [tuple(c % L for c in a)]
+    for _ in range(CYCLE_PERIOD):
+        nxt = tuple(c % L for c in Rt.matvec(nums[-1]))
+        if nxt == nums[0]:
+            break
+        nums.append(nxt)
+    else:
+        raise CycleNotFound(f"witness {witness} is not periodic with period <= {CYCLE_PERIOD}")
+    orbit = (witness.point, *(tuple(Fraction(c, L) for c in v) for v in nums[1:]))
+    certs = [witness]
+    for pt in orbit[1:]:
+        certs.append(certify_zero(pair, pt, K=witness.K))
+        if certs[-1].status != "in":
+            raise CycleNotFound(f"orbit point {certs[-1]} certified {certs[-1].status}")
+    W = _attach_invariant_direction(pair, witness.point, witness.K)
+    return InvariantCycle(witness.point, len(orbit), orbit, W, tuple(certs))
 
 
-def _attach_invariant_direction(pair: AffinePair, x0: FVec):
+def _attach_invariant_direction(pair: AffinePair, x0: FVec, K: int):
     try:
         subspaces = rational_invariant_subspaces(pair.R.T)
     except DimensionUnsupported:
@@ -714,7 +676,7 @@ def _attach_invariant_direction(pair: AffinePair, x0: FVec):
                 pt = tuple(
                     _frac_mod1(c + t * b) for c, b in zip(x0, basis_vec)
                 )
-                if certify_zero(pair, pt, K=CYCLE_K, J=CYCLE_J).status != "in":
+                if certify_zero(pair, pt, K=K).status != "in":
                     ok = False
                     break
             if not ok:
@@ -722,21 +684,3 @@ def _attach_invariant_direction(pair: AffinePair, x0: FVec):
         if ok:
             return W
     return ()
-
-
-def _log_transitions(pair: AffinePair, orbit, W):
-    d = pair.d
-    logs = []
-    descent = True
-    for i, pt in enumerate(orbit):
-        prev = orbit[(i - 1) % len(orbit)]
-        moves = [t for t in transition_targets(pair, pt) if t.possible]
-        logs.append(tuple(moves))
-        ok = False
-        for t in moves:
-            diff = tuple(a - b for a, b in zip(t.target, prev))
-            if in_subspace_plus_integers(diff, W, d):
-                ok = True
-                break
-        descent = descent and ok
-    return tuple(logs), descent

@@ -17,12 +17,16 @@ from spectral_fractal.intlat import (
     Lattice,
     as_digit_list,
     canonical_residue,
+    complete_representatives,
     f_identity,
     f_inverse,
+    f_matvec,
     f_transpose,
+    poly_divmod,
 )
 from spectral_fractal.measure import FourierEval
-from spectral_fractal.triples import validate_triple
+from spectral_fractal.triples import mask_eval, validate_triple
+from spectral_fractal.zeroset import NUMERIC_ZERO, OUT_FLOOR, ZeroCertificate, _window, cyclotomic
 
 
 # ---------------------------------------------------------------------------
@@ -50,6 +54,32 @@ def dual_lattice(lat: Lattice) -> Lattice:
 
 def identity_record(d: int) -> ConjugationRecord:
     return ConjugationRecord(f_identity(d), f_identity(d), "identity")
+
+
+def lattice_contains(lat: Lattice, v) -> bool:
+    """Exact membership of the rational vector v in the lattice, by forward
+    substitution along the pivot rows of its echelon basis."""
+    scaled = [Fraction(x) * lat.den for x in v]
+    if len(scaled) != lat.dim:
+        raise SizeMismatch("vector length does not match lattice dimension")
+    if any(x.denominator != 1 for x in scaled):
+        return False
+    w = [int(x) for x in scaled]
+    for col in lat.cols:
+        i = next(i for i in range(lat.dim) if col[i] != 0)
+        q, r = divmod(w[i], col[i])
+        if r != 0:
+            return False
+        for t in range(lat.dim):
+            w[t] -= q * col[t]
+    return all(x == 0 for x in w)
+
+
+def is_unimodular(record: ConjugationRecord) -> bool:
+    """The forward move of the record is an integer matrix of determinant +-1."""
+    if any(x.denominator != 1 for row in record.forward for x in row):
+        return False
+    return IntMatrix.from_rows([[int(x) for x in row] for row in record.forward]).det() in (1, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -173,6 +203,76 @@ def delta_lower_bound(tree) -> float:
         )
         out.append(float((np.abs(ev.mu_hat(x)) ** 2).min()))
     return min(out)
+
+
+# ---------------------------------------------------------------------------
+# periodic zero set
+
+
+def u_eval(pair, x):
+    """Squared mask modulus; the transition weight in [0, 1]."""
+    return np.abs(mask_eval(pair, x)) ** 2
+
+
+def transition_weights(pair, x) -> list[tuple[tuple[int, ...], tuple, float]]:
+    """(l, (R^T)^-1 (x + l), its u-weight) over the complete representatives
+    l of R^T: the one-step inverse-branch moves of the transfer dynamics."""
+    rt_inv = f_inverse(pair.R.T.to_fractions())
+    out = []
+    for ell in complete_representatives(pair.R.T):
+        tgt = f_matvec(rt_inv, tuple(Fraction(c) + e for c, e in zip(x, ell)))
+        out.append((tuple(ell), tgt, float(u_eval(pair, np.array([[float(c) for c in tgt]]))[0])))
+    return out
+
+
+def _frac_mask_zero(pair, ms, rho) -> tuple[bool, str]:
+    """The mask zero test on a point of Fractions: reduced denominators of
+    the coordinates (product digit sets), cyclotomic divisibility of the
+    phase polynomial up to ms.general_cap, the float sum beyond it."""
+    if ms.product:
+        return any((t % 1).denominator in o for t, o in zip(rho, ms.axis_orders)), "exact"
+    exps = [sum((bi * ri for bi, ri in zip(b, rho)), Fraction(0)) % 1 for b in pair.B]
+    den = 1
+    for e in exps:
+        den = den * e.denominator // gcd(den, e.denominator)
+    if den <= ms.general_cap:
+        coeffs = [0] * den
+        for e in exps:
+            coeffs[int(e * den)] += 1
+        poly = coeffs[::-1]
+        while poly[0] == 0:
+            poly.pop(0)
+        return not poly_divmod(poly, cyclotomic(den))[1], "exact"
+    val = abs(np.exp(-2j * np.pi * np.array([float(e) for e in exps])).sum()) / pair.N
+    return val < NUMERIC_ZERO, "numeric"
+
+
+def fraction_certify_zero(pair, ms, xi0, K: int, J: int = 30) -> ZeroCertificate:
+    """certify_zero with every translate stepped through (R^T)^-1 in
+    Fractions, one level at a time, under the mask structure ms."""
+    point = tuple(Fraction(c) for c in xi0)
+    rt_inv = f_inverse(pair.R.T.to_fractions())
+    witnesses, unresolved, grade = [], [], "exact"
+    for k in _window(K, pair.d):
+        rho = tuple(c + kk for c, kk in zip(point, k))
+        for j in range(1, J + 1):
+            rho = f_matvec(rt_inv, rho)
+            hit, g = _frac_mask_zero(pair, ms, rho)
+            if hit:
+                witnesses.append((k, j))
+                grade = "numeric" if g == "numeric" else grade
+                break
+        else:
+            shifted = np.array([float(c + kk) for c, kk in zip(point, k)])
+            mod = abs(complex(FourierEval(pair).mu_hat(shifted)))
+            if mod > OUT_FLOOR:
+                return ZeroCertificate(point, K, J, "out", tuple(witnesses), k, mod, "numeric")
+            unresolved.append(k)
+    if unresolved:
+        return ZeroCertificate(
+            point, K, J, "inconclusive", tuple(witnesses), None, 0.0, "numeric", tuple(unresolved)
+        )
+    return ZeroCertificate(point, K, J, "in", tuple(witnesses), None, 0.0, grade)
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,6 @@ OPTIONS = {
     "zeroset.certify_zero": ("K", "J"),
     "zeroset.scan_zero_set": ("K",),
     "zeroset.zero_set_empty_evidence": ("K",),
-    "zeroset.find_invariant_cycle": ("max_period", "candidate_cap"),
 }
 
 

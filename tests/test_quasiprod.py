@@ -36,6 +36,8 @@ from spectral_fractal.spectra import corrected_tree
 from spectral_fractal.triples import hadamard_triple
 from spectral_fractal.zeroset import zero_set_empty_evidence
 
+from oracles import is_unimodular, lattice_contains
+
 SKEW_ORBIT = ((F(0), F(1, 3)), (F(1, 3), F(2, 3)))
 
 
@@ -78,7 +80,7 @@ def test_triangularize_rotates_conjugated_direction(conj_skew):
     # (1,-1) is the 4-eigenvector of R'^T
     tri = triangularize(conj_skew.R, ((1, -1),))
     assert tri.R_new.rows == ((4, 0), (-3, 2))
-    assert tri.record.is_unimodular()
+    assert is_unimodular(tri.record)
     # the direction itself lands on the leading axis of frequency space
     img = tri.record.apply_frequency_point((F(1), F(-1)))
     assert img[1] == 0 and img[0] != 0
@@ -130,7 +132,7 @@ def test_transverse_lattice_matches_brute_force_1d():
     assert abs(lat.basis_matrix.det()) == 3
     for x in range(-20, 21):
         member = (F(x) * F(1, 3)).denominator == 1 and (F(x) * F(2, 3)).denominator == 1
-        assert lat.contains((x,)) == member == (x % 3 == 0)
+        assert lattice_contains(lat, (x,)) == member == (x % 3 == 0)
 
 
 def test_transverse_lattice_matches_brute_force_2d():
@@ -140,7 +142,7 @@ def test_transverse_lattice_matches_brute_force_2d():
     for a in range(-6, 7):
         for b in range(-6, 7):
             member = (F(a, 2) + F(b, 3)).denominator == 1
-            assert lat.contains((a, b)) == member
+            assert lattice_contains(lat, (a, b)) == member
 
 
 def test_transverse_lattice_no_constraints_is_standard():
@@ -254,6 +256,36 @@ def test_full_spectrum_skew_quasi_product(skew_report):
     assert rep.sub_report.branch == "orthonormal"
     assert rep.evidence.kind == "refuted"
     assert rep.points[0] == (F(0), F(0))
+
+
+def test_full_spectrum_skew_note_shows_the_witness_point(skew_report):
+    assert len(skew_report.note) < 200
+    assert skew_report.note == "integer spectra refuted by periodic zero at (0, 1/3)"
+
+
+def test_full_spectrum_walks_the_periodic_points_once(monkeypatch, skew_triple):
+    # the cycle stage starts from the refuting witness instead of
+    # enumerating and certifying the periodic points a second time
+    from spectral_fractal import zeroset
+
+    calls = []
+    periodic_points = zeroset._periodic_points
+    monkeypatch.setattr(
+        zeroset, "_periodic_points", lambda *a: calls.append(a[1:]) or periodic_points(*a)
+    )
+    rep = full_spectrum(skew_triple)
+    assert rep.status == "spectral" and rep.branch == "quasi-product"
+    assert len(calls) == 1
+
+
+def test_full_spectrum_inconclusive_note_names_the_stage(monkeypatch, jp_triple):
+    from spectral_fractal import quasiprod
+    from spectral_fractal.zeroset import EmptinessEvidence
+
+    evidence = EmptinessEvidence("inconclusive", note="prefilter: 3 grid points survived")
+    monkeypatch.setattr(quasiprod, "zero_set_empty_evidence", lambda *a, **k: evidence)
+    rep = full_spectrum(jp_triple, K=4)
+    assert rep.note == "zero-set scan inconclusive: prefilter: 3 grid points survived"
 
 
 def test_full_spectrum_skew_frequency_list(skew_report):

@@ -111,7 +111,8 @@ def test_corrected_tree_repairs_unit_interval(lebesgue_triple):
 
 
 def test_corrected_tree_refuses_nonempty_zero_set(skew_triple, skew_evidence):
-    with pytest.raises(ZeroSetNonEmpty):
+    # the message shows the witness point, not the whole certificate
+    with pytest.raises(ZeroSetNonEmpty, match=r"^certified periodic zero at \(0, 1/3\)$"):
         corrected_tree(skew_triple, 4, evidence=skew_evidence)
 
 

@@ -14,11 +14,10 @@ from spectral_fractal.triples import (
     hadamard_triple,
     mask_eval,
     tower,
-    u_eval,
     validate_triple,
 )
 
-from oracles import lift_digits, search_frequency_digits_1d, transfer_partition_check
+from oracles import lift_digits, search_frequency_digits_1d, transfer_partition_check, u_eval
 
 
 def test_jp_matrix_is_fourier_pair(jp_triple):

@@ -17,16 +17,16 @@ from spectral_fractal.zeroset import (
     cyclotomic,
     find_invariant_cycle,
     gcd_fast_path_1d,
-    in_subspace_plus_integers,
     mask_zero_structure,
     mask_zero_test,
     rational_invariant_subspaces,
     replay_certificate,
     scan_zero_set,
-    transition_targets,
     vanishing_orders_1d,
     zero_set_empty_evidence,
 )
+
+from oracles import fraction_certify_zero, transition_weights
 
 F = Fraction
 
@@ -134,13 +134,17 @@ def test_structure_general():
 
 
 def test_mask_zero_test_product_exact(skew_triple):
+    # the point is v / den; unreduced numerators and denominators, negative
+    # numerators and whole translates give the same verdicts
     pair = skew_triple.pair
     ms = mask_zero_structure(pair)
-    assert mask_zero_test(pair, ms, (F(1, 2), F(0))) == (True, "exact")
-    assert mask_zero_test(pair, ms, (F(0), F(1, 6))) == (True, "exact")
-    assert mask_zero_test(pair, ms, (F(0), F(1, 2))) == (True, "exact")
-    assert mask_zero_test(pair, ms, (F(0), F(1, 3))) == (False, "exact")
-    assert mask_zero_test(pair, ms, (F(1, 4), F(0))) == (False, "exact")
+    assert mask_zero_test(pair, ms, (1, 0), 2) == (True, "exact")
+    assert mask_zero_test(pair, ms, (0, 2), 12) == (True, "exact")
+    assert mask_zero_test(pair, ms, (0, -7), 6) == (True, "exact")
+    assert mask_zero_test(pair, ms, (4, 3), 6) == (True, "exact")
+    assert mask_zero_test(pair, ms, (0, 1), 3) == (False, "exact")
+    assert mask_zero_test(pair, ms, (9, 12), 9) == (False, "exact")
+    assert mask_zero_test(pair, ms, (3, 0), 12) == (False, "exact")
 
 
 def test_mask_zero_test_general_cyclotomic():
@@ -149,9 +153,11 @@ def test_mask_zero_test_general_cyclotomic():
     pair = affine_pair([[2, 0], [0, 2]], [(0, 0), (1, 0), (2, 1)])
     ms = mask_zero_structure(pair)
     assert not ms.product
-    assert mask_zero_test(pair, ms, (F(1, 3), F(0))) == (True, "exact")
-    assert mask_zero_test(pair, ms, (F(1, 3), F(1, 3))) == (False, "exact")
-    assert mask_zero_test(pair, ms, (F(1, 7), F(2, 7))) == (False, "exact")
+    assert mask_zero_test(pair, ms, (1, 0), 3) == (True, "exact")
+    assert mask_zero_test(pair, ms, (-10, 6), 6) == (True, "exact")
+    assert mask_zero_test(pair, ms, (1, 1), 3) == (False, "exact")
+    assert mask_zero_test(pair, ms, (2, 4), 14) == (False, "exact")
+    assert mask_zero_test(pair, ms, (7, 7), 7) == (False, "exact")
 
 
 def test_mask_zero_test_numeric_fallback():
@@ -159,9 +165,9 @@ def test_mask_zero_test_numeric_fallback():
 
     pair = affine_pair([[2, 0], [0, 2]], [(0, 0), (1, 0), (2, 1)])
     ms = MaskZeroStructure(False, general_cap=1)  # force the float path
-    hit, grade = mask_zero_test(pair, ms, (F(1, 3), F(0)))
+    hit, grade = mask_zero_test(pair, ms, (4, 0), 12)
     assert hit and grade == "numeric"
-    hit, grade = mask_zero_test(pair, ms, (F(1, 7), F(2, 7)))
+    hit, grade = mask_zero_test(pair, ms, (1, 2), 7)
     assert (not hit) and grade == "numeric"
 
 
@@ -239,6 +245,55 @@ def test_certificate_roundtrip_and_replay(skew_triple):
     assert not replay_certificate(pair, bad)
     out = certify_zero(pair, (F(0), F(1, 2)), K=4)
     assert replay_certificate(pair, out)
+
+
+SKEW_R = [[4, 0], [1, 2]]
+SKEW_B = [(0, 0), (0, 3), (1, 0), (1, 3)]
+# the skew system times a binary third axis: its zero set holds (0, 1/3, 0)
+D3_R = [[4, 0, 0], [1, 2, 0], [0, 0, 2]]
+D3_B = [(x, y, z) for x, y in SKEW_B for z in (0, 1)]
+
+
+@pytest.mark.parametrize(
+    "R,B,point,K,structure,status",
+    [
+        (SKEW_R, SKEW_B, (F(0), F(1, 3)), 10, None, "in"),
+        (SKEW_R, SKEW_B, (F(1, 2), F(2, 3)), 10, None, "in"),
+        (SKEW_R, SKEW_B, (F(-1, 6), F(5, 2)), 3, None, "out"),
+        (D3_R, D3_B, (F(0), F(1, 3), F(0)), 6, None, "in"),
+        # the cyclotomic path, on the skew digits and on non-product sets
+        (SKEW_R, SKEW_B, (F(0), F(1, 3)), 6, (False, 600), "in"),
+        ([[2, 1], [0, 2]], [(0, 0), (2, 0), (1, 1), (3, 1)], (F(1, 2), F(0)), 10, None, "in"),
+        ([[2, 0], [0, 2]], [(0, 0), (1, 0), (2, 1)], (F(1, 3), F(0)), 4, None, "out"),
+        # the numeric grade: every reduced denominator is beyond the cap
+        (SKEW_R, SKEW_B, (F(0), F(1, 3)), 4, (False, 1), "in"),
+    ],
+)
+def test_integer_stepping_equals_the_fraction_oracle(
+    monkeypatch, R, B, point, K, structure, status
+):
+    from spectral_fractal import zeroset
+
+    pair = affine_pair(R, B)
+    if structure is not None:
+        ms = zeroset.MaskZeroStructure(structure[0], general_cap=structure[1])
+        monkeypatch.setattr(zeroset, "mask_zero_structure", lambda p: ms)
+    ms = zeroset.mask_zero_structure(pair)
+    cert = certify_zero(pair, point, K=K)
+    assert cert == fraction_certify_zero(pair, ms, point, K)
+    assert cert.status == status
+    if structure == (False, 1):
+        assert cert.grade == "numeric"
+    assert replay_certificate(pair, cert)
+
+
+def test_certify_three_dimensional_witness_is_fast():
+    # 9,261 translates stepped in integers (about 1 s with Fractions)
+    pair = affine_pair(D3_R, D3_B)
+    t0 = time.monotonic()
+    cert = certify_zero(pair, (F(0), F(1, 3), F(0)), K=10)
+    assert time.monotonic() - t0 < 0.5
+    assert (cert.status, cert.grade, len(cert.witnesses)) == ("in", "exact", 21**3)
 
 
 # ---------------------------------------------------------------------------
@@ -389,20 +444,18 @@ def test_candidates_certified_out_are_inconclusive(monkeypatch, skew_triple):
 
 def test_transition_weights_partition(skew_triple, lebesgue_triple):
     # over a full residue system the u-weights sum to |det R| / N
-    pair = skew_triple.pair
-    moves = transition_targets(pair, (F(0), F(1, 3)))
+    moves = transition_weights(skew_triple.pair, (F(0), F(1, 3)))
     assert len(moves) == 8  # |det R^T| inverse branches
-    assert sum(t.weight for t in moves) == pytest.approx(2.0, abs=1e-12)
-    moves = transition_targets(lebesgue_triple.pair, (F(1, 5),))
-    assert sum(t.weight for t in moves) == pytest.approx(1.0, abs=1e-12)
+    assert sum(w for _, _, w in moves) == pytest.approx(2.0, abs=1e-12)
+    moves = transition_weights(lebesgue_triple.pair, (F(1, 5),))
+    assert sum(w for _, _, w in moves) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_transitions_from_skew_cycle_point(skew_triple):
-    pair = skew_triple.pair
-    moves = [t for t in transition_targets(pair, (F(0), F(1, 3))) if t.possible]
+    moves = [t for _, t, w in transition_weights(skew_triple.pair, (F(0), F(1, 3))) if w > 1e-12]
     # only odd second digit-coordinates survive; they all land on height 2/3
     assert len(moves) == 4
-    assert {t.target[1] % 1 for t in moves} == {F(2, 3)}
+    assert {t[1] % 1 for t in moves} == {F(2, 3)}
 
 
 def test_invariant_subspaces_skew(skew_triple):
@@ -428,41 +481,44 @@ def test_invariant_subspaces_dimension_guard():
         )))
 
 
-def test_subspace_plus_integer_membership():
-    W = ((1, 0),)
-    assert in_subspace_plus_integers((F(7, 3), F(2)), W, 2)
-    assert not in_subspace_plus_integers((F(1, 2), F(1, 3)), W, 2)
-    W2 = ((1, 2),)
-    assert in_subspace_plus_integers((F(1, 2), F(0)), W2, 2)
-    assert not in_subspace_plus_integers((F(1, 2), F(1, 2)), W2, 2)
-    assert in_subspace_plus_integers((F(3), F(-1)), (), 2)
-    assert not in_subspace_plus_integers((F(1, 2), F(0)), (), 2)
-    W3 = ((1, 1, 1),)
-    assert in_subspace_plus_integers((F(1, 3), F(1, 3), F(1, 3)), W3, 3)
-    assert not in_subspace_plus_integers((F(1, 3), F(1, 3), F(0)), W3, 3)
-
-
 def test_find_cycle_skew(skew_triple):
-    cyc = find_invariant_cycle(skew_triple.pair, max_period=4)
+    # the cycle stage walks the orbit of the refuting witness
+    pair = skew_triple.pair
+    witness = zero_set_empty_evidence(pair).witness
+    cyc = find_invariant_cycle(pair, witness)
     assert cyc.period == 2
     assert cyc.x0 == (F(0), F(1, 3))
     assert cyc.orbit == ((F(0), F(1, 3)), (F(1, 3), F(2, 3)))
     assert cyc.W == ((1, 0),)
-    assert cyc.descent_ok
-    assert all(c.status == "in" for c in cyc.certificates)
+    assert cyc.certificates[0] is witness
+    assert [c.point for c in cyc.certificates] == list(cyc.orbit)
+    assert all(c.status == "in" and c.K == witness.K for c in cyc.certificates)
 
 
 def test_no_cycle_for_67_is_fast():
-    # the 8,030 periodic points of x -> 2x with period <= 12 all fail the
-    # float prefilter (2 has order 66 mod 67), so none is certified
+    # 1/67 is a zero of (2, {0,67}), but 2 has order 66 mod 67: the walk
+    # stops after CYCLE_PERIOD steps and certifies nothing more
     pair = affine_pair([[2]], [(0,), (67,)])
+    witness = certify_zero(pair, (F(1, 67),))
     t0 = time.monotonic()
-    with pytest.raises(CycleNotFound):
-        find_invariant_cycle(pair)
+    with pytest.raises(CycleNotFound, match=r"\(1/67\) is not periodic"):
+        find_invariant_cycle(pair, witness)
     assert time.monotonic() - t0 < 1.0
 
 
 def test_no_cycle_for_scaled_binary():
+    # 1/2 is the zero of (2, {0,2}), but 2 * 1/2 = 0 mod 1: not periodic
     pair = affine_pair([[2]], [(0,), (2,)])
-    with pytest.raises(CycleNotFound):
-        find_invariant_cycle(pair, max_period=4)
+    witness = zero_set_empty_evidence(pair).witness
+    assert witness.point == (F(1, 2),)
+    with pytest.raises(CycleNotFound, match=r"\(1/2\) is not periodic"):
+        find_invariant_cycle(pair, witness)
+
+
+def test_cycle_orbit_point_out_is_named():
+    # 1/3 -> 2/3 -> 1/3 under doubling; taking 1/3 as a witness, the cycle
+    # stage certifies 2/3 and finds it outside the zero set of (2, {0,2})
+    pair = affine_pair([[2]], [(0,), (2,)])
+    witness = ZeroCertificate((F(1, 3),), 4, 30, "in")
+    with pytest.raises(CycleNotFound, match=r"orbit point \(2/3\) certified out"):
+        find_invariant_cycle(pair, witness)
