@@ -51,10 +51,12 @@ from .intlat import (
     as_digit_list,
     canonical_residue,
     clear_denominators,
+    f_identity,
     f_matvec,
     f_matmul,
     f_nullspace,
     f_rank,
+    f_transpose,
     hermite_normal_form,
     integer_kernel_basis,
     reduce_to_full,
@@ -81,6 +83,7 @@ __all__ = [
     "SpectrumReport",
     "full_spectrum",
     "map_frequency_back",
+    "map_integer_points_back",
     "report_frequencies",
 ]
 
@@ -428,13 +431,30 @@ def map_frequency_back(point, records) -> FVec:
     return pt
 
 
+def map_integer_points_back(points, records, d: int) -> list[FVec]:
+    """`map_frequency_back` on integer points of dimension d, all at once.
+
+    The chain composes to one rational matrix, the zero padding being the
+    embedding of the leading coordinates.  Over the common denominator D its
+    entries are integers, so every point maps by one integer product.
+    """
+    M = f_identity(d)
+    for rec in reversed(records):
+        M = M + ((Fraction(0),) * d,) * (rec.dim - len(M))
+        M = f_matmul(f_transpose(rec.forward), M)
+    num, D = clear_denominators([x for row in M for x in row])
+    rows = np.array(points, dtype=object).reshape(-1, d)
+    out = rows @ np.array(num, dtype=object).reshape(len(M), d).T
+    return [tuple(Fraction(v, D) for v in row) for row in out.tolist()]
+
+
 def report_frequencies(report: SpectrumReport, limit: int = 4096) -> list[FVec]:
     """Regenerate up to ``limit`` spectrum frequencies in input coordinates."""
     if report.branch == "point-mass":
         return [report.points[0]]
     if report.branch == "orthonormal" and report.tree is not None:
-        pts = [tuple(Fraction(int(c)) for c in p) for p in report.tree.points[:limit]]
-        return [map_frequency_back(p, report.records) for p in pts]
+        tree = report.tree
+        return map_integer_points_back(tree.points[:limit], report.records, tree.triple.pair.d)
     if report.branch == "quasi-product" and report.product is not None:
         base = report_frequencies(report.sub_report, limit)
         beta = report.product.beta
@@ -508,10 +528,7 @@ def full_spectrum(
     evidence = zero_set_empty_evidence(pair, K=scan_K)
     if evidence.empty:
         tree = corrected_tree(triple, K, evidence=evidence)
-        pts = [
-            map_frequency_back(tuple(Fraction(int(c)) for c in p), recs)
-            for p in tree.points[:SAMPLE]
-        ]
+        pts = map_integer_points_back(tree.points[:SAMPLE], recs, pair.d)
         return SpectrumReport(
             "spectral", "orthonormal", "yes", recs, evidence, tree, None, None,
             None, tuple(pts),

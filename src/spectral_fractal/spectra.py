@@ -26,10 +26,11 @@ import numpy as np
 from .errors import (
     CapExceeded,
     NoShiftFound,
+    ResidueCollision,
     Undecided,
     ZeroSetNonEmpty,
 )
-from .intlat import IVec, as_digit_list
+from .intlat import IVec, as_digit_list, inverse_image
 from .measure import FourierEval, attractor_box
 from .triples import AffinePair, HadamardTriple, digit_sums
 from .zeroset import EmptinessEvidence, _window, zero_set_empty_evidence
@@ -191,36 +192,42 @@ def _corrected_level(
     in J.  A base whose |mu_hat((R^T)^-m_new base)|^2 misses m_cover is
     moved by (R^T)^m_new kappa, kappa the best translate in the cover
     window; that never changes its residue mod (R^T)^m_new.  Returns the
-    new points and the (level, base, kappa) corrections.
+    new points and the (level, base, kappa) corrections.  Two mu_hat calls:
+    one on the rescaled bases, one on every translate of every miss.
     """
     Rt = ev.pair.R.T
     P_prev = Rt.pow(m_prev)
     steps = [P_prev.matvec(j) for j in J if any(j)]
     bases = [tuple(a + b for a, b in zip(lam, s)) for lam in current for s in steps]
-    fresh: list[IVec] = []
-    corrections: list[tuple[int, IVec, IVec]] = []
     if not bases:
-        return fresh, corrections
-    shifts = [tuple(s) for s in _window(cover.window, ev.pair.d)]
-    shift_arr = np.array(shifts, dtype=float)
+        return [], []
     P_new = Rt.pow(m_new)
-    Rt_inv = np.linalg.inv(Rt.to_array())
-    x = np.array(bases, dtype=float) @ np.linalg.matrix_power(Rt_inv, m_new).T
+    x = inverse_image(P_new, bases)
     # tolerance matches the evaluator's depth-stability scale, well below
     # any gap that would matter for the lower bound
     good = np.abs(ev.mu_hat(x)) ** 2 >= cover.m_cover - 1e-6
-    for i, b in enumerate(bases):
-        if good[i]:
-            fresh.append(b)
-            continue
-        vals = np.abs(ev.mu_hat(x[i][None, :] + shift_arr)) ** 2
-        best = int(np.argmax(vals))
+    miss = np.flatnonzero(~good)
+    best = {}
+    if len(miss):
+        shifts = _window(cover.window, ev.pair.d)
+        pts = x[miss][:, None, :] + np.array(shifts, dtype=float)[None, :, :]
+        vals = np.abs(ev.mu_hat(pts.reshape(-1, ev.pair.d))) ** 2
+        vals = vals.reshape(len(miss), len(shifts))
+        top = vals.argmax(axis=1)
+        got = vals[np.arange(len(miss)), top]
         # the grid certificate only warrants delta_hat off-grid; the stricter
         # m_cover test above merely selects representatives
-        if vals[best] < cover.delta_hat - 1e-9:
-            raise NoShiftFound(f"cover guarantee failed at level {k} (got {vals[best]:.3g})")
-        kappa = shifts[best]
-        if not any(kappa):
+        failed = np.flatnonzero(got < cover.delta_hat - 1e-9)
+        if len(failed):
+            raise NoShiftFound(
+                f"cover guarantee failed at level {k} (got {got[failed[0]]:.3g})"
+            )
+        best = {int(i): shifts[t] for i, t in zip(miss, top) if any(shifts[t])}
+    fresh: list[IVec] = []
+    corrections: list[tuple[int, IVec, IVec]] = []
+    for i, b in enumerate(bases):
+        kappa = best.get(i)
+        if kappa is None:
             fresh.append(b)
             continue
         corrections.append((k, b, kappa))
@@ -270,7 +277,8 @@ def corrected_tree(
         if len(current) * len(J) > cap:
             raise CapExceeded("spectrum tree", len(current) * len(J), cap)
         fresh, fixes = _corrected_level(ev, cover, current, J, exps[-1], n, k)
-        assert len(set(fresh)) == len(fresh)
+        if len(set(fresh)) != len(fresh):
+            raise ResidueCollision(f"level {k} repeats a point")
         corrections.extend(fixes)
         blocks.append(tuple(fresh))
         current.extend(fresh)
@@ -291,11 +299,10 @@ def corrected_tree(
 
 def _measure_deltas(tree: SpectrumTree) -> tuple[float, ...]:
     ev = FourierEval(tree.triple.pair)
-    Rt_inv = np.linalg.inv(tree.triple.R.T.to_array())
+    Rt = tree.triple.R.T
     out = []
     for k, n in enumerate(tree.exponents):
-        pts = np.array(tree.level_points(k), dtype=float)
-        x = pts @ np.linalg.matrix_power(Rt_inv, n).T
+        x = inverse_image(Rt.pow(n), tree.level_points(k))
         out.append(float((np.abs(ev.mu_hat(x)) ** 2).min()))
     return tuple(out)
 
@@ -309,16 +316,15 @@ def orthogonality_check(tree: SpectrumTree, seed: int = 0) -> float:
     pairs = n * (n - 1) // 2
     arr = np.array(pts, dtype=float)
     if pairs <= PAIR_LIMIT:
-        diffs = [
-            arr[i] - arr[j] for i in range(n) for j in range(i + 1, n)
-        ]
+        ii, jj = np.triu_indices(n, 1)
+        diffs = arr[ii] - arr[jj]
     else:
         rng = np.random.default_rng(seed)
         ii = rng.integers(0, n, size=PAIR_LIMIT)
         jj = rng.integers(0, n - 1, size=PAIR_LIMIT)
         jj = np.where(jj >= ii, jj + 1, jj)
-        diffs = list(arr[ii] - arr[jj])
-    vals = np.abs(ev.mu_hat(np.array(diffs)))
+        diffs = arr[ii] - arr[jj]
+    vals = np.abs(ev.mu_hat(diffs))
     return float(vals.max())
 
 

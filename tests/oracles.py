@@ -9,7 +9,7 @@ from math import gcd
 
 import numpy as np
 
-from spectral_fractal.errors import RankDeficient, ResidueCollision, SizeMismatch
+from spectral_fractal.errors import NoShiftFound, RankDeficient, ResidueCollision, SizeMismatch
 from spectral_fractal.frames import frame_matrix_bounds
 from spectral_fractal.intlat import (
     ConjugationRecord,
@@ -296,3 +296,42 @@ def concatenated_sigma(pair, reports) -> tuple[float, float]:
     products control."""
     total = sum(rep.n for rep in reports)
     return frame_matrix_bounds(pair, total, stacked_frequencies(pair.R.T, reports))
+
+
+# ---------------------------------------------------------------------------
+# spectrum trees
+
+
+def corrected_level_per_base(ev: FourierEval, cover, current, J, m_prev: int, m_new: int, k: int):
+    """The shift-corrected level, one mu_hat call per base that misses
+    m_cover: each base is rescaled in floats and searched over its own
+    window of translates.  Same contract as `spectra._corrected_level`."""
+    Rt = ev.pair.R.T
+    P_prev = Rt.pow(m_prev)
+    steps = [P_prev.matvec(j) for j in J if any(j)]
+    bases = [tuple(a + b for a, b in zip(lam, s)) for lam in current for s in steps]
+    fresh = []
+    corrections = []
+    if not bases:
+        return fresh, corrections
+    shifts = [tuple(s) for s in _window(cover.window, ev.pair.d)]
+    shift_arr = np.array(shifts, dtype=float)
+    P_new = Rt.pow(m_new)
+    Rt_inv = np.linalg.inv(Rt.to_array())
+    x = np.array(bases, dtype=float) @ np.linalg.matrix_power(Rt_inv, m_new).T
+    good = np.abs(ev.mu_hat(x)) ** 2 >= cover.m_cover - 1e-6
+    for i, b in enumerate(bases):
+        if good[i]:
+            fresh.append(b)
+            continue
+        vals = np.abs(ev.mu_hat(x[i][None, :] + shift_arr)) ** 2
+        best = int(np.argmax(vals))
+        if vals[best] < cover.delta_hat - 1e-9:
+            raise NoShiftFound(f"cover guarantee failed at level {k} (got {vals[best]:.3g})")
+        kappa = shifts[best]
+        if not any(kappa):
+            fresh.append(b)
+            continue
+        corrections.append((k, b, kappa))
+        fresh.append(tuple(a + c for a, c in zip(b, P_new.matvec(kappa))))
+    return fresh, corrections

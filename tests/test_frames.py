@@ -5,6 +5,7 @@ import time
 import numpy as np
 import pytest
 
+from spectral_fractal import frames
 from spectral_fractal.errors import (
     CapExceeded,
     DigitsNotExtendable,
@@ -29,7 +30,7 @@ from spectral_fractal.measure import FourierEval, step_moment
 from spectral_fractal.spectra import canonical_tree, corrected_tree
 from spectral_fractal.triples import affine_pair, digit_sums, hadamard_triple
 
-from oracles import concatenated_sigma
+from oracles import concatenated_sigma, corrected_level_per_base
 
 
 @pytest.fixture(scope="module")
@@ -280,6 +281,17 @@ def test_frame_build_middle_third(cantor_third_pair, mt_subset2):
     c, C = concatenated_bounds([mt_subset2, mt_subset2])
     assert abs(fs.upper - C) < 1e-12
     assert fs.corrections  # shifts do fire for these levels
+
+
+def test_frame_build_batched_corrections_match_per_base_loop(
+    monkeypatch, cantor_third_pair, mt_subset2
+):
+    fs = frame_spectrum_build(cantor_third_pair, [mt_subset2, mt_subset2])
+    monkeypatch.setattr(frames, "_corrected_level", corrected_level_per_base)
+    oracle = frame_spectrum_build(cantor_third_pair, [mt_subset2, mt_subset2])
+    assert fs.blocks == oracle.blocks
+    assert fs.corrections == oracle.corrections
+    assert (fs.lower, fs.upper) == (oracle.lower, oracle.upper)
 
 
 def test_frame_build_lower_bound_is_warranted(cantor_third_pair, mt_subset2):

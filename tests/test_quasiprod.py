@@ -26,6 +26,7 @@ from spectral_fractal.quasiprod import (
     decompose,
     full_spectrum,
     map_frequency_back,
+    map_integer_points_back,
     normalize_frequencies,
     product_spectrum,
     report_frequencies,
@@ -364,3 +365,24 @@ def test_map_frequency_back_pads_projected_points():
     out = map_frequency_back((F(1, 3),), (rec,))
     # forward^T @ (1/3, 0) with forward = [[1,1],[0,1]]
     assert out == (F(1, 3), F(1, 3))
+
+
+@pytest.mark.parametrize(
+    "R, B, L",
+    [
+        ([[4]], [(0,), (2,)], [(0,), (1,)]),  # jp: rescaled through 2Z
+        ([[4]], [(0,), (2,)], [(0,), (3,)]),  # jp3
+        ([[4]], [(1,), (3,)], [(0,), (1,)]),  # translated, then rescaled
+        # digits on the diagonal: moved onto the first axis, projected, rescaled
+        ([[3, 1], [1, 3]], [(0, 0), (2, 2)], [(0, 0), (1, 0)]),
+    ],
+)
+def test_composed_frequency_map_matches_per_point_chain(R, B, L):
+    rep = full_spectrum(hadamard_triple(R, B, L), K=6)
+    assert rep.branch == "orthonormal"
+    assert rep.records
+    pts = rep.tree.points
+    chain = [map_frequency_back(p, rep.records) for p in pts]
+    assert map_integer_points_back(pts, rep.records, rep.tree.triple.pair.d) == chain
+    assert report_frequencies(rep, 4096) == chain
+    assert list(rep.points) == chain[: len(rep.points)]

@@ -5,8 +5,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from spectral_fractal import quasiprod
-from spectral_fractal.errors import CapExceeded, Undecided, ZeroSetNonEmpty
+from spectral_fractal import quasiprod, spectra
+from spectral_fractal.errors import CapExceeded, ResidueCollision, Undecided, ZeroSetNonEmpty
 from spectral_fractal.measure import FourierEval
 from spectral_fractal.quasiprod import full_spectrum
 from spectral_fractal.spectra import (
@@ -19,7 +19,7 @@ from spectral_fractal.spectra import (
 from spectral_fractal.triples import hadamard_triple
 from spectral_fractal.zeroset import EmptinessEvidence, zero_set_empty_evidence
 
-from oracles import delta_lower_bound
+from oracles import corrected_level_per_base, delta_lower_bound
 
 F = Fraction
 
@@ -124,6 +124,59 @@ def test_corrected_tree_undecided(jp_triple):
 def test_corrected_tree_cap(jp_triple):
     with pytest.raises(CapExceeded):
         corrected_tree(jp_triple, 10, cap=100)
+
+
+@pytest.mark.parametrize(
+    "R, B, L, K",
+    [
+        ([[4]], [0, 2], [0, 1], 10),  # jp: no corrections
+        ([[4]], [0, 2], [0, 3], 8),  # jp3: every level corrects
+        ([[2]], [0, 1], [0, 1], 6),  # Lebesgue
+        ([[9]], [0, 3, 6], [0, 1, 2], 6),
+    ],
+)
+def test_batched_corrections_match_per_base_loop(monkeypatch, R, B, L, K):
+    triple = hadamard_triple(R, [(b,) for b in B], [(l,) for l in L]).require_validated()
+    tree = corrected_tree(triple, K)
+    monkeypatch.setattr(spectra, "_corrected_level", corrected_level_per_base)
+    oracle = corrected_tree(triple, K)
+    assert tree.points == oracle.points
+    assert tree.corrections == oracle.corrections
+    assert tree.delta_levels == oracle.delta_levels
+
+
+def test_corrected_level_evaluates_mu_hat_twice(monkeypatch):
+    # one call on the rescaled bases, one on every translate of every miss
+    jp3 = hadamard_triple([[4]], [(0,), (2,)], [(0,), (3,)]).require_validated()
+    calls = [0]
+    per_level = []
+    real_mu_hat, real_level = FourierEval.mu_hat, spectra._corrected_level
+
+    def counting_mu_hat(self, xi):
+        calls[0] += 1
+        return real_mu_hat(self, xi)
+
+    def level(*args):
+        before = calls[0]
+        out = real_level(*args)
+        per_level.append(calls[0] - before)
+        return out
+
+    monkeypatch.setattr(FourierEval, "mu_hat", counting_mu_hat)
+    monkeypatch.setattr(spectra, "_corrected_level", level)
+    tree = corrected_tree(jp3, 8)
+    assert len(tree.corrections) == 2**8 - 1
+    assert per_level == [2] * 8
+
+
+def test_corrected_tree_repeated_point_is_a_residue_collision(monkeypatch, jp_triple):
+    # checked without assert, so it holds under python -O too
+    def level(ev, cover, current, J, m_prev, m_new, k):
+        return [(1,), (1,)], []
+
+    monkeypatch.setattr(spectra, "_corrected_level", level)
+    with pytest.raises(ResidueCollision, match="level 1"):
+        corrected_tree(jp_triple, 2)
 
 
 # ---------------------------------------------------------------------------
