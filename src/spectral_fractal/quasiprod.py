@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 
@@ -83,7 +84,6 @@ __all__ = [
     "SpectrumReport",
     "full_spectrum",
     "map_frequency_back",
-    "map_integer_points_back",
     "report_frequencies",
 ]
 
@@ -416,36 +416,30 @@ class SpectrumReport:
     note: str = ""
 
 
-def map_frequency_back(point, records) -> FVec:
-    """Undo a chain of coordinate moves on one frequency point.
+def map_frequency_back(points, records) -> list[FVec]:
+    """Undo a chain of coordinate moves on frequency points of one dimension.
 
-    ``records`` is outermost-first; shorter points (from a projected block
-    system) are padded with zeros, which is exact because the measure lives
-    in the leading coordinates there.
+    ``records`` is outermost-first; points shorter than a record (from a
+    projected block system) are padded with zeros, which is exact because
+    the measure lives in the leading coordinates there.  The chain composes
+    to one rational matrix, the padding being the embedding of the leading
+    coordinates; over its common denominator D the entries are integers, so
+    each integer or ``Fraction`` row maps by one product and a division by D.
     """
-    pt = tuple(Fraction(c) for c in point)
-    for rec in reversed(records):
-        if len(pt) < rec.dim:
-            pt = pt + (Fraction(0),) * (rec.dim - len(pt))
-        pt = rec.unapply_frequency_point(pt)
-    return pt
-
-
-def map_integer_points_back(points, records, d: int) -> list[FVec]:
-    """`map_frequency_back` on integer points of dimension d, all at once.
-
-    The chain composes to one rational matrix, the zero padding being the
-    embedding of the leading coordinates.  Over the common denominator D its
-    entries are integers, so every point maps by one integer product.
-    """
+    rows = np.array(points, dtype=object)
+    if not len(rows):
+        return []
+    d = rows.shape[1]
     M = f_identity(d)
     for rec in reversed(records):
         M = M + ((Fraction(0),) * d,) * (rec.dim - len(M))
         M = f_matmul(f_transpose(rec.forward), M)
     num, D = clear_denominators([x for row in M for x in row])
-    rows = np.array(points, dtype=object).reshape(-1, d)
-    out = rows @ np.array(num, dtype=object).reshape(len(M), d).T
-    return [tuple(Fraction(v, D) for v in row) for row in out.tolist()]
+    num_rows = [num[i * d:(i + 1) * d] for i in range(len(M))]
+    return [
+        tuple(Fraction(sum(m * x for m, x in zip(nrow, row)), D) for nrow in num_rows)
+        for row in rows
+    ]
 
 
 def report_frequencies(report: SpectrumReport, limit: int = 4096) -> list[FVec]:
@@ -453,19 +447,14 @@ def report_frequencies(report: SpectrumReport, limit: int = 4096) -> list[FVec]:
     if report.branch == "point-mass":
         return [report.points[0]]
     if report.branch == "orthonormal" and report.tree is not None:
-        tree = report.tree
-        return map_integer_points_back(tree.points[:limit], report.records, tree.triple.pair.d)
+        return map_frequency_back(report.tree.points[:limit], report.records)
     if report.branch == "quasi-product" and report.product is not None:
         base = report_frequencies(report.sub_report, limit)
         beta = report.product.beta
-        out = []
-        for t in sorted(range(-report.product.t_window, report.product.t_window + 1),
-                        key=lambda t: (abs(t), t)):
-            for lam1 in base:
-                out.append(lam1 + (Fraction(t, beta),))
-                if len(out) >= limit:
-                    return [map_frequency_back(p, report.records) for p in out]
-        return [map_frequency_back(p, report.records) for p in out]
+        ts = sorted(range(-report.product.t_window, report.product.t_window + 1),
+                    key=lambda t: (abs(t), t))
+        out = islice((lam1 + (Fraction(t, beta),) for t in ts for lam1 in base), limit)
+        return map_frequency_back(list(out), report.records)
     return list(report.points)
 
 
@@ -513,7 +502,7 @@ def full_spectrum(
             break
         records.append(rp.record)
         if rp.rank == 0:
-            pt = map_frequency_back((Fraction(0),) * R.d, records)
+            pt = map_frequency_back([(0,) * R.d], records)[0]
             return SpectrumReport(
                 "spectral", "point-mass", "yes", tuple(records), None, None, None,
                 None, None, (pt,), note="single-atom measure, only frequency zero",
@@ -528,7 +517,7 @@ def full_spectrum(
     evidence = zero_set_empty_evidence(pair, K=scan_K)
     if evidence.empty:
         tree = corrected_tree(triple, K, evidence=evidence)
-        pts = map_integer_points_back(tree.points[:SAMPLE], recs, pair.d)
+        pts = map_frequency_back(tree.points[:SAMPLE], recs)
         return SpectrumReport(
             "spectral", "orthonormal", "yes", recs, evidence, tree, None, None,
             None, tuple(pts),
@@ -566,16 +555,13 @@ def full_spectrum(
             f"quasi-product splitting failed: {type(exc).__name__}: {exc}",
         )
     inner = (*recs, tri.record)
-    pts = []
-    for t in sorted(range(-2, 3), key=lambda t: (abs(t), t)):
-        for lam in lam1[: max(1, SAMPLE // 5)]:
-            pts.append(map_frequency_back(lam + (Fraction(t, product.beta),), inner))
-            if len(pts) >= SAMPLE:
-                break
-        if len(pts) >= SAMPLE:
-            break
+    pts = [
+        lam + (Fraction(t, product.beta),)
+        for t in sorted(range(-2, 3), key=lambda t: (abs(t), t))
+        for lam in lam1[: max(1, SAMPLE // 5)]
+    ][:SAMPLE]
     return SpectrumReport(
         "spectral", "quasi-product", "no", inner, evidence, None, quasi, product,
-        sub_report, tuple(pts),
+        sub_report, tuple(map_frequency_back(pts, inner)),
         note=f"integer spectra refuted by periodic zero at {witness}",
     )

@@ -335,3 +335,19 @@ def corrected_level_per_base(ev: FourierEval, cover, current, J, m_prev: int, m_
         corrections.append((k, b, kappa))
         fresh.append(tuple(a + c for a, c in zip(b, P_new.matvec(kappa))))
     return fresh, corrections
+
+
+# ---------------------------------------------------------------------------
+# frequencies in input coordinates
+
+
+def map_frequency_back_per_point(point, records) -> tuple[Fraction, ...]:
+    """One frequency point undone through the records one move at a time,
+    outermost-first, padding with zeros where a record is wider.  Same
+    values as `quasiprod.map_frequency_back` on that point."""
+    pt = tuple(Fraction(c) for c in point)
+    for rec in reversed(records):
+        if len(pt) < rec.dim:
+            pt = pt + (Fraction(0),) * (rec.dim - len(pt))
+        pt = rec.unapply_frequency_point(pt)
+    return pt

@@ -26,7 +26,6 @@ from spectral_fractal.quasiprod import (
     decompose,
     full_spectrum,
     map_frequency_back,
-    map_integer_points_back,
     normalize_frequencies,
     product_spectrum,
     report_frequencies,
@@ -37,7 +36,7 @@ from spectral_fractal.spectra import corrected_tree
 from spectral_fractal.triples import hadamard_triple
 from spectral_fractal.zeroset import zero_set_empty_evidence
 
-from oracles import is_unimodular, lattice_contains
+from oracles import is_unimodular, lattice_contains, map_frequency_back_per_point
 
 SKEW_ORBIT = ((F(0), F(1, 3)), (F(1, 3), F(2, 3)))
 
@@ -362,9 +361,9 @@ def test_map_frequency_back_pads_projected_points():
     rec = ConjugationRecord.from_unimodular(
         IntMatrix.from_rows([[1, 1], [0, 1]]), "test move"
     )
-    out = map_frequency_back((F(1, 3),), (rec,))
+    out = map_frequency_back([(F(1, 3),)], (rec,))
     # forward^T @ (1/3, 0) with forward = [[1,1],[0,1]]
-    assert out == (F(1, 3), F(1, 3))
+    assert out == [(F(1, 3), F(1, 3))]
 
 
 @pytest.mark.parametrize(
@@ -382,7 +381,18 @@ def test_composed_frequency_map_matches_per_point_chain(R, B, L):
     assert rep.branch == "orthonormal"
     assert rep.records
     pts = rep.tree.points
-    chain = [map_frequency_back(p, rep.records) for p in pts]
-    assert map_integer_points_back(pts, rep.records, rep.tree.triple.pair.d) == chain
+    chain = [map_frequency_back_per_point(p, rep.records) for p in pts]
+    assert map_frequency_back(pts, rep.records) == chain
     assert report_frequencies(rep, 4096) == chain
     assert list(rep.points) == chain[: len(rep.points)]
+
+
+@pytest.mark.parametrize("name", ["skew_report", "conj_report"])
+def test_composed_frequency_map_matches_chain_on_rational_points(request, name):
+    rep = request.getfixturevalue(name)
+    assert rep.branch == "quasi-product"
+    base = report_frequencies(rep.sub_report, 400)
+    pts = [lam + (F(t, rep.product.beta),) for t in (0, -1, 1) for lam in base]
+    chain = [map_frequency_back_per_point(p, rep.records) for p in pts]
+    assert map_frequency_back(pts, rep.records) == chain
+    assert report_frequencies(rep, len(pts)) == chain
