@@ -5,16 +5,35 @@ R^{-1}B, R^{-2}B, ...; its transform is the convergent product
 
     mu_hat(xi) = prod_{j >= 1} mask((R^T)^{-j} xi).
 
-Products are truncated adaptively: depth grows until the remaining argument
-is below ETA in sup norm *and* a rigorous first-order tail bound drops below
-TAIL_TOL, so deepening further cannot move any reported value by more than
-that.  Each evaluator derives its depth cap from R and B: the fewest factors
-after which every |xi| <= XI_MAX passes both tests.  A point that needs more
+Two evaluators truncate it adaptively, each at the depth where the remaining
+argument is below ETA in sup norm *and* a rigorous tail bound drops below
+TAIL_TOL, so deepening further cannot move any returned value by more than
+that:
+
+- `mu_hat` multiplies the complex masks.  Its tail bound is linear:
+  |m_B(x) - 1| <= 2 pi max|b| |x|.
+- `mu_hat_sq` returns |mu_hat|^2 as a product of the real factors
+  |m_B(x)|^2 = 1/N + (2/N^2) sum_{b<b'} cos 2 pi <b - b', x>, with equal
+  differences merged and weighted by their counts.  Since 1 - cos u <= u^2/2,
+  1 >= |m_B(x)|^2 >= 1 - c |x|^2 with c = (2 pi^2/N^2) sum_{b,b'} |b - b'|^2,
+  so the dropped factors lose at most c S_2 |z|^2, where z is the remaining
+  argument and S_2 = sum_i ||(R^T)^{-i}||^2.  That quadratic bound stops
+  several factors earlier than the linear one.
+
+Callers that read only the modulus (the cover, the shift corrections, the
+completeness sums and the product sweep) use `mu_hat_sq`.  Zero tests keep
+`mu_hat`: near a true zero the cosine sum cancels to a residue of about 1e-17
+in |m_B|^2, which is about 1e-9 in |mu_hat|, where the complex product stays
+at rounding size.
+
+Each evaluator derives its depth cap from R and B: the fewest factors after
+which every |xi| <= XI_MAX passes both of its tests.  A point that needs more
 raises CapExceeded.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -52,38 +71,72 @@ class FourierEval:
         else:
             raise InvalidInput("inverse powers do not contract; matrix not expansive?")
         self._norm_sum = sum(norms)
+        self._norm_sq_sum = sum(nrm * nrm for nrm in norms)
         self.norm_sup = max(norms)
-        # depth cap: |(R^T)^{-T} xi| <= ||(R^T)^{-T}|| |xi|, so once that norm
+        # |m_B(x)|^2 = 1/N + (2/N^2) sum_{b<b'} cos 2 pi <b - b', x>; a
+        # difference and its negative give the same cosine, so each class is
+        # kept once (first nonzero entry positive) with its count
+        N = pair.N
+        diffs = Counter()
+        for i, b in enumerate(pair.B):
+            for c in pair.B[i + 1 :]:
+                dv = tuple(x - y for x, y in zip(b, c))
+                diffs[max(dv, tuple(-x for x in dv))] += 1
+        classes = sorted(diffs)
+        self._diff_phase = 2 * np.pi * np.array(classes, dtype=float).reshape(-1, pair.d).T
+        self._diff_weight = np.array([2.0 * diffs[dv] / N**2 for dv in classes])
+        # 1 - cos u <= u^2 / 2 gives 1 - |m_B(x)|^2 <= c |x|^2 with
+        # c = (2 pi^2 / N^2) sum_{b, b'} |b - b'|^2, each unordered pair twice
+        spread = sum(k * sum(x * x for x in dv) for dv, k in diffs.items())
+        self._curv = 4 * np.pi**2 / N**2 * spread or 1.0
+        # depth caps: |(R^T)^{-T} xi| <= ||(R^T)^{-T}|| |xi|, so once that norm
         # times XI_MAX is within ETA and the tail tolerance, every xi in range stops
         reach = min(ETA, TAIL_TOL / self.tail_bound(1.0)) / XI_MAX
         while norms[-1] > reach:
             P = P @ A
             norms.append(float(np.linalg.norm(P, 2)))
         self.max_depth = next(t for t, nrm in enumerate(norms, 1) if nrm <= reach)
+        reach_sq = min(ETA, np.sqrt(TAIL_TOL / self.tail_bound_sq(1.0))) / XI_MAX
+        self.max_depth_sq = next(t for t, nrm in enumerate(norms, 1) if nrm <= reach_sq)
 
     def tail_bound(self, z_norm: float) -> float:
         """Bound on |product of dropped factors - 1| given |(R^T)^{-T} xi| <= z_norm."""
         return 2.0 * np.pi * self._bmax * self._norm_sum * z_norm
 
+    def tail_bound_sq(self, z_norm: float) -> float:
+        """Bound on 1 - (product of dropped |factors|^2) given |(R^T)^{-T} xi| <= z_norm.
+
+        Each dropped factor is at least 1 - c |(R^T)^{-i} z|^2, so their
+        product is at least 1 - c S_2 |z|^2 with S_2 = sum_i ||(R^T)^{-i}||^2.
+        """
+        return self._curv * self._norm_sq_sum * z_norm * z_norm
+
     def _prepare(self, xi):
         return _xi_grid(self.pair.d, xi)
 
-    def depth_for(self, xi) -> int:
-        """Factors needed for the whole batch; CapExceeded beyond max_depth."""
-        arr, _ = self._prepare(xi)
+    def _arguments(self, arr, tail, cap: int):
+        """Yield (R^T)^{-j} xi for j = 1, 2, ... until the whole batch has its
+        sup norm within ETA and tail(2-norm) within TAIL_TOL; CapExceeded
+        beyond `cap` factors."""
         z = arr.reshape(-1, self.pair.d)
+        if not z.size:
+            return
         T = 0
         while True:
-            sup = float(np.max(np.abs(z))) if z.size else 0.0
             # max of np.linalg.norm(z, axis=1), bit for bit, without its overhead
-            nrm2 = float(np.sqrt(np.max((z * z).sum(axis=1)))) if z.size else 0.0
-            if sup <= ETA and self.tail_bound(nrm2) <= TAIL_TOL:
-                return T
-            if T == self.max_depth:
-                what = f"mu_hat factors (tail bound {self.tail_bound(nrm2):.2g} left)"
-                raise CapExceeded(what, T + 1, T)
+            nrm2 = float(np.sqrt(np.max((z * z).sum(axis=1))))
+            if tail(nrm2) <= TAIL_TOL and float(np.max(np.abs(z))) <= ETA:
+                return
+            if T == cap:
+                raise CapExceeded(f"mu_hat factors (tail bound {tail(nrm2):.2g} left)", T + 1, T)
             z = z @ self._Rinv
             T += 1
+            yield z
+
+    def depth_for(self, xi) -> int:
+        """Factors `mu_hat` needs for the whole batch; CapExceeded beyond max_depth."""
+        arr, _ = self._prepare(xi)
+        return sum(1 for _ in self._arguments(arr, self.tail_bound, self.max_depth))
 
     def mu_hat_truncated(self, xi, depth: int):
         """Finite product of exactly `depth` mask factors."""
@@ -99,6 +152,20 @@ class FourierEval:
         """Adaptive-depth transform value(s); |result| <= 1."""
         arr, scalar = self._prepare(xi)
         out = self.mu_hat_truncated(arr, self.depth_for(arr))
+        return out[0] if scalar else out
+
+    def _mask_sq(self, z: np.ndarray) -> np.ndarray:
+        """|m_B|^2 of the (n, d) points z, from the merged differences."""
+        return np.cos(z @ self._diff_phase) @ self._diff_weight + 1.0 / self.pair.N
+
+    def mu_hat_sq(self, xi):
+        """Adaptive-depth |mu_hat|^2 as a product of the real factors |m_B|^2,
+        within TAIL_TOL; the depth stops on the quadratic `tail_bound_sq`."""
+        arr, scalar = self._prepare(xi)
+        acc = np.ones(arr.size // self.pair.d)
+        for z in self._arguments(arr, self.tail_bound_sq, self.max_depth_sq):
+            acc *= self._mask_sq(z)
+        out = acc.reshape(arr.shape[:-1])
         return out[0] if scalar else out
 
 
@@ -146,17 +213,41 @@ class DiscreteMeasure:
 def discrete_approximant(pair: AffinePair, n: int, cap: int = 2**20) -> DiscreteMeasure:
     """Atoms R^{-n} b for b in the level-n digit sums, weights 1/N^n (merged).
 
-    R^{-n} b = s adj(R^n) b / |det R^n| with s the sign of the determinant,
-    so equal atoms are equal integer rows s adj(R^n) b: those are sorted and
-    merged, and no fraction is formed.
+    The digit sums grow a level at a time, b -> R b + c, and equal sums are
+    merged with their counts after each level (digits distinct modulo R
+    never collide), so no level holds more than N times the previous
+    level's distinct sums.  R^{-n} b = s adj(R^n) b / |det R^n| with s the
+    sign of the determinant, so the atoms are the sorted integer rows
+    s adj(R^n) b and no fraction is formed.
     """
-    sums = digit_sums(pair.R, pair.B, n, cap)
+    N, d = pair.N, pair.d
+    if N**n > cap:
+        raise CapExceeded("digit tower", N**n, cap)
+    digs = np.array(pair.B, dtype=object).reshape(-1, d)
+    Rt = np.array(pair.R.T.rows, dtype=object)
+    sums = np.zeros((1, d), dtype=object)
+    counts = np.ones(1, dtype=np.int64)
+    # digits distinct modulo R keep every digit sum distinct: nothing to merge
+    collide = not is_simple_digit_set(pair.R, pair.B)
+    for _ in range(n):
+        sums = ((sums @ Rt)[:, None, :] + digs).reshape(-1, d)
+        counts = np.repeat(counts, N)
+        if collide:
+            sums, counts = _merge_rows(sums, counts)
     adj, det = adjugate(pair.R.pow(n))
     sign = 1 if det > 0 else -1
-    keys = sums @ np.array(adj.rows, dtype=object).T * sign
-    keys = keys[np.lexsort(keys.T[::-1])]
-    starts = np.flatnonzero(np.r_[True, np.any(keys[1:] != keys[:-1], axis=1)])
-    return DiscreteMeasure(keys[starts], abs(det), np.diff(np.r_[starts, len(keys)]))
+    # distinct sums give distinct atoms, so the atoms need only sorting
+    atoms = sums @ np.array(adj.rows, dtype=object).T * sign
+    order = np.lexsort(atoms.T[::-1])
+    return DiscreteMeasure(atoms[order], abs(det), counts[order])
+
+
+def _merge_rows(rows: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sort integer rows and merge equal ones, summing their counts."""
+    order = np.lexsort(rows.T[::-1])
+    rows, counts = rows[order], counts[order]
+    starts = np.flatnonzero(np.r_[True, np.any(rows[1:] != rows[:-1], axis=1)])
+    return rows[starts], np.add.reduceat(counts, starts)
 
 
 def attractor_box(pair: AffinePair) -> tuple[np.ndarray, np.ndarray]:

@@ -367,7 +367,7 @@ def product_spectrum(
         min_partials = None
         ok = True
         for xi in grid:
-            vals = np.abs(ev.mu_hat(lam + xi)) ** 2
+            vals = ev.mu_hat_sq(lam + xi)
             per_t = vals.reshape(len(ts), len(lam1)).sum(axis=1)
             partials = np.cumsum(per_t)
             total = float(partials[-1])

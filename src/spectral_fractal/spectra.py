@@ -151,8 +151,8 @@ def cover_constants(triple: HadamardTriple) -> CoverConstants:
             mesh = np.meshgrid(*axes, indexing="ij")
             grid = np.stack([m.ravel() for m in mesh], axis=-1)
         pts = grid[:, None, :] + shifts[None, :, :]
-        vals = np.abs(ev.mu_hat(pts.reshape(-1, d))).reshape(len(grid), len(shifts))
-        m_cover = float((vals.max(axis=1) ** 2).min())
+        vals = ev.mu_hat_sq(pts.reshape(-1, d)).reshape(len(grid), len(shifts))
+        m_cover = float(vals.max(axis=1).min())
         corr = 2 * np.pi * C * (h * np.sqrt(d) / 2)
         if m_cover < 1e-10:
             raise NoShiftFound(
@@ -192,7 +192,7 @@ def _corrected_level(
     in J.  A base whose |mu_hat((R^T)^-m_new base)|^2 misses m_cover is
     moved by (R^T)^m_new kappa, kappa the best translate in the cover
     window; that never changes its residue mod (R^T)^m_new.  Returns the
-    new points and the (level, base, kappa) corrections.  Two mu_hat calls:
+    new points and the (level, base, kappa) corrections.  Two mu_hat_sq calls:
     one on the rescaled bases, one on every translate of every miss.
     """
     Rt = ev.pair.R.T
@@ -205,14 +205,13 @@ def _corrected_level(
     x = inverse_image(P_new, bases)
     # tolerance matches the evaluator's depth-stability scale, well below
     # any gap that would matter for the lower bound
-    good = np.abs(ev.mu_hat(x)) ** 2 >= cover.m_cover - 1e-6
+    good = ev.mu_hat_sq(x) >= cover.m_cover - 1e-6
     miss = np.flatnonzero(~good)
     best = {}
     if len(miss):
         shifts = _window(cover.window, ev.pair.d)
         pts = x[miss][:, None, :] + np.array(shifts, dtype=float)[None, :, :]
-        vals = np.abs(ev.mu_hat(pts.reshape(-1, ev.pair.d))) ** 2
-        vals = vals.reshape(len(miss), len(shifts))
+        vals = ev.mu_hat_sq(pts.reshape(-1, ev.pair.d)).reshape(len(miss), len(shifts))
         top = vals.argmax(axis=1)
         got = vals[np.arange(len(miss)), top]
         # the grid certificate only warrants delta_hat off-grid; the stricter
@@ -303,15 +302,17 @@ def _measure_deltas(tree: SpectrumTree) -> tuple[float, ...]:
     out = []
     for k, n in enumerate(tree.exponents):
         x = inverse_image(Rt.pow(n), tree.level_points(k))
-        out.append(float((np.abs(ev.mu_hat(x)) ** 2).min()))
+        out.append(float(ev.mu_hat_sq(x).min()))
     return tuple(out)
 
 
 def orthogonality_check(tree: SpectrumTree, seed: int = 0) -> float:
     """max |mu_hat(lambda - lambda')| over distinct pairs; PAIR_LIMIT seeded
-    samples when there are more pairs than that."""
+    samples when there are more pairs than that; 0.0 with fewer than two points."""
     pts = tree.points
     n = len(pts)
+    if n < 2:
+        return 0.0
     ev = FourierEval(tree.triple.pair)
     pairs = n * (n - 1) // 2
     arr = np.array(pts, dtype=float)
@@ -343,7 +344,7 @@ def completeness_partial(tree: SpectrumTree, xi) -> np.ndarray:
         if blk:
             lam = np.array(blk, dtype=float)
             pts = xi_arr[:, None, :] + lam[None, :, :]
-            vals = np.abs(ev.mu_hat(pts.reshape(-1, tree.triple.pair.d))) ** 2
+            vals = ev.mu_hat_sq(pts.reshape(-1, tree.triple.pair.d))
             acc = acc + vals.reshape(len(xi_arr), len(blk)).sum(axis=1)
         rows.append(acc.copy())
     return np.array(rows)

@@ -217,8 +217,9 @@ def test_c12_cycle_first_refutation(skew_triple):
     """The exact cycle point (0, 1/3) refutes an empty zero set before any grid
     scan, and the whole quasi-product decision stays within its budget.
 
-    The decision's budget is 3 s, not the 1.5 s target: on a 2-core host its
-    product sweep alone (16 mu_hat batches of 7,744 points) takes 1.1-1.3 s."""
+    The decision's budget is 3 s, with room for a slow host: on a 2-core host
+    the whole decision takes 0.5-0.7 s, of which the product sweep (16
+    mu_hat_sq batches of 7,744 points) takes 0.4-0.5 s."""
     t0 = time.monotonic()
     evd = zero_set_empty_evidence(skew_triple.pair)
     assert evd.kind == "refuted"

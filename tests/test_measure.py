@@ -2,7 +2,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from spectral_fractal import measure
 from spectral_fractal.errors import CapExceeded, InvalidInput, SimpleDigitsRequired
 from spectral_fractal.measure import (
     TAIL_TOL,
@@ -17,7 +20,7 @@ from spectral_fractal.measure import (
     step_moment,
     write_pgm,
 )
-from spectral_fractal.triples import affine_pair
+from spectral_fractal.triples import affine_pair, mask_eval
 
 from oracles import fraction_approximant, refinement_identity_defect
 
@@ -94,6 +97,64 @@ def test_mu_hat_depth_cap_follows_the_contraction():
         assert ev.depth_for(xi) <= ev.max_depth
 
 
+SQ_SYSTEMS = {
+    "jp": ([[4]], [(0,), (2,)]),
+    "mt": ([[3]], [(0,), (2,)]),
+    "skew": ([[4, 0], [1, 2]], [(0, 0), (0, 3), (1, 0), (1, 3)]),
+    "swap": ([[0, 2], [1, 0]], [(0, 0), (1, 0)]),
+    "nine": ([[9]], [(0,), (3,), (6,)]),
+}
+
+
+@pytest.mark.parametrize("R, B", SQ_SYSTEMS.values(), ids=SQ_SYSTEMS)
+def test_mu_hat_sq_matches_the_complex_product(R, B):
+    # the full-cap complex product is exact far below TAIL_TOL for |xi| <= 1e3
+    pair = affine_pair(R, B)
+    ev = FourierEval(pair)
+    rng = np.random.default_rng(11)
+    for radius in (1.0, 30.0, 1e3):
+        xs = rng.uniform(-1, 1, size=(400, pair.d)) * radius / np.sqrt(pair.d)
+        want = np.abs(ev.mu_hat_truncated(xs, ev.max_depth)) ** 2
+        assert np.max(np.abs(ev.mu_hat_sq(xs) - want)) <= TAIL_TOL
+    assert ev.mu_hat_sq(np.zeros(pair.d)) == pytest.approx(1.0, abs=1e-15)
+
+
+@st.composite
+def _small_systems(draw):
+    d = draw(st.integers(1, 2))
+    digit = st.tuples(*[st.integers(-6, 6)] * d)
+    B = draw(st.lists(digit, min_size=1, max_size=5, unique=True))
+    x = draw(st.lists(st.floats(-3, 3), min_size=d, max_size=d))
+    return affine_pair(np.diag([7] * d).tolist(), B), np.array([x])
+
+
+@settings(max_examples=80, deadline=None)
+@given(_small_systems())
+def test_mask_sq_has_the_quadratic_bound(system):
+    # 1 - cos u <= u^2 / 2 gives 1 - |m_B(x)|^2 <= c |x|^2 for every x
+    pair, x = system
+    ev = FourierEval(pair)
+    got = ev._mask_sq(x)[0]
+    assert got == pytest.approx(abs(mask_eval(pair, x)[0]) ** 2, abs=1e-12)
+    assert 1 - got <= ev._curv * float(x[0] @ x[0]) + 1e-12
+
+
+def test_mu_hat_sq_serves_xi_max_and_no_further():
+    # the quadratic tail rule stops earlier, and its own cap still serves
+    # every |xi| <= XI_MAX
+    ev = FourierEval(affine_pair([[2]], [(0,), (1,)]))
+    assert ev.max_depth_sq < ev.max_depth
+    assert 0.0 <= ev.mu_hat_sq(XI_MAX) <= 1.0
+    for xi in (1e15, -1e18):
+        with pytest.raises(CapExceeded, match="mu_hat factors"):
+            ev.mu_hat_sq(xi)
+    swap = FourierEval(affine_pair([[0, 2], [1, 0]], [(0, 0), (1, 0)]))
+    vals = swap.mu_hat_sq(np.array([(XI_MAX, 0.0), (0.0, -XI_MAX), (0.6 * XI_MAX, 0.8 * XI_MAX)]))
+    assert np.all((0.0 <= vals) & (vals <= 1.0))
+    with pytest.raises(CapExceeded, match="mu_hat factors"):
+        swap.mu_hat_sq((0.0, 1e15))
+
+
 def test_refinement_identity(jp_pair, skew_pair):
     ev = FourierEval(jp_pair)
     for xi in (0.3, 1.7, -2.5):
@@ -134,6 +195,28 @@ def test_discrete_approximant_merges_collisions():
     assert sum(weights, Fraction(0)) == 1
     assert len(dm.atoms) == 7  # 9 digit strings, two pairs collide
     assert max(weights) == Fraction(2, 9)
+
+
+def test_discrete_approximant_merges_every_level(monkeypatch):
+    # (2, {0,1,2}) has 3^12 = 531,441 digit strings on 8,191 atoms; merging
+    # after each level keeps every level within N times the previous atoms
+    seen = []
+    real = measure._merge_rows
+
+    def spy(rows, counts):
+        out = real(rows, counts)
+        seen.append((len(rows), len(out[0])))
+        return out
+
+    monkeypatch.setattr(measure, "_merge_rows", spy)
+    dm = discrete_approximant(affine_pair([[2]], [(0,), (1,), (2,)]), 12)
+    assert (len(dm.atoms), dm.den, int(dm.counts.sum())) == (8191, 4096, 3**12)
+    assert len(seen) == 12  # one merge per level
+    prev = 1
+    for rows, merged in seen:
+        assert rows <= 3 * prev
+        prev = merged
+    assert max(rows for rows, _ in seen) < 3 * 8191
 
 
 @pytest.mark.parametrize(

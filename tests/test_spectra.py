@@ -17,7 +17,7 @@ from spectral_fractal.spectra import (
     orthogonality_check,
 )
 from spectral_fractal.triples import hadamard_triple
-from spectral_fractal.zeroset import EmptinessEvidence, zero_set_empty_evidence
+from spectral_fractal.zeroset import EmptinessEvidence, find_invariant_cycle, zero_set_empty_evidence
 
 from oracles import corrected_level_per_base, delta_lower_bound
 
@@ -145,16 +145,46 @@ def test_batched_corrections_match_per_base_loop(monkeypatch, R, B, L, K):
     assert tree.delta_levels == oracle.delta_levels
 
 
+def test_orthogonality_check_of_one_point_is_zero(jp_triple):
+    # no pairs to compare: 0.0, not a max over an empty array
+    assert orthogonality_check(canonical_tree(jp_triple, 0)) == 0.0
+
+
+def test_zero_tests_stay_on_the_complex_product(monkeypatch, skew_triple, jp_triple):
+    # (2, 1/3 + 4) is a true zero of the skew transform.  The real form adds
+    # cosines of size 1/N, so a vanishing factor |m_B|^2 keeps a rounding
+    # residue near 1e-17, and its square root, the |mu_hat| a zero test
+    # would read, lands near 1e-9 to 1e-10 (2.4e-10 here) instead of 1e-17.
+    # The zero-set prefilter, certification, the cycle test and
+    # orthogonality_check compare |mu_hat| with small tolerances near true
+    # zeros, so they keep the complex product.
+    x = np.array([2.0, 1 / 3 + 4])
+    ev = FourierEval(skew_triple.pair)
+    assert abs(ev.mu_hat(x)) < 1e-15
+    assert ev.mu_hat_sq(x) < 1e-15
+    tree = canonical_tree(jp_triple, 4)  # its level deltas read mu_hat_sq
+
+    def refuse(self, xi):
+        raise AssertionError("a zero test read mu_hat_sq")
+
+    monkeypatch.setattr(FourierEval, "mu_hat_sq", refuse)
+    evidence = zero_set_empty_evidence(skew_triple.pair)
+    assert evidence.kind == "refuted"
+    assert find_invariant_cycle(skew_triple.pair, evidence.witness).period >= 1
+    assert orthogonality_check(tree) < 1e-12
+
+
 def test_corrected_level_evaluates_mu_hat_twice(monkeypatch):
-    # one call on the rescaled bases, one on every translate of every miss
+    # one call on the rescaled bases, one on every translate of every miss;
+    # both read only the modulus, so both go through mu_hat_sq
     jp3 = hadamard_triple([[4]], [(0,), (2,)], [(0,), (3,)]).require_validated()
     calls = [0]
     per_level = []
-    real_mu_hat, real_level = FourierEval.mu_hat, spectra._corrected_level
+    real_mu_hat_sq, real_level = FourierEval.mu_hat_sq, spectra._corrected_level
 
-    def counting_mu_hat(self, xi):
+    def counting_mu_hat_sq(self, xi):
         calls[0] += 1
-        return real_mu_hat(self, xi)
+        return real_mu_hat_sq(self, xi)
 
     def level(*args):
         before = calls[0]
@@ -162,7 +192,7 @@ def test_corrected_level_evaluates_mu_hat_twice(monkeypatch):
         per_level.append(calls[0] - before)
         return out
 
-    monkeypatch.setattr(FourierEval, "mu_hat", counting_mu_hat)
+    monkeypatch.setattr(FourierEval, "mu_hat_sq", counting_mu_hat_sq)
     monkeypatch.setattr(spectra, "_corrected_level", level)
     tree = corrected_tree(jp3, 8)
     assert len(tree.corrections) == 2**8 - 1
