@@ -12,7 +12,6 @@ from .frames import (
     parseval_defect,
     residues_distinct,
     select_subset,
-    tsosc_check,
 )
 from .intlat import (
     IntMatrix,
@@ -102,7 +101,6 @@ __all__ = [
     "smallest_invariant_lattice",
     "step_moment",
     "tower",
-    "tsosc_check",
     "validate_triple",
     "zero_set_empty_evidence",
 ]

@@ -32,7 +32,6 @@ from .errors import (
     AmbiguousSpectrum,
     CapExceeded,
     CycleNotFound,
-    DigitsNotExtendable,
     DimensionUnsupported,
     EpsilonTooLarge,
     GammaFullOrTrivial,
@@ -70,7 +69,6 @@ _REFUSALS = (
     NotHadamard,
     ZeroSetNonEmpty,
     SimpleDigitsRequired,
-    DigitsNotExtendable,
     EpsilonTooLarge,
     ResidueCollision,
     RankDeficient,

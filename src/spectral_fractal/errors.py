@@ -90,10 +90,6 @@ class EpsilonTooLarge(SpectralFractalError):
     """A level deviation is >= 1, so product bounds degenerate."""
 
 
-class DigitsNotExtendable(SpectralFractalError):
-    """The digit set cannot be extended to a complete residue system."""
-
-
 class DimensionUnsupported(SpectralFractalError):
     """The operation is only implemented for low dimensions."""
 

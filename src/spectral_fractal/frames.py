@@ -7,9 +7,10 @@ unitary digit/frequency pairing make F_n unitary; complete representative
 rows make it a tight frame with bound (|det R|/N)^n; general subsets give
 two-sided bounds read off the extreme squared singular values.  This
 module computes those bounds from the Gram matrix of the shorter side,
-selects well-conditioned frequency subsets, multiplies per-level bounds into
-concatenated ones, measures Parseval defects on random step functions,
-tests the tile-interior separation condition by sampling, and assembles
+selects well-conditioned frequency subsets (swap descent bounds every
+candidate from one eigendecomposition per position and judges only the
+possible winners exactly), multiplies per-level bounds into concatenated
+ones, measures Parseval defects on random step functions, and assembles
 frame spectra level by level with the same shift-correction machinery
 used for orthonormal towers.
 """
@@ -24,23 +25,22 @@ import numpy as np
 
 from .errors import (
     CapExceeded,
-    DigitsNotExtendable,
     EpsilonTooLarge,
     InvalidInput,
+    ResidueCollision,
     SimpleDigitsRequired,
 )
 from .intlat import (
     IntMatrix,
     IVec,
     as_digit_list,
-    canonical_residue,
     character_phases,
     complete_representatives,
     inverse_image,
     is_simple_digit_set,
     residues_unique,
 )
-from .measure import FourierEval, attractor_box
+from .measure import FourierEval
 from .spectra import _corrected_level, _require_empty, cover_constants
 from .triples import AffinePair, HadamardTriple, digit_sums
 from .zeroset import EmptinessEvidence
@@ -54,8 +54,6 @@ __all__ = [
     "concatenated_bounds",
     "ParsevalStats",
     "parseval_defect",
-    "TsoscResult",
-    "tsosc_check",
     "FrameSpectrum",
     "frame_spectrum_build",
 ]
@@ -153,11 +151,11 @@ def _measured_report(pair: AffinePair, n: int, sub, strategy: str, seed: int) ->
     sub = tuple(sorted(as_digit_list(sub)))
     lo, hi = frame_matrix_bounds(pair, n, sub)
     ratio = hi / lo if lo > 1e-15 else float("inf")
-    rep = FrameReport(n, sub, lo, hi, ratio, strategy, seed)
     # identical rows force sigma_max^2 >= 2, so a conditioned set has
     # pairwise distinct residues; check the contrapositive exactly
-    assert rep.sigma_max_sq >= 2 - 1e-9 or residues_distinct(pair.R, sub, n)
-    return rep
+    if hi < 2 - 1e-9 and not residues_distinct(pair.R, sub, n):
+        raise ResidueCollision(f"level {n} rows share a residue yet sigma_max^2 = {hi:.6g} < 2")
+    return FrameReport(n, sub, lo, hi, ratio, strategy, seed)
 
 
 def _ratios(G: np.ndarray) -> np.ndarray:
@@ -167,13 +165,64 @@ def _ratios(G: np.ndarray) -> np.ndarray:
     return np.divide(hi, lo, out=np.full_like(hi, np.inf), where=lo > 1e-15)
 
 
+def _secular_newton(mu, lam, w, s):
+    """Four Newton steps on f(mu) = mu - s - sum_i w_i / (mu - lam_i), outside [lam_0, lam_-1].
+
+    Below lam_0 f is increasing and convex, above lam_-1 increasing and
+    concave, so an iterate started between the root and the nearer pole
+    moves toward that root without crossing it.  Entries of `mu` that sit
+    on a pole are left as they are.
+    """
+    valid = (mu < lam[0]) | (mu > lam[-1])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(4):  # further steps saved no time on (3, {0,2}) at n = 4
+            r = 1.0 / (mu[..., None] - lam)
+            q = w * r
+            nxt = mu - (mu - s - q.sum(axis=-1)) / (1.0 + (q * r).sum(axis=-1))
+            mu = np.where(valid & np.isfinite(nxt), nxt, mu)
+    return mu
+
+
+def _ratio_floors(KS: np.ndarray, rows: np.ndarray, sq: np.ndarray, p: int) -> np.ndarray:
+    """Lower bounds on `_ratios` of K_S with row and column p set to each of `rows`.
+
+    With K_{-p} = V diag(lam) V* (K_S without row and column p), the
+    candidate Gram is unitarily similar to the bordered matrix
+    [[diag(lam), z], [z*, s]], z = V* (its inner products with the kept
+    rows), s its squared norm.  The 2x2 compressions onto {v_min, e_p} and
+    {v_max, e_p} bound lambda_min from above and lambda_max from below
+    (Cauchy interlacing); Newton steps on Golub's secular equation tighten
+    both from the safe side.  Both bounds are then widened by the eigenvalue
+    backward error Nn * eps * ||G||_2 (Weyl: ||G||_2 <= max(lam_max, s) +
+    ||z||), counted once for `eigvalsh` on G, once for `eigh` on K_{-p} and
+    twice for the arithmetic of the bound, so a candidate whose floor
+    clears a threshold cannot pass it under `_ratios` either.
+    """
+    if len(KS) == 1:  # each candidate Gram is [[s]], its own floor
+        return _ratios(sq[:, None, None])
+    keep = np.arange(len(KS)) != p
+    lam, V = np.linalg.eigh(KS[keep][:, keep])
+    w = np.abs(rows[:, keep] @ V) ** 2  # |z_i|^2
+    ends = lam[[0, -1], None]
+    rad = np.sqrt((0.5 * (ends - sq)) ** 2 + w[:, [0, -1]].T)
+    bot, top = _secular_newton(0.5 * (ends + sq) + [[-1.0], [1.0]] * rad, lam, w, sq)
+    norm = np.maximum(lam[-1], sq) + np.sqrt(w.sum(axis=1))
+    slack = 4 * len(KS) * np.finfo(float).eps * norm
+    lo, hi = bot + slack, np.maximum(top - slack, 0.0)
+    return np.divide(hi, lo, out=np.full_like(hi, np.inf), where=lo > 1e-15)
+
+
 def _first_improving_swap(F: np.ndarray, current: list[int], ratio: float, sq: np.ndarray):
     """First (out, in) swap, in descent order, whose subset beats `ratio`.
 
     Subsets are scored by the rows-side Gram of their slice of F: swapping
     row p of the current Gram K_S for a candidate needs only that
     candidate's inner products with the current rows, so one product
-    F F[S]* serves every swap.  Returns (sorted subset, its ratio) or None.
+    F F[S]* serves every swap.  Each position is first bounded from one
+    eigendecomposition (`_ratio_floors`); only candidates whose floor lies
+    below the target are judged by `_ratios`, in the same order, so the
+    first improving swap is the one full scoring would find.  Returns
+    (sorted subset, its ratio) or None.
     """
     C = F @ F[current].conj().T
     KS = C[current]
@@ -181,15 +230,20 @@ def _first_improving_swap(F: np.ndarray, current: list[int], ratio: float, sq: n
     outside = np.array([i for i in range(len(F)) if i not in chosen])
     Nn = len(current)
     step = max(1, 2**20 // (Nn * Nn))
+    target = ratio - 1e-12
+    rows, row_sq = C[outside], sq[outside]
     for p, out in enumerate(current):
-        for s in range(0, len(outside), step):
-            inc = outside[s : s + step]
+        alive = outside[_ratio_floors(KS, rows, row_sq, p) < target]
+        s, size = 0, 4  # chunks double: a hit near the front costs a small batch
+        while s < len(alive):
+            inc = alive[s : s + size]
+            s, size = s + size, min(2 * size, step)
             G = np.repeat(KS[None], len(inc), axis=0)
             G[:, p, :] = C[inc]
             G[:, :, p] = C[inc].conj()
             G[:, p, p] = sq[inc]
             r = _ratios(G)
-            hit = np.flatnonzero(r < ratio - 1e-12)
+            hit = np.flatnonzero(r < target)
             if hit.size:
                 return sorted(chosen - {out} | {int(inc[hit[0]])}), float(r[hit[0]])
     return None
@@ -208,7 +262,10 @@ def select_subset(
     "leverage-swap": each of ``budget`` seeded restarts draws an initial
     subset by row-leverage sampling and runs first-improvement swap descent
     on the bound ratio; the best subset over all restarts is kept, so the
-    result can only improve as the budget grows.  "exhaustive" scores every
+    result can only improve as the budget grows.  Each descent step bounds
+    every candidate swap from below (`_ratio_floors`) and judges only those
+    that could beat the current ratio with `eigvalsh`, in the same order, so
+    the path is the one full scoring takes.  "exhaustive" scores every
     subset (small candidate sets only).  Subsets are scored on row slices of
     the one candidate matrix; only the winner is measured by
     `frame_matrix_bounds`.  Deterministic for a fixed seed.
@@ -339,144 +396,6 @@ def parseval_defect(
         ratios.append(float(np.sum(np.abs(vals) ** 2)) / norm_sq)
     rt = tuple(ratios)
     return ParsevalStats(m, len(freqs), trials, min(rt), max(rt), float(np.mean(rt)), rt)
-
-
-# ---------------------------------------------------------------------------
-# tile separation check
-
-
-TSOSC_MARGIN = 4.0**-8  # distance a sample must keep from every other tile copy
-TSOSC_DEPTH = 24  # deepest cell level of the descent
-TSOSC_SEED = 0
-TSOSC_BRANCHES = 64  # live branches one sample may keep
-
-
-@dataclass(frozen=True)
-class TsoscResult:
-    """Sampled verdict on the tile-interior separation condition."""
-
-    status: str  # "Holds" | "HoldsTrivially1D" | "Unknown"
-    samples: int
-    margin: float
-    flagged: int
-    note: str = ""
-
-
-def tsosc_check(pair: AffinePair, samples: int = 20000, state_cap: int = 2 * 10**6) -> TsoscResult:
-    """Test whether sampled attractor points avoid the tile boundary.
-
-    The digits embed in a complete representative set B-bar (raising
-    DigitsNotExtendable on a residue collision), whose attractor tiles
-    space under integer translates.  A sampled point x is accepted when,
-    for every nonzero nearby translate k, branch-and-bound descent proves
-    dist(x - k, tile) > TSOSC_MARGIN: depth-i cells are enclosed exactly in
-    boxes offset + R^{-i} box (componentwise halfwidth |R^{-i}| h), and a
-    branch is pruned once its box sits farther than the margin from the
-    sample.  Descent stops when cells shrink under the margin (at most
-    TSOSC_DEPTH levels); any surviving branch, or a sample whose live
-    branches exceed TSOSC_BRANCHES, flags that sample as a near-miss.
-    Samples are drawn with seed TSOSC_SEED.  All points accepted gives "Holds"
-    (a sampled verdict, not a proof); anything unresolved gives "Unknown".
-    One dimension with digits inside {0, ..., R-1} is the classical
-    trivial case.
-    """
-    R = pair.R
-    d = pair.d
-    margin = TSOSC_MARGIN
-    if d == 1:
-        r = R.rows[0][0]
-        if r > 0 and all(0 <= b[0] < r for b in pair.B):
-            return TsoscResult(
-                "HoldsTrivially1D", 0, margin, 0, "digits lie in the unit tile"
-            )
-    by_res: dict[IVec, IVec] = {}
-    for b in pair.B:
-        res = canonical_residue(R, b)
-        if res in by_res:
-            raise DigitsNotExtendable(
-                f"digits {by_res[res]} and {b} share a residue class mod R"
-            )
-        by_res[res] = b
-    bbar = [by_res.get(tuple(rep), tuple(rep)) for rep in complete_representatives(R)]
-    bbar_arr = np.array(bbar, dtype=float)
-    Rinv = np.linalg.inv(R.to_array())
-    lo, hi = attractor_box(AffinePair(R, tuple(bbar)))
-    mid = (lo + hi) / 2.0
-    half = (hi - lo) / 2.0
-
-    rng = np.random.default_rng(TSOSC_SEED)
-    src = pair.digit_array
-    xs = np.zeros((samples, d))
-    for _ in range(48):
-        xs = (xs + src[rng.integers(0, len(src), size=samples)]) @ Rinv.T
-
-    # stop once every cell box fits inside the margin ball
-    eff_depth = TSOSC_DEPTH
-    P = np.eye(d)
-    for i in range(1, TSOSC_DEPTH + 1):
-        P = P @ Rinv
-        if 2 * float(np.linalg.norm(np.abs(P) @ half)) <= margin:
-            eff_depth = i
-            break
-
-    # translates whose tile copy could come within margin of a sample
-    axes = []
-    for i in range(d):
-        reach = math.ceil(hi[i] - lo[i] + 2 * margin)
-        axes.append(np.arange(-reach, reach + 1))
-    mesh = np.meshgrid(*axes, indexing="ij")
-    ks = np.stack([m_.ravel() for m_ in mesh], axis=-1)
-    ks = ks[np.any(ks != 0, axis=1)]
-
-    def outside(y: np.ndarray, centers: np.ndarray, hw: np.ndarray) -> np.ndarray:
-        gap = np.maximum(np.abs(y - centers) - hw, 0.0)
-        return np.linalg.norm(gap, axis=1) > margin
-
-    flagged = np.zeros(samples, dtype=bool)
-    for k in ks:
-        live = np.nonzero(~flagged)[0]
-        if not len(live):
-            break
-        prune0 = outside(xs[live] - k, mid[None, :], half[None, :])
-        idx = live[~prune0]
-        offs = np.zeros((len(idx), d))
-        P = np.eye(d)
-        level = 0
-        while len(idx) and level < eff_depth:
-            P = P @ Rinv
-            hw = (np.abs(P) @ half)[None, :]
-            kids = bbar_arr @ P.T
-            offs = (offs[:, None, :] + kids[None, :, :]).reshape(-1, d)
-            idx = np.repeat(idx, len(bbar_arr))
-            centers = offs + (P @ mid)[None, :]
-            keep = ~outside(xs[idx] - k, centers, hw)
-            offs, idx = offs[keep], idx[keep]
-            if len(idx):
-                counts = np.bincount(idx, minlength=samples)
-                over = counts > TSOSC_BRANCHES
-                if over.any():
-                    flagged |= over
-                    inside_budget = ~over[idx]
-                    offs, idx = offs[inside_budget], idx[inside_budget]
-            if len(idx) > state_cap:
-                return TsoscResult(
-                    "Unknown",
-                    samples,
-                    margin,
-                    int(flagged.sum()),
-                    "search frontier exceeded the state cap",
-                )
-            level += 1
-        if len(idx):
-            flagged[np.unique(idx)] = True
-    nf = int(flagged.sum())
-    if nf == 0:
-        return TsoscResult(
-            "Holds", samples, margin, 0, "all sampled points interior with margin"
-        )
-    return TsoscResult(
-        "Unknown", samples, margin, nf, f"{nf} sampled points near a translate"
-    )
 
 
 # ---------------------------------------------------------------------------

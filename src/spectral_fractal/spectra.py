@@ -30,9 +30,9 @@ from .errors import (
     Undecided,
     ZeroSetNonEmpty,
 )
-from .intlat import IVec, as_digit_list, inverse_image
+from .intlat import IVec, inverse_image
 from .measure import FourierEval, attractor_box
-from .triples import AffinePair, HadamardTriple, digit_sums
+from .triples import AffinePair, HadamardTriple, _int_rows, digit_sums
 from .zeroset import EmptinessEvidence, _window, zero_set_empty_evidence
 
 SHIFT_WINDOW = 4  # shifts kappa range over [-SHIFT_WINDOW, SHIFT_WINDOW]^d
@@ -272,7 +272,7 @@ def corrected_tree(
         gap = n - exps[-1]
         if gap >= MAX_GAP:
             raise CapExceeded("level gap", gap, MAX_GAP)
-        J = as_digit_list(digit_sums(Rt, L, gap, cap=cap))
+        J = _int_rows(digit_sums(Rt, L, gap, cap=cap))
         if len(current) * len(J) > cap:
             raise CapExceeded("spectrum tree", len(current) * len(J), cap)
         fresh, fixes = _corrected_level(ev, cover, current, J, exps[-1], n, k)

@@ -188,6 +188,11 @@ def digit_sums(R, B, n: int, cap: int = 2**20) -> np.ndarray:
     return out
 
 
+def _int_rows(sums: np.ndarray) -> tuple[IVec, ...]:
+    """The rows of a `digit_sums` array as tuples; its entries are already ints."""
+    return tuple(map(tuple, sums.tolist()))
+
+
 def tower(triple: HadamardTriple, k: int, cap: int = 2**20) -> HadamardTriple:
     """The level-k system (R^k, B_k, L_k); re-validated when small enough.
 
@@ -199,8 +204,8 @@ def tower(triple: HadamardTriple, k: int, cap: int = 2**20) -> HadamardTriple:
         raise InvalidInput("tower level must be nonnegative")
     triple.require_validated()
     Rk = triple.R.pow(k)
-    Bk = as_digit_list(digit_sums(triple.R, triple.B, k, cap))
-    Lk = as_digit_list(digit_sums(triple.R.T, triple.L, k, cap))
+    Bk = _int_rows(digit_sums(triple.R, triple.B, k, cap))
+    Lk = _int_rows(digit_sums(triple.R.T, triple.L, k, cap))
     pair = AffinePair(Rk, Bk)
     if len(Bk) <= DENSE_TOWER:
         _, defect = validate_triple(Rk, Bk, Lk)

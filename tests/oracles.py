@@ -10,7 +10,7 @@ from math import gcd
 import numpy as np
 
 from spectral_fractal.errors import NoShiftFound, RankDeficient, ResidueCollision, SizeMismatch
-from spectral_fractal.frames import frame_matrix_bounds
+from spectral_fractal.frames import _ratios, frame_matrix_bounds
 from spectral_fractal.intlat import (
     ConjugationRecord,
     IntMatrix,
@@ -296,6 +296,29 @@ def concatenated_sigma(pair, reports) -> tuple[float, float]:
     products control."""
     total = sum(rep.n for rep in reports)
     return frame_matrix_bounds(pair, total, stacked_frequencies(pair.R.T, reports))
+
+
+def first_improving_swap_dense(F: np.ndarray, current: list[int], ratio: float, sq: np.ndarray):
+    """`frames._first_improving_swap` without the bounds: every candidate Gram
+    is judged by `_ratios`, position by position."""
+    C = F @ F[current].conj().T
+    KS = C[current]
+    chosen = set(current)
+    outside = np.array([i for i in range(len(F)) if i not in chosen])
+    Nn = len(current)
+    step = max(1, 2**20 // (Nn * Nn))
+    for p, out in enumerate(current):
+        for s in range(0, len(outside), step):
+            inc = outside[s : s + step]
+            G = np.repeat(KS[None], len(inc), axis=0)
+            G[:, p, :] = C[inc]
+            G[:, :, p] = C[inc].conj()
+            G[:, p, p] = sq[inc]
+            r = _ratios(G)
+            hit = np.flatnonzero(r < ratio - 1e-12)
+            if hit.size:
+                return sorted(chosen - {out} | {int(inc[hit[0]])}), float(r[hit[0]])
+    return None
 
 
 # ---------------------------------------------------------------------------

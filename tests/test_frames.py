@@ -1,16 +1,18 @@
-"""Frame bounds, subset selection, Parseval defects, tile checks, assembly."""
+"""Frame bounds, subset selection, Parseval defects, assembly."""
 
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spectral_fractal import frames
 from spectral_fractal.errors import (
     CapExceeded,
-    DigitsNotExtendable,
     EpsilonTooLarge,
     InvalidInput,
+    ResidueCollision,
     SimpleDigitsRequired,
     ZeroSetNonEmpty,
 )
@@ -23,14 +25,13 @@ from spectral_fractal.frames import (
     parseval_defect,
     residues_distinct,
     select_subset,
-    tsosc_check,
 )
 from spectral_fractal.intlat import complete_representatives, inverse_image
 from spectral_fractal.measure import FourierEval, step_moment
 from spectral_fractal.spectra import canonical_tree, corrected_tree
 from spectral_fractal.triples import affine_pair, digit_sums, hadamard_triple
 
-from oracles import concatenated_sigma, corrected_level_per_base
+from oracles import concatenated_sigma, corrected_level_per_base, first_improving_swap_dense
 
 
 @pytest.fixture(scope="module")
@@ -148,6 +149,101 @@ def test_select_unknown_strategy(jp_triple):
         select_subset(jp_triple.pair, 1, strategy="anneal")
 
 
+def test_measured_report_refuses_colliding_rows(monkeypatch):
+    # 0 and 4 agree mod 4; bounds below 2 claim such rows are conditioned,
+    # which the exact residue check must refuse (also under python -O)
+    monkeypatch.setattr(frames, "frame_matrix_bounds", lambda pair, n, sub: (0.5, 1.5))
+    with pytest.raises(ResidueCollision):
+        frames._measured_report(affine_pair(4, [0, 2]), 1, [(0,), (4,)], "manual", 0)
+
+
+# (R, B), n, seed: jp3 = (4, {0,2}, {0,3}) shares its pair with jp
+SWAP_CASES = (
+    [((3, [0, 2]), n, seed) for n in (3, 4) for seed in range(4)]
+    + [((4, [0, 2]), n, 0) for n in (2, 3, 4)]
+    + [((4, [0, 2]), 3, 1), ((9, [0, 3, 6]), 2, 0)]
+)
+
+
+@pytest.mark.parametrize(
+    "RB,n,seed", SWAP_CASES, ids=[f"R{RB[0]}-B{len(RB[1])}-n{n}-s{seed}" for RB, n, seed in SWAP_CASES]
+)
+def test_bounded_swaps_match_dense_scoring(monkeypatch, RB, n, seed):
+    pair = affine_pair(*RB)
+    rep = select_subset(pair, n, seed=seed)
+    monkeypatch.setattr(frames, "_first_improving_swap", first_improving_swap_dense)
+    assert rep == select_subset(pair, n, seed=seed)
+
+
+def test_single_digit_swaps_match_dense_scoring(monkeypatch):
+    # one digit: every Gram is 1x1, and K_S without its only row is empty
+    pair = affine_pair(3, [1])
+    rep = select_subset(pair, 2)
+    assert rep.ratio == 1.0
+    monkeypatch.setattr(frames, "_first_improving_swap", first_improving_swap_dense)
+    assert rep == select_subset(pair, 2)
+
+
+def _near_singular_rows(seed: int, Nn: int, cols: int, gap: float) -> np.ndarray:
+    """Unit rows; rows Nn..2Nn-1 copy row 0 up to `gap`, so a Gram holding
+    row 0 and one of them has lambda_min near gap^2 (the 1e-15 floor of
+    `_ratios` at gap ~ 3e-8)."""
+    rng = np.random.default_rng(seed)
+    shape = (3 * Nn, cols)
+    F = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    noise = rng.standard_normal((Nn, cols)) + 1j * rng.standard_normal((Nn, cols))
+    F[Nn : 2 * Nn] = F[0] + gap * noise
+    return F / np.linalg.norm(F, axis=1, keepdims=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    Nn=st.integers(1, 9),
+    extra=st.integers(-1, 2),
+    gap=st.sampled_from([0.0, 1e-9, 1e-8, 3e-8, 1e-7, 1e-4, 1.0]),
+)
+def test_ratio_floors_never_exceed_eigvalsh(seed, Nn, extra, gap):
+    F = _near_singular_rows(seed, Nn, max(1, Nn + extra), gap)
+    sq = np.einsum("ij,ij->i", F, F.conj()).real
+    current = list(range(Nn))
+    C = F @ F[current].conj().T
+    KS = C[current]
+    outside = np.arange(Nn, len(F))
+    for p in range(Nn):
+        G = np.repeat(KS[None], len(outside), axis=0)
+        G[:, p, :] = C[outside]
+        G[:, :, p] = C[outside].conj()
+        G[:, p, p] = sq[outside]
+        floors = frames._ratio_floors(KS, C[outside], sq[outside], p)
+        assert np.all(floors <= frames._ratios(G))
+    # the first improving swap is the dense one, from a finite or an
+    # infinite starting ratio
+    start = float(frames._ratios(KS))
+    for ratio in (start, float("inf")):
+        got = frames._first_improving_swap(F, current, ratio, sq)
+        assert got == first_improving_swap_dense(F, current, ratio, sq)
+
+
+def test_bounds_keep_most_grams_from_eigvalsh(monkeypatch, cantor_third_pair):
+    counts = {"bounded": 0, "judged": 0}
+    floors, ratios = frames._ratio_floors, frames._ratios
+
+    def count_floors(KS, rows, sq, p):
+        counts["bounded"] += len(rows)
+        return floors(KS, rows, sq, p)
+
+    def count_ratios(G):
+        counts["judged"] += len(G) if G.ndim == 3 else 1
+        return ratios(G)
+
+    monkeypatch.setattr(frames, "_ratio_floors", count_floors)
+    monkeypatch.setattr(frames, "_ratios", count_ratios)
+    select_subset(cantor_third_pair, 4, seed=0)
+    # dense scoring judges every bounded candidate
+    assert counts["judged"] < counts["bounded"] / 4
+
+
 # ---------------------------------------------------------------------------
 # concatenation
 
@@ -216,43 +312,6 @@ def test_parseval_agrees_with_step_moments(jp_triple):
 def test_parseval_requires_simple_digits():
     with pytest.raises(SimpleDigitsRequired):
         parseval_defect(affine_pair(4, [0, 4]), [(0,)], 1)
-
-
-# ---------------------------------------------------------------------------
-# tile separation
-
-
-def test_tsosc_trivial_one_dimensional(cantor_third_pair, lebesgue_triple):
-    assert tsosc_check(cantor_third_pair).status == "HoldsTrivially1D"
-    assert tsosc_check(lebesgue_triple.pair).status == "HoldsTrivially1D"
-
-
-def test_tsosc_digits_not_extendable():
-    with pytest.raises(DigitsNotExtendable):
-        tsosc_check(affine_pair(4, [0, 4]))
-
-
-def test_tsosc_interior_diagonal_holds():
-    # digits pull the attractor well inside the unit-square tile
-    pair = affine_pair([[4, 0], [0, 4]], [(1, 1), (2, 2)])
-    res = tsosc_check(pair, samples=4000)
-    assert res.status == "Holds"
-    assert res.flagged == 0
-
-
-def test_tsosc_overflowing_digits_flagged():
-    # {0,5}/3 spills across translate tiles, so near-misses abound
-    res = tsosc_check(affine_pair(3, [0, 5]), samples=4000)
-    assert res.status == "Unknown"
-    assert res.flagged == 1384
-
-
-def test_tsosc_skew_touches_boundaries(skew_triple):
-    # the attractor carries full vertical segments, so every sample sits
-    # against a translate boundary
-    res = tsosc_check(skew_triple.pair, samples=4000)
-    assert res.status == "Unknown"
-    assert res.flagged == 4000
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ OPTIONS = {
     "frames.frame_matrix_bounds": ("cap",),
     "frames.select_subset": ("strategy", "seed", "budget", "cap"),
     "frames.parseval_defect": ("trials", "seed", "cap"),
-    "frames.tsosc_check": ("samples", "state_cap"),
     "frames.frame_spectrum_build": ("evidence", "cap"),
     "intlat.Lattice.from_columns": ("den",),
     "intlat.reduce_to_full": ("L",),

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spectral_fractal.errors import CapExceeded, ResidueCollision, SizeMismatch
-from spectral_fractal.intlat import IntMatrix
+from spectral_fractal.intlat import IntMatrix, as_digit_list
 from spectral_fractal.triples import (
+    _int_rows,
     affine_pair,
     digit_sums,
     hadamard_matrix,
@@ -112,6 +113,17 @@ def test_digit_sums_are_exact_beyond_int64():
 def test_digit_sums_cap():
     with pytest.raises(CapExceeded):
         digit_sums([[4]], [(0,), (2,)], 8, cap=100)
+
+
+def test_int_rows_equal_checked_conversion(jp_triple, skew_triple):
+    # digit_sums holds Python ints, so the plain conversion gives the same
+    # tuples as the entry-checking as_digit_list
+    for R, B in ((jp_triple.R, jp_triple.B), (skew_triple.R.T, skew_triple.L), ([[-3]], [(0,), (-5,)])):
+        for n in (0, 1, 3):
+            sums = digit_sums(R, B, n)
+            rows = _int_rows(sums)
+            assert rows == as_digit_list(sums)
+            assert all(type(x) is int for row in rows for x in row)
 
 
 def test_tower_jp(jp_triple):
