@@ -39,7 +39,6 @@ from .spectra import (
     orthogonality_check,
 )
 from .triples import (
-    DEFECT_TOL,
     AffinePair,
     HadamardTriple,
     affine_pair,
@@ -61,7 +60,6 @@ __all__ = [
     "__version__",
     "errors",
     "AffinePair",
-    "DEFECT_TOL",
     "DiscreteMeasure",
     "EmptinessEvidence",
     "FourierEval",

@@ -53,7 +53,7 @@ from .frames import residues_distinct, select_subset
 from .intlat import reduce_to_full
 from .measure import FourierEval, mu_hat_field, render_attractor, render_field, write_pgm
 from .quasiprod import full_spectrum, report_frequencies
-from .triples import DEFECT_TOL, affine_pair, hadamard_triple, tower, validate_triple
+from .triples import affine_pair, hadamard_triple, tower
 from .zeroset import zero_set_empty_evidence
 
 EXIT_OK = 0
@@ -215,24 +215,16 @@ def _triple(problem: dict):
 
 
 def run_validate(problem: dict, params: dict):
-    if "L" not in problem:
-        raise InvalidInput("validation needs a frequency list L")
-    tol = float(params["tol"])
-    ok, defect = validate_triple(problem["R"], problem["B"], problem["L"], tol=tol)
-    tower_defects = []
-    if ok:
-        base = hadamard_triple(problem["R"], problem["B"], problem["L"])
-        for k in range(2, int(params["towers"]) + 1):
-            tower_defects.append(tower(base, k).defect)
+    base = _triple(problem)
+    levels = range(2, int(params["towers"]) + 1) if base.validated else ()
     results = {
-        "valid": bool(ok) and all(d <= tol for d in tower_defects),
-        "defect": defect,
-        "tower_defects": tower_defects,
+        "valid": base.validated,
+        "defect": base.defect,
+        "tower_defects": [tower(base, k).defect for k in levels],
         "size": len(problem["B"]),
         "dimension": len(problem["R"]),
     }
-    certificates = {"defect_tol": tol}
-    return results, certificates, EXIT_OK if results["valid"] else EXIT_REFUSED
+    return results, {"grade": base.grade}, EXIT_OK if base.validated else EXIT_REFUSED
 
 
 def _run_pipeline(problem: dict, params: dict):
@@ -576,10 +568,7 @@ def run_verify(path: str) -> int:
 # a row with no flag is set through the problem's params block only, except
 # render's positional `what`.
 _PARAMS = {
-    "validate": (
-        ("towers", "--depth", "depth", 4, int),
-        ("tol", "--tol", "tol", DEFECT_TOL, float),
-    ),
+    "validate": (("towers", "--depth", "depth", 4, int),),
     "spectrum": (
         ("depth", "--depth", "depth", 6, int),
         ("scan_window", "--window", "window", 10, int),
@@ -607,7 +596,6 @@ _PARAM_KEYS = {pkey for rows in _PARAMS.values() for _, _, pkey, _, _ in rows} -
 _FLAG_HELP = {
     "--depth": "levels / tower height / frame level",
     "--window": "scan or plot window",
-    "--tol": "acceptance tolerance",
     "--seed": "random seed",
     "--cap": "work and output size cap",
     "--resolution": "image side length",
@@ -630,7 +618,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
     for name, help_ in (
-        ("validate", "check the unitarity of (R, B, L) and its towers"),
+        ("validate", "decide (R, B, L) exactly; its towers inherit the verdict"),
         ("spectrum", "decide spectrality and emit a frequency list"),
         ("zeroset", "scan and certify the periodic zero set"),
         ("frames", "select frame frequency subsets and measure their bounds"),

@@ -24,7 +24,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, prod
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -129,12 +129,6 @@ class IntMatrix:
         if len(v) != w:
             raise SizeMismatch("matvec length mismatch")
         return tuple(sum(self.rows[i][j] * v[j] for j in range(w)) for i in range(h))
-
-    def matvec_frac(self, v: Sequence[Fraction]) -> FVec:
-        h, w = self.shape
-        if len(v) != w:
-            raise SizeMismatch("matvec length mismatch")
-        return tuple(sum(Fraction(self.rows[i][j]) * v[j] for j in range(w)) for i in range(h))
 
     def pow(self, k: int) -> "IntMatrix":
         if k < 0:
@@ -638,6 +632,27 @@ def poly_divmod(a: Sequence, b: Sequence) -> tuple[list, list]:
     while rem and rem[0] == 0:
         rem.pop(0)
     return q, rem
+
+
+@lru_cache(maxsize=None)
+def cyclotomic(q: int) -> list[int]:
+    """Phi_q as the Moebius product of the factors (x^e - 1)^mu(q/e), e | q.
+
+    mu(q/e) is nonzero only for e = q / prod(S), S a set of distinct primes
+    of q, where it is (-1)^|S|.  Each factor multiplies or exactly divides
+    in one linear pass (lowest degree first here), multiplications first.
+    """
+    primes = [p for p in range(2, q + 1) if q % p == 0 and all(p % r for r in range(2, p))]
+    subsets = itertools.chain(*(itertools.combinations(primes, k) for k in range(len(primes) + 1)))
+    p = [1]
+    for odd, e in sorted((len(S) % 2, q // prod(S)) for S in subsets):
+        if not odd:  # p (x^e - 1)
+            p = [a - b for a, b in zip([0] * e + p, p + [0] * e)]
+        else:  # p / (x^e - 1)
+            p = [-c for c in p[: len(p) - e]]
+            for i in range(e, len(p)):
+                p[i] += p[i - e]
+    return p[::-1]
 
 
 def _has_reciprocal_root_pair(p: Sequence[int]) -> bool:

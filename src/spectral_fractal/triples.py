@@ -1,19 +1,24 @@
 """Digit systems (R, B) and their paired frequency sets L.
 
-An (R, B, L) system is accepted when the N x N matrix
+(R, B, L) is a Hadamard triple when the N x N matrix
 
     H = N^{-1/2} [ exp(2 pi i <R^{-1} b, l>) ]  (rows l in L, columns b in B)
 
-is unitary to within a strict tolerance.  The inner products are reduced
-modulo 1 in exact integer arithmetic (`intlat.character_residues`) before any
-float touches them, so the unitarity defect of a true system is pure rounding
-noise (~1e-15).
+is unitary.  `validate_triple` decides that exactly, as vanishing sums of
+roots of unity (Lam-Leung), and measures the float defect max |H*H - I|
+alongside; its phases are reduced modulo 1 in integers
+(`intlat.character_residues`), so a true system's defect is rounding noise.
+By the tower lemma every level (R^k, B_k, L_k) of a Hadamard triple is one
+too, so `tower` inherits the base verdict.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
+from math import gcd
+from operator import mul, sub
 
 import numpy as np
 
@@ -27,14 +32,17 @@ from .errors import (
 from .intlat import (
     IntMatrix,
     IVec,
+    adjugate,
     as_digit_list,
     character_phases,
+    cyclotomic,
     is_expansive,
+    poly_divmod,
     residues_unique,
 )
 
-DEFECT_TOL = 1e-10
-DENSE_TOWER = 4096  # largest tower whose unitary `tower` forms and checks
+NUMERIC_ZERO = 1e-12  # a float mask value below this counts as a zero ("numeric" grade)
+GENERAL_CAP = 600  # largest reduced order whose root-of-unity sums are decided exactly
 
 
 @dataclass(frozen=True)
@@ -111,27 +119,65 @@ def hadamard_matrix(R, B, L) -> np.ndarray:
     return H
 
 
-def validate_triple(R, B, L, tol: float = DEFECT_TOL) -> tuple[bool, float]:
-    """Unitarity check; returns (accepted, max-entry defect of H*H - I)."""
+def mask_vanishes(digits, v: IVec, den: int, cap: int) -> tuple[bool, str]:
+    """(the digit mask vanishes at v / den, grade) for integer numerators v.
+
+    The phases <b, v> / den share the reduced denominator q, so the mask is a
+    sum of q-th roots of unity: zero exactly when Phi_q divides the polynomial
+    of its exponents folded mod q (grade 'exact', q <= cap), else judged in
+    floats (grade 'numeric').  Repeated digits count with multiplicity.
+    """
+    nums = [sum(map(mul, b, v)) for b in digits]
+    g = gcd(den, *nums)
+    q = den // g
+    exps = [n // g % q for n in nums]
+    if q <= cap:
+        return not poly_divmod(np.bincount(exps)[::-1].tolist(), cyclotomic(q))[1], "exact"
+    # int / int is correctly rounded, as float(Fraction(e, q)) is
+    val = abs(np.exp(-2j * np.pi * np.array([e / q for e in exps])).sum()) / len(digits)
+    return bool(val < NUMERIC_ZERO), "numeric"
+
+
+def _hadamard_verdict(R: IntMatrix, B, L) -> tuple[bool, str]:
+    """(H is exactly unitary, grade): columns b and b' of H meet in the
+    conjugate of m_L(R^{-1}(b - b')), m_L the mask of L.  R^{-1} is
+    adj(R) / det R; the sign of det R and the order of b, b' only conjugate
+    that value, so each difference is tested once, at adj(R)(b - b') / |det R|.
+    """
+    adj, det = adjugate(R)
+    diffs = {tuple(map(sub, b, c)) for b, c in itertools.combinations(B, 2)}
+    grade = "exact"
+    for diff in sorted({max(d, tuple(-c for c in d)) for d in diffs}):
+        zero, g = mask_vanishes(L, adj.matvec(diff), abs(det), GENERAL_CAP)
+        if not zero:
+            return False, g
+        if g == "numeric":
+            grade = g
+    return True, grade
+
+
+def validate_triple(R, B, L) -> tuple[bool, str, float]:
+    """(exact Hadamard verdict, its grade, max-entry defect of H*H - I)."""
+    M = IntMatrix.from_rows(R)
     digs = as_digit_list(B)
     freqs = as_digit_list(L)
     if len(digs) != len(freqs):
         raise SizeMismatch("digit and frequency sets must have equal size")
-    H = hadamard_matrix(R, digs, freqs)
+    H = hadamard_matrix(M, digs, freqs)
     G = H.conj().T @ H
-    del H
     G[np.diag_indices_from(G)] -= 1
-    defect = float(np.max(np.abs(G)))
-    return defect <= tol, defect
+    return (*_hadamard_verdict(M, digs, freqs), float(np.max(np.abs(G))))
 
 
 @dataclass(frozen=True)
 class HadamardTriple:
-    """A validated (R, B, L) system."""
+    """An (R, B, L) system and its Hadamard verdict (unvalidated by default)."""
 
     pair: AffinePair
     L: tuple[IVec, ...]
     defect: float
+    validated: bool = False
+    grade: str = ""
     note: str = ""
 
     @property
@@ -146,23 +192,17 @@ class HadamardTriple:
     def N(self) -> int:
         return self.pair.N
 
-    @property
-    def validated(self) -> bool:
-        return self.defect <= DEFECT_TOL
-
     def require_validated(self):
         if not self.validated:
-            raise NotHadamard(
-                f"unitarity defect {self.defect:.3e} exceeds {DEFECT_TOL:.0e}"
-            )
+            raise NotHadamard(f"not a Hadamard triple (unitarity defect {self.defect:.3e})")
         return self
 
 
 def hadamard_triple(R, B, L) -> HadamardTriple:
     pair = affine_pair(R, B)
     freqs = as_digit_list(L)
-    _, defect = validate_triple(pair.R, pair.B, freqs)
-    return HadamardTriple(pair, freqs, defect)
+    valid, grade, defect = validate_triple(pair.R, pair.B, freqs)
+    return HadamardTriple(pair, freqs, defect, valid, grade)
 
 
 # ---------------------------------------------------------------------------
@@ -194,11 +234,11 @@ def _int_rows(sums: np.ndarray) -> tuple[IVec, ...]:
 
 
 def tower(triple: HadamardTriple, k: int, cap: int = 2**20) -> HadamardTriple:
-    """The level-k system (R^k, B_k, L_k); re-validated when small enough.
+    """The level-k system (R^k, B_k, L_k) of a validated triple.
 
-    Beyond DENSE_TOWER elements the full unitary is too large to form, so the
-    exact residue-distinctness certificate is checked instead and the base
-    defect is inherited (see `note`).
+    By the tower lemma it is a Hadamard triple, so it inherits the base
+    verdict, grade and defect; the exact residue distinctness of B_k modulo
+    R^k and of L_k modulo (R^k)^T is checked (see `note`).
     """
     if k < 0:
         raise InvalidInput("tower level must be nonnegative")
@@ -206,13 +246,8 @@ def tower(triple: HadamardTriple, k: int, cap: int = 2**20) -> HadamardTriple:
     Rk = triple.R.pow(k)
     Bk = _int_rows(digit_sums(triple.R, triple.B, k, cap))
     Lk = _int_rows(digit_sums(triple.R.T, triple.L, k, cap))
-    pair = AffinePair(Rk, Bk)
-    if len(Bk) <= DENSE_TOWER:
-        _, defect = validate_triple(Rk, Bk, Lk)
-        return HadamardTriple(pair, Lk, defect)
     for mat, vecs, label in ((Rk, Bk, "digit"), (Rk.T, Lk, "frequency")):
         if not residues_unique(mat, vecs):
             raise ResidueCollision(f"{label} tower loses residue distinctness")
-    return HadamardTriple(
-        pair, Lk, triple.defect, note="residue-certified; defect inherited from base"
-    )
+    note = "residue-certified; verdict and defect inherited from base"
+    return HadamardTriple(AffinePair(Rk, Bk), Lk, triple.defect, True, triple.grade, note)

@@ -11,9 +11,9 @@ matters.  Strategy:
   a window of integer translates, then snap near-misses to
   small-denominator rationals;
 * certify: for a rational candidate, produce per-translate witnesses "the
-  level-j mask factor vanishes", checked in exact arithmetic whenever the
-  digit set factors axis-by-axis (vanishing sums of roots of unity reduce to
-  cyclotomic divisibility), falling back to numerics otherwise; the point
+  level-j mask factor vanishes", a vanishing sum of roots of unity decided
+  by cyclotomic divisibility (per axis for a product digit set) and judged
+  in floats only beyond `triples.GENERAL_CAP`; the point
   steps through the levels as integer numerators over a common denominator;
 * cycle: from the refuting witness x0 the orbit of x -> R^T x (mod Z^d) is
   walked; when x0 is periodic, its orbit, certified at the witness's own
@@ -27,7 +27,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt, prod
+from math import gcd, isqrt
 from operator import mul
 
 import numpy as np
@@ -42,15 +42,15 @@ from .intlat import (
     charpoly,
     clear_denominators,
     complete_representatives,
+    cyclotomic,
     f_nullspace,
     f_rank,
     poly_divmod,
 )
 from .measure import FourierEval
-from .triples import AffinePair
+from .triples import GENERAL_CAP, AffinePair, mask_vanishes
 
 OUT_FLOOR = 1e-3  # truncated |mu_hat| above this certifies "not a zero" (numeric grade)
-NUMERIC_ZERO = 1e-12
 SCAN_TAU = 1e-7  # a confirmed scan candidate stays below this on the whole window
 SCAN_STEP = 1 / 256  # grid spacing of the scan over [0,1)^d
 SNAP_DENOMINATOR = 64  # survivors snap to rationals with at most this denominator
@@ -60,27 +60,6 @@ CYCLE_CAP = 4096  # periods with more than this many points mod Z^d are skipped
 
 # ---------------------------------------------------------------------------
 # cyclotomic helpers (integer polynomials, highest-degree coefficient first)
-
-
-@lru_cache(maxsize=None)
-def cyclotomic(q: int) -> list[int]:
-    """Phi_q as the Moebius product of the factors (x^e - 1)^mu(q/e), e | q.
-
-    mu(q/e) is nonzero only for e = q / prod(S), S a set of distinct primes
-    of q, where it is (-1)^|S|.  Each factor multiplies or exactly divides
-    in one linear pass (lowest degree first here), multiplications first.
-    """
-    primes = [p for p in range(2, q + 1) if q % p == 0 and all(p % r for r in range(2, p))]
-    subsets = itertools.chain(*(itertools.combinations(primes, k) for k in range(len(primes) + 1)))
-    p = [1]
-    for odd, e in sorted((len(S) % 2, q // prod(S)) for S in subsets):
-        if not odd:  # p (x^e - 1)
-            p = [a - b for a, b in zip([0] * e + p, p + [0] * e)]
-        else:  # p / (x^e - 1)
-            p = [-c for c in p[: len(p) - e]]
-            for i in range(e, len(p)):
-                p[i] += p[i - e]
-    return p[::-1]
 
 
 def _orders_with_totient_at_most(bound: int) -> list[int]:
@@ -149,7 +128,7 @@ class MaskZeroStructure:
 
     product: bool
     axis_orders: tuple[frozenset[int], ...] = ()
-    general_cap: int = 600
+    general_cap: int = GENERAL_CAP
 
 
 def mask_zero_structure(pair: AffinePair) -> MaskZeroStructure:
@@ -167,28 +146,13 @@ def mask_zero_test(pair: AffinePair, ms: MaskZeroStructure, v: IVec, den: int) -
     """(mask vanishes at the point v / den, grade) for integer numerators v.
 
     Grade 'exact' means a rigorous verdict.  A coordinate c / den reduces
-    mod 1 to the denominator den / gcd(c, den), and the phases <b, v> / den
-    share the reduced denominator den / gcd(den, <b, v> over b).
+    mod 1 to the denominator den / gcd(c, den); a digit set that is not a
+    product goes through the cyclotomic test of `triples.mask_vanishes`.
     """
     if ms.product:
         hit = any(den // gcd(c, den) in orders for c, orders in zip(v, ms.axis_orders))
         return hit, "exact"
-    # vanishing sum of roots of unity: reduce to divisibility by one cyclotomic
-    nums = [sum(bi * c for bi, c in zip(b, v)) for b in pair.B]
-    g = gcd(den, *nums)
-    q = den // g
-    exps = [n // g % q for n in nums]
-    if q <= ms.general_cap:
-        coeffs = [0] * q
-        for e in exps:
-            coeffs[e] += 1
-        poly = coeffs[::-1]
-        while poly[0] == 0:
-            poly.pop(0)
-        return not poly_divmod(poly, cyclotomic(q))[1], "exact"
-    # int / int is correctly rounded, as float(Fraction(e, q)) is
-    val = abs(np.exp(-2j * np.pi * np.array([e / q for e in exps])).sum()) / pair.N
-    return val < NUMERIC_ZERO, "numeric"
+    return mask_vanishes(pair.B, v, den, ms.general_cap)
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from spectral_fractal.intlat import (
     as_digit_list,
     canonical_residue,
     complete_representatives,
+    cyclotomic,
     f_identity,
     f_inverse,
     f_matvec,
@@ -25,8 +26,8 @@ from spectral_fractal.intlat import (
     poly_divmod,
 )
 from spectral_fractal.measure import FourierEval
-from spectral_fractal.triples import mask_eval, validate_triple
-from spectral_fractal.zeroset import NUMERIC_ZERO, OUT_FLOOR, ZeroCertificate, _window, cyclotomic
+from spectral_fractal.triples import NUMERIC_ZERO, digit_sums, hadamard_matrix, mask_eval, validate_triple
+from spectral_fractal.zeroset import OUT_FLOOR, ZeroCertificate, _window
 
 
 # ---------------------------------------------------------------------------
@@ -123,6 +124,15 @@ def transfer_partition_check(triple, grid) -> float:
         np.abs(_mask(digits, (x + np.array(l, dtype=float)) @ inv_t.T)) ** 2 for l in triple.L
     )
     return float(np.max(np.abs(total - 1.0)))
+
+
+def dense_tower_defect(triple, k: int) -> float:
+    """max |H*H - I| of the level-k tower's unitary, formed in full: the
+    cross-check of the tower lemma that `tower` relies on."""
+    Bk = digit_sums(triple.R, triple.B, k).tolist()
+    Lk = digit_sums(triple.R.T, triple.L, k).tolist()
+    H = hadamard_matrix(triple.R.pow(k), Bk, Lk)
+    return float(np.max(np.abs(H.conj().T @ H - np.eye(len(Bk)))))
 
 
 def search_frequency_digits_1d(R: int, B) -> list[tuple[tuple[int, ...], ...]]:

@@ -31,7 +31,6 @@ from spectral_fractal.spectra import (
     orthogonality_check,
 )
 from spectral_fractal.triples import (
-    DEFECT_TOL,
     affine_pair,
     digit_sums,
     tower,
@@ -49,13 +48,13 @@ SKEW_L = [(0, 0), (2, 0), (0, 1), (2, 1)]
 def test_c01_unitarity_and_towers(jp_triple, skew_triple):
     """Both reference systems validate with defect < 1e-12, towers to level 4."""
     t0 = time.monotonic()
-    ok, defect = validate_triple([[4]], [(0,), (2,)], [(0,), (1,)])
+    ok, _, defect = validate_triple([[4]], [(0,), (2,)], [(0,), (1,)])
     assert ok and defect < 1e-12
-    ok, defect = validate_triple(SKEW_R, SKEW_B, SKEW_L)
+    ok, _, defect = validate_triple(SKEW_R, SKEW_B, SKEW_L)
     assert ok and defect < 1e-12
     for base in (jp_triple, skew_triple):
         for k in range(2, 5):
-            assert tower(base, k).defect <= DEFECT_TOL
+            assert tower(base, k).defect <= 1e-10
     assert time.monotonic() - t0 < 1.0
 
 

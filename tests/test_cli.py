@@ -53,7 +53,7 @@ def test_load_problem_rejects_unknown_keys(tmp_path):
 def test_problem_params_keys_are_the_table_keys(tmp_path):
     # the keys a params block may hold come from cli._PARAMS; render's
     # positional `what` is not one of them
-    keys = ["budget", "cap", "depth", "limit", "n", "resolution", "seed", "strategy", "tol", "window"]
+    keys = ["budget", "cap", "depth", "limit", "n", "resolution", "seed", "strategy", "window"]
     for i, key in enumerate(keys):
         p = write_problem(tmp_path, {"R": [[4]], "B": [[0]], "params": {key: 1}}, f"k{i}.json")
         assert cli.load_problem(p)["params"] == {key: 1}
@@ -93,7 +93,8 @@ def test_validate_accepts_unitary_system(tmp_path, capsys):
     assert rep["results"]["valid"] is True
     assert rep["results"]["defect"] < 1e-12
     assert len(rep["results"]["tower_defects"]) == 3
-    assert all(d <= rep["certificates"]["defect_tol"] for d in rep["results"]["tower_defects"])
+    assert all(d == rep["results"]["defect"] for d in rep["results"]["tower_defects"])
+    assert rep["certificates"] == {"grade": "exact"}
 
 
 def test_validate_requires_frequencies(tmp_path):
@@ -104,6 +105,14 @@ def test_validate_refuses_non_unitary(tmp_path, capsys):
     p = write_problem(tmp_path, {"R": [[4]], "B": [[0], [2]], "L": [[0], [2]]})
     assert cli.main(["validate", p]) == 3
     assert read_stdout_report(capsys)["results"]["valid"] is False
+
+
+def test_validate_refuses_repeated_frequency(tmp_path, capsys):
+    # a repeated l is a non-unitary H, not an invalid input
+    p = write_problem(tmp_path, {"R": [[4]], "B": [[0], [2]], "L": [[1], [1]]})
+    assert cli.main(["validate", p]) == 3
+    rep = read_stdout_report(capsys)
+    assert rep["results"]["valid"] is False and rep["results"]["tower_defects"] == []
 
 
 # ---------------------------------------------------------------------------

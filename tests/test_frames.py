@@ -342,6 +342,23 @@ def test_frame_build_middle_third(cantor_third_pair, mt_subset2):
     assert fs.corrections  # shifts do fire for these levels
 
 
+def test_frame_build_dual_tile_is_not_a_hadamard_triple(
+    monkeypatch, cantor_third_pair, mt_subset2
+):
+    # the complete-representative dual of mt has 3 frequencies for 2 digits,
+    # so it feeds cover_constants without claiming to be validated
+    seen, cover_constants = [], frames.cover_constants
+
+    def spy(triple):
+        seen.append(triple)
+        return cover_constants(triple)
+
+    monkeypatch.setattr(frames, "cover_constants", spy)
+    frame_spectrum_build(cantor_third_pair, [mt_subset2])
+    (dual,) = seen
+    assert len(dual.L) == 3 and not dual.validated
+
+
 def test_frame_build_batched_corrections_match_per_base_loop(
     monkeypatch, cantor_third_pair, mt_subset2
 ):

@@ -28,7 +28,6 @@ OPTIONS = {
     "spectra.canonical_tree": ("cap",),
     "spectra.corrected_tree": ("cap", "evidence"),
     "spectra.orthogonality_check": ("seed",),
-    "triples.validate_triple": ("tol",),
     "triples.digit_sums": ("cap",),
     "triples.tower": ("cap",),
     "zeroset.certify_zero": ("K", "J"),

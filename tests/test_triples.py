@@ -1,13 +1,15 @@
 import itertools
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spectral_fractal.errors import CapExceeded, ResidueCollision, SizeMismatch
+from spectral_fractal.errors import CapExceeded, NotHadamard, ResidueCollision, SizeMismatch
 from spectral_fractal.intlat import IntMatrix, as_digit_list
 from spectral_fractal.triples import (
+    HadamardTriple,
     _int_rows,
     affine_pair,
     digit_sums,
@@ -18,7 +20,13 @@ from spectral_fractal.triples import (
     validate_triple,
 )
 
-from oracles import lift_digits, search_frequency_digits_1d, transfer_partition_check, u_eval
+from oracles import (
+    dense_tower_defect,
+    lift_digits,
+    search_frequency_digits_1d,
+    transfer_partition_check,
+    u_eval,
+)
 
 
 def test_jp_matrix_is_fourier_pair(jp_triple):
@@ -34,8 +42,55 @@ def test_skew_triple_validates(skew_triple):
 
 
 def test_validate_rejects_bad_frequency_set():
-    ok, defect = validate_triple([[4]], [(0,), (2,)], [(0,), (2,)])
-    assert not ok and defect > 0.5
+    ok, grade, defect = validate_triple([[4]], [(0,), (2,)], [(0,), (2,)])
+    assert not ok and grade == "exact" and defect > 0.5
+
+
+SKEW = ([[4, 0], [1, 2]], [(0, 0), (0, 3), (1, 0), (1, 3)], [(0, 0), (2, 0), (0, 1), (2, 1)])
+SWAP = ([[0, 2], [1, 0]], [(0, 0), (1, 0)], [(0, 0), (0, 1)])
+
+
+@pytest.mark.parametrize(
+    "R,B,L,want",
+    [
+        ([[4]], [0, 2], [0, 1], True),  # jp
+        ([[4]], [0, 2], [0, 3], True),  # jp3
+        (*SKEW, True),
+        ([[9]], [0, 3, 6], [0, 1, 2], True),
+        (*SWAP, True),
+        ([[2]], [0, 67], [0, 1], True),  # zero67
+        ([[4]], [0, 2], [0, 2], False),
+        ([[4]], [0, 1], [0, 1], False),
+        ([[4]], [0, 2], [1, 1], False),  # a repeated l is not an invalid input
+    ],
+)
+def test_exact_verdicts(R, B, L, want):
+    ok, grade, defect = validate_triple(R, B, L)
+    assert (ok, grade) == (want, "exact")
+    assert (defect < 1e-12) == want
+    t = hadamard_triple(R, B, L)
+    assert (t.validated, t.grade) == (want, "exact")
+
+
+def test_verdict_beyond_the_cap_is_numeric():
+    # the reduced order 1201 is beyond GENERAL_CAP, so floats decide
+    assert validate_triple([[1201]], [0, 1], [0, 1])[:2] == (False, "numeric")
+
+
+def test_verdict_skips_the_mask_structure_of_l():
+    # the 1D product structure of {0, 30001} would factor Phi_q for every
+    # q with phi(q) <= 30001; the verdict only needs q | det R
+    t0 = time.perf_counter()
+    t = hadamard_triple([[4]], [0, 2], [0, 30001])
+    assert time.perf_counter() - t0 < 0.01
+    assert (t.validated, t.grade) == (True, "exact")
+
+
+def test_hand_built_triple_is_not_validated(jp_triple):
+    t = HadamardTriple(jp_triple.pair, jp_triple.L, 0.0)
+    assert not t.validated
+    with pytest.raises(NotHadamard):
+        tower(t, 2)
 
 
 def test_validate_rejects_size_mismatch():
@@ -142,6 +197,22 @@ def test_tower_skew(skew_triple):
         assert tk.validated, f"tower level {k} defect {tk.defect}"
 
 
+def test_tower_inherits_the_base_verdict(skew_triple):
+    t0 = time.perf_counter()
+    t6 = tower(skew_triple, 6)
+    assert time.perf_counter() - t0 < 0.5
+    assert len(t6.B) == 4096 and "residue" in t6.note
+    assert (t6.validated, t6.grade, t6.defect) == (True, "exact", skew_triple.defect)
+
+
+@pytest.mark.parametrize("name,kmax", [("jp", 8), ("skew", 4)])
+def test_dense_towers_are_unitary(request, name, kmax):
+    # the tower lemma, cross-checked on the full unitary of each level
+    base = request.getfixturevalue(f"{name}_triple")
+    for k in range(1, kmax + 1):
+        assert dense_tower_defect(base, k) <= 1e-10
+
+
 def test_partition_of_unity(jp_triple, skew_triple, lebesgue_triple):
     grid1 = np.linspace(-2, 2, 41)
     assert transfer_partition_check(jp_triple, grid1) < 1e-12
@@ -152,8 +223,6 @@ def test_partition_of_unity(jp_triple, skew_triple, lebesgue_triple):
 
 def test_partition_fails_for_broken_frequency_set(jp_triple):
     # assemble an unvalidated triple by hand: L = {0, 2} breaks the partition
-    from spectral_fractal.triples import HadamardTriple
-
     bad = HadamardTriple(jp_triple.pair, ((0,), (2,)), defect=1.0)
     assert transfer_partition_check(bad, np.linspace(0, 1, 17)) > 1e-3
 
@@ -162,7 +231,7 @@ def test_lift_preserves_residues(jp_triple):
     J = [(0,), (1,), (4,), (5,)]
     lifted = lift_digits(J, jp_triple.R, 2, [(0,), (1,), (0,), (-1,)])
     assert lifted == ((0,), (17,), (4,), (-11,))
-    ok, defect = validate_triple([[16]], [(0,), (2,), (8,), (10,)], lifted)
+    ok, _, defect = validate_triple([[16]], [(0,), (2,), (8,), (10,)], lifted)
     assert ok, f"lifted set lost unitarity: {defect}"
 
 

@@ -7,14 +7,13 @@ import numpy as np
 import pytest
 
 from spectral_fractal.errors import CycleNotFound, DimensionUnsupported
-from spectral_fractal.intlat import IntMatrix
+from spectral_fractal.intlat import IntMatrix, cyclotomic, f_matvec
 from spectral_fractal.measure import FourierEval
 from spectral_fractal.triples import affine_pair
 from spectral_fractal.zeroset import (
     EmptinessEvidence,
     ZeroCertificate,
     certify_zero,
-    cyclotomic,
     find_invariant_cycle,
     gcd_fast_path_1d,
     mask_zero_structure,
@@ -404,7 +403,7 @@ def test_periodic_points_of_the_skew_matrix(skew_triple):
     Rt = skew_triple.pair.R.T.pow(2)
     for den, num in zip(L.tolist(), a.tolist()):
         x = tuple(F(c, den) for c in num)
-        assert all((y - c).denominator == 1 for y, c in zip(Rt.matvec_frac(x), x))
+        assert all((y - c).denominator == 1 for y, c in zip(f_matvec(Rt.to_fractions(), x), x))
     assert [m for m, L, _ in _periodic_points(skew_triple.pair, 6, 4096) if L is None] == [5, 6]
 
 
