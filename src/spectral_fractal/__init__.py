@@ -5,13 +5,10 @@ __version__ = "0.1.0"
 from . import errors
 from .frames import (
     FrameReport,
-    FrameSpectrum,
-    concatenated_bounds,
     frame_matrix_bounds,
-    frame_spectrum_build,
-    parseval_defect,
     residues_distinct,
     select_subset,
+    tower_frame,
 )
 from .intlat import (
     IntMatrix,
@@ -27,7 +24,6 @@ from .measure import (
     attractor_box,
     discrete_approximant,
     render_attractor,
-    step_moment,
 )
 from .quasiprod import SpectrumReport, full_spectrum, report_frequencies
 from .spectra import (
@@ -64,7 +60,6 @@ __all__ = [
     "EmptinessEvidence",
     "FourierEval",
     "FrameReport",
-    "FrameSpectrum",
     "HadamardTriple",
     "IntMatrix",
     "Lattice",
@@ -77,18 +72,15 @@ __all__ = [
     "canonical_tree",
     "completeness_partial",
     "complete_representatives",
-    "concatenated_bounds",
     "corrected_tree",
     "cover_constants",
     "certify_zero",
     "digit_sums",
     "discrete_approximant",
     "frame_matrix_bounds",
-    "frame_spectrum_build",
     "full_spectrum",
     "hadamard_triple",
     "orthogonality_check",
-    "parseval_defect",
     "reduce_to_full",
     "render_attractor",
     "replay_certificate",
@@ -97,8 +89,8 @@ __all__ = [
     "scan_zero_set",
     "select_subset",
     "smallest_invariant_lattice",
-    "step_moment",
     "tower",
+    "tower_frame",
     "validate_triple",
     "zero_set_empty_evidence",
 ]

@@ -33,7 +33,6 @@ from .errors import (
     CapExceeded,
     CycleNotFound,
     DimensionUnsupported,
-    EpsilonTooLarge,
     GammaFullOrTrivial,
     InconsistentDecomposition,
     InvalidInput,
@@ -49,7 +48,7 @@ from .errors import (
     Undecided,
     ZeroSetNonEmpty,
 )
-from .frames import residues_distinct, select_subset
+from .frames import residues_distinct, select_subset, tower_frame
 from .intlat import reduce_to_full
 from .measure import FourierEval, mu_hat_field, render_attractor, render_field, write_pgm
 from .quasiprod import full_spectrum, report_frequencies
@@ -69,7 +68,6 @@ _REFUSALS = (
     NotHadamard,
     ZeroSetNonEmpty,
     SimpleDigitsRequired,
-    EpsilonTooLarge,
     ResidueCollision,
     RankDeficient,
 )
@@ -298,17 +296,18 @@ def run_zeroset(problem: dict, params: dict):
 
 
 def run_frames(problem: dict, params: dict):
+    """A triple takes its exact tower rows; a bare pair takes the search."""
     n = int(params["n"])
     if n < 0:
         raise InvalidInput("frame level n must be >= 0")
-    pair = _pair(problem)
-    rep = select_subset(
-        pair,
-        n,
-        strategy=str(params["strategy"]),
-        seed=int(params["seed"]),
-        budget=int(params["budget"]),
-    )
+    if "L" in problem:
+        triple = _triple(problem)
+        pair, rep = triple.pair, tower_frame(triple, n)
+        certificates = {"grade": triple.grade}
+    else:
+        pair = _pair(problem)
+        rep = select_subset(pair, n, seed=int(params["seed"]), budget=int(params["budget"]))
+        certificates = {}
     results = {
         "n": rep.n,
         "J": _enc_rows(rep.J_n),
@@ -320,7 +319,7 @@ def run_frames(problem: dict, params: dict):
         "seed": rep.seed,
         "residues_distinct": bool(residues_distinct(pair.R, rep.J_n, n)) if n else True,
     }
-    return results, {}, EXIT_OK
+    return results, certificates, EXIT_OK
 
 
 def run_quasiprod(problem: dict, params: dict):
@@ -579,7 +578,6 @@ _PARAMS = {
         ("n", "--depth", "n", 1, int),
         ("seed", "--seed", "seed", 0, int),
         ("budget", None, "budget", 4, int),
-        ("strategy", None, "strategy", "leverage-swap", str),
     ),
     "reduce": (),
     "render": (
@@ -621,7 +619,7 @@ def make_parser() -> argparse.ArgumentParser:
         ("validate", "decide (R, B, L) exactly; its towers inherit the verdict"),
         ("spectrum", "decide spectrality and emit a frequency list"),
         ("zeroset", "scan and certify the periodic zero set"),
-        ("frames", "select frame frequency subsets and measure their bounds"),
+        ("frames", "level-n frame rows: exact tower rows of a triple, else a subset search"),
         ("quasiprod", "split a non-orthonormal system into a product spectrum"),
         ("reduce", "normalize the digit system onto its invariant lattice"),
     ):

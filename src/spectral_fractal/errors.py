@@ -86,10 +86,6 @@ class NoBetaAccepted(SpectralFractalError):
     """No candidate lattice density passed the quadrature sweep."""
 
 
-class EpsilonTooLarge(SpectralFractalError):
-    """A level deviation is >= 1, so product bounds degenerate."""
-
-
 class DimensionUnsupported(SpectralFractalError):
     """The operation is only implemented for low dimensions."""
 

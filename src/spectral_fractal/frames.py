@@ -5,45 +5,35 @@ columns by expanded digits b (level-n digit sums), entries
 (1/sqrt(N^n)) exp(-2 pi i <R^{-n} b, lambda>).  Frequency towers of a
 unitary digit/frequency pairing make F_n unitary; complete representative
 rows make it a tight frame with bound (|det R|/N)^n; general subsets give
-two-sided bounds read off the extreme squared singular values.  This
-module computes those bounds from the Gram matrix of the shorter side,
-selects well-conditioned frequency subsets (swap descent bounds every
-candidate from one eigendecomposition per position and judges only the
-possible winners exactly), multiplies per-level bounds into concatenated
-ones, measures Parseval defects on random step functions, and assembles
-frame spectra level by level with the same shift-correction machinery
-used for orthonormal towers.
+two-sided bounds read off the extreme squared singular values.
+
+The `frames` command gives one answer per kind of input.  A Hadamard triple takes its
+level-n tower rows L_n (`tower_frame`): by the tower lemma they are exactly
+Parseval, so the triple's exact verdict certifies the bounds (1, 1) and no
+Gram is formed.  A bare digit system has no such rows, and `select_subset`
+searches the complete representatives of (R^T)^n for a well-conditioned
+subset: swap descent bounds every candidate from one eigendecomposition per
+position and judges only the possible winners exactly.  Bounds are
+measured from the Gram matrix of the shorter side.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
-from .errors import (
-    CapExceeded,
-    EpsilonTooLarge,
-    InvalidInput,
-    ResidueCollision,
-    SimpleDigitsRequired,
-)
+from .errors import CapExceeded, InvalidInput, ResidueCollision
 from .intlat import (
     IntMatrix,
     IVec,
     as_digit_list,
     character_phases,
     complete_representatives,
-    inverse_image,
-    is_simple_digit_set,
     residues_unique,
 )
-from .measure import FourierEval
-from .spectra import _corrected_level, _require_empty, cover_constants
-from .triples import AffinePair, HadamardTriple, digit_sums
-from .zeroset import EmptinessEvidence
+from .triples import AffinePair, HadamardTriple, digit_sums, tower
 
 __all__ = [
     "frame_matrix",
@@ -51,11 +41,7 @@ __all__ = [
     "residues_distinct",
     "FrameReport",
     "select_subset",
-    "concatenated_bounds",
-    "ParsevalStats",
-    "parseval_defect",
-    "FrameSpectrum",
-    "frame_spectrum_build",
+    "tower_frame",
 ]
 
 
@@ -138,8 +124,8 @@ class FrameReport:
     sigma_min_sq: float
     sigma_max_sq: float
     ratio: float
-    strategy: str
-    seed: int
+    strategy: str  # "tower" or "leverage-swap": the path that chose J_n
+    seed: int | None  # None on the tower path, which draws nothing
 
     @property
     def epsilon(self) -> float:
@@ -252,51 +238,41 @@ def _first_improving_swap(F: np.ndarray, current: list[int], ratio: float, sq: n
 def select_subset(
     pair: AffinePair,
     n: int,
-    strategy: str = "leverage-swap",
     seed: int = 0,
     budget: int = 4,
     cap: int = 4096,
 ) -> FrameReport:
     """Pick N^n frequency rows from the complete representatives of (R^T)^n.
 
-    "leverage-swap": each of ``budget`` seeded restarts draws an initial
-    subset by row-leverage sampling and runs first-improvement swap descent
-    on the bound ratio; the best subset over all restarts is kept, so the
-    result can only improve as the budget grows.  Each descent step bounds
-    every candidate swap from below (`_ratio_floors`) and judges only those
-    that could beat the current ratio with `eigvalsh`, in the same order, so
-    the path is the one full scoring takes.  "exhaustive" scores every
-    subset (small candidate sets only).  Subsets are scored on row slices of
-    the one candidate matrix; only the winner is measured by
-    `frame_matrix_bounds`.  Deterministic for a fixed seed.
+    Each of ``budget`` seeded restarts draws an initial subset by
+    row-leverage sampling and runs first-improvement swap descent on the
+    bound ratio; the best subset over all restarts is kept, so the result
+    can only improve as the budget grows.  Each descent step bounds every
+    candidate swap from below (`_ratio_floors`) and judges only those that
+    could beat the current ratio with `eigvalsh`, in the same order, so the
+    path is the one full scoring takes.  Subsets are scored on row slices
+    of the one candidate matrix; only the winner is measured by
+    `frame_matrix_bounds`.  Deterministic for a fixed seed >= 0.
     """
+    if seed < 0:
+        raise InvalidInput(f"seed must be >= 0, got {seed}")
+    if budget < 1:
+        raise InvalidInput(f"budget must be >= 1, got {budget}")
     Nn = pair.N**n
     if Nn > cap:
         raise CapExceeded("subset target size", Nn, cap)
+    strategy = "leverage-swap"
     cands = sorted(complete_representatives(pair.R.T.pow(n)))
     if Nn >= len(cands):
         return _measured_report(pair, n, cands, strategy, seed)
-    if strategy not in ("exhaustive", "leverage-swap"):
-        raise InvalidInput(f"unknown strategy {strategy!r}")
 
     F = frame_matrix(pair, n, cands)
     best = None  # (ratio, sorted candidate indices)
-    if strategy == "exhaustive":
-        total = math.comb(len(cands), Nn)
-        if total > 2 * 10**4:
-            raise CapExceeded("exhaustive subsets", total, 2 * 10**4)
-        for sub in combinations(range(len(cands)), Nn):
-            P = F[list(sub)]
-            r = float(_ratios(P @ P.conj().T))
-            if best is None or r < best[0] - 1e-12:
-                best = (r, list(sub))
-        return _measured_report(pair, n, [cands[i] for i in best[1]], strategy, seed)
-
     U, _, _ = np.linalg.svd(F, full_matrices=False)
     leverage = np.maximum((np.abs(U) ** 2).sum(axis=1), 1e-12)
     probs = leverage / leverage.sum()
     sq = np.einsum("ij,ij->i", F, F.conj()).real
-    for restart in range(max(1, budget)):
+    for restart in range(budget):
         rng = np.random.default_rng((seed, restart))
         current = sorted(rng.choice(len(cands), size=Nn, replace=False, p=probs).tolist())
         P = F[current]
@@ -311,173 +287,19 @@ def select_subset(
     return _measured_report(pair, n, [cands[i] for i in best[1]], strategy, seed)
 
 
-# ---------------------------------------------------------------------------
-# concatenation
+def tower_frame(triple: HadamardTriple, n: int) -> FrameReport:
+    """The sorted level-n tower rows L_n of a validated triple, bounds (1, 1).
 
-
-def _epsilons(reports) -> list[float]:
-    eps = []
-    for rep in reports:
-        e = rep.epsilon
-        if e >= 1.0:
-            raise EpsilonTooLarge(
-                f"level n={rep.n} deviation {e:.3g} >= 1; no two-sided bound survives"
-            )
-        eps.append(e)
-    return eps
-
-
-def concatenated_bounds(reports) -> tuple[float, float]:
-    """Products prod(1 - eps_j), prod(1 + eps_j) over the level reports."""
-    eps = _epsilons(reports)
-    c = 1.0
-    C = 1.0
-    for e in eps:
-        c *= 1.0 - e
-        C *= 1.0 + e
-    return c, C
-
-
-# ---------------------------------------------------------------------------
-# Parseval defect on step functions
-
-
-@dataclass(frozen=True)
-class ParsevalStats:
-    """Ratios sum_lam |<f, e_lam>|^2 / ||f||^2 over sampled step functions."""
-
-    m: int
-    lam_count: int
-    trials: int
-    minimum: float
-    maximum: float
-    mean: float
-    ratios: tuple[float, ...]
-
-
-def parseval_defect(
-    pair: AffinePair,
-    lam,
-    m: int,
-    trials: int = 50,
-    seed: int = 0,
-    cap: int = 2**20,
-) -> ParsevalStats:
-    """Energy ratios of random level-m step functions against frequencies lam.
-
-    Moments use the exact cylinder formula: the transform of a level-m step
-    function with weights w is (1/N^m) mu_hat((R^T)^{-m} xi) times the digit
-    character sum, valid when cylinders do not overlap.  The first trial is
-    the constant function, the rest draw complex Gaussian weights.
+    By the tower lemma (R^n, B_n, L_n) is a Hadamard triple, so the level-n
+    matrix on the rows L_n is unitary: the triple's exact verdict certifies
+    sigma_min^2 = sigma_max^2 = 1, and no Gram is formed.  An unvalidated
+    triple raises NotHadamard.  More than GRAM_SIDE rows raise CapExceeded,
+    as `select_subset` caps its target size, so `frame_matrix_bounds` can
+    still measure every J reported here.
     """
-    if not is_simple_digit_set(pair.R, pair.B):
-        raise SimpleDigitsRequired("digits collide modulo R; cylinders overlap")
-    freqs = as_digit_list(lam)
-    if not freqs:
-        raise InvalidInput("need at least one frequency")
-    Nm = pair.N**m
-    if Nm * len(freqs) > cap:
-        raise CapExceeded("step moments", Nm * len(freqs), cap)
-    ev = FourierEval(pair)
-    Rm = pair.R.pow(m)
-    sums = digit_sums(pair.R, pair.B, m, cap=cap)
-    mu = np.atleast_1d(ev.mu_hat(inverse_image(Rm.T, freqs)))
-    phases = _characters(Rm, freqs, sums).T
-    scale = 1.0 / Nm
-    rng = np.random.default_rng(seed)
-    ratios = []
-    for t in range(trials):
-        if t == 0:
-            w = np.ones(Nm, dtype=complex)
-        else:
-            w = rng.standard_normal(Nm) + 1j * rng.standard_normal(Nm)
-        norm_sq = scale * float(np.sum(np.abs(w) ** 2))
-        vals = scale * mu * (w @ phases)
-        ratios.append(float(np.sum(np.abs(vals) ** 2)) / norm_sq)
-    rt = tuple(ratios)
-    return ParsevalStats(m, len(freqs), trials, min(rt), max(rt), float(np.mean(rt)), rt)
-
-
-# ---------------------------------------------------------------------------
-# frame spectrum assembly
-
-
-@dataclass(frozen=True)
-class FrameSpectrum:
-    """A concatenated, shift-corrected frame frequency set with bounds."""
-
-    pair: AffinePair
-    reports: tuple[FrameReport, ...]
-    exponents: tuple[int, ...]
-    blocks: tuple[tuple[IVec, ...], ...]
-    corrections: tuple[tuple[int, IVec, IVec], ...]
-    points: tuple[IVec, ...]
-    lower: float
-    upper: float
-    grade: str  # "certified" | "measured"
-    evidence: EmptinessEvidence
-    note: str = ""
-
-
-def frame_spectrum_build(
-    pair: AffinePair,
-    reports,
-    evidence: EmptinessEvidence | None = None,
-    cap: int = 2**16,
-) -> FrameSpectrum:
-    """Concatenate per-level frequency sets into a corrected frame spectrum.
-
-    Levels stack exactly like the orthonormal tower: level k contributes
-    lambda + (R^T)^{m_{k-1}} j over the report's J set (when 0 is in J the
-    old points persist and only the others are new), and each new point may
-    be shifted by (R^T)^{m_k} kappa toward a position where |mu_hat|^2
-    clears the cover threshold.  The cover certificate is built over the
-    complete-representative dual tile, so it applies whether or not the
-    digit set carries a unitary frequency pairing.  Requires the periodic
-    zero set empty; returned bounds are
-    (prod(1 - eps_j) * delta_hat, prod(1 + eps_j)), the delta_hat factor
-    warranted because every new point clears delta_hat after correction.
-    """
-    reports = tuple(reports)
-    if not reports:
-        raise InvalidInput("need at least one level report")
-    c_prod, C_prod = concatenated_bounds(reports)
-    evidence = _require_empty(pair, evidence)
-    d = pair.d
-    Rt = pair.R.T
-    lbar = tuple(tuple(v) for v in complete_representatives(Rt))
-    dual = HadamardTriple(pair, lbar, 0.0, note="complete-representative dual tile")
-    cover = cover_constants(dual)
-    ev = FourierEval(pair)
-
-    zero = (0,) * d
-    exps = [0]
-    blocks: list[tuple[IVec, ...]] = [(zero,)]
-    corr_log: list[tuple[int, IVec, IVec]] = []
-    current: list[IVec] = [zero]
-    m = 0
-    for k, rep in enumerate(reports, start=1):
-        jset = [tuple(j) for j in rep.J_n]
-        if len(current) * len(jset) > cap:
-            raise CapExceeded("frame spectrum size", len(current) * len(jset), cap)
-        fresh, fixes = _corrected_level(ev, cover, current, jset, m, m + rep.n, k)
-        m += rep.n
-        corr_log.extend(fixes)
-        current = current + fresh if zero in jset else fresh
-        if len(set(current)) != len(current):
-            raise InvalidInput("level points collide; reports are inconsistent")
-        blocks.append(tuple(fresh))
-        exps.append(m)
-    grade = "certified" if all(rep.epsilon <= 1e-10 for rep in reports) else "measured"
-    return FrameSpectrum(
-        pair,
-        reports,
-        tuple(exps),
-        tuple(blocks),
-        tuple(corr_log),
-        tuple(current),
-        float(c_prod * cover.delta_hat),
-        float(C_prod),
-        grade,
-        evidence,
-    )
+    triple.require_validated()
+    if triple.N**n > GRAM_SIDE:
+        raise CapExceeded("tower frame rows", triple.N**n, GRAM_SIDE)
+    # level 0 is the single row 0, and has no tower system (R^0 is not expansive)
+    rows = tuple(sorted(tower(triple, n).L)) if n else ((0,) * triple.pair.d,)
+    return FrameReport(n, rows, 1.0, 1.0, 1.0, "tower", None)

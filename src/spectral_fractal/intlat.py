@@ -412,10 +412,6 @@ class Lattice:
             canon = [tuple(x // g for x in c) for c in canon]
         return Lattice(dim, tuple(canon), den)
 
-    @staticmethod
-    def standard(dim: int) -> "Lattice":
-        return Lattice.from_columns(dim, IntMatrix.identity(dim).T.rows)
-
     @property
     def rank(self) -> int:
         return len(self.cols)

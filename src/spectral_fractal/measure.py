@@ -39,9 +39,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import CapExceeded, InvalidInput, SimpleDigitsRequired, SizeMismatch
-from .intlat import adjugate, inverse_image, is_simple_digit_set
-from .triples import AffinePair, _xi_grid, digit_sums, mask_eval
+from .errors import CapExceeded, InvalidInput, SizeMismatch
+from .intlat import adjugate, is_simple_digit_set
+from .triples import AffinePair, _xi_grid, mask_eval
 
 ETA = 1e-4  # sup norm the remaining argument must reach
 TAIL_TOL = 1e-9  # bound on what the dropped factors may still move
@@ -270,34 +270,6 @@ def attractor_box(pair: AffinePair) -> tuple[np.ndarray, np.ndarray]:
             hi += tail
             return lo, hi
     raise InvalidInput("attractor box failed to converge")
-
-
-def step_moment(pair: AffinePair, n: int, w, xi) -> tuple[float, complex]:
-    """L2 norm^2 and transform value of a level-n step function.
-
-    The function takes value w_b on the cylinder of the expanded digit b (in
-    `digit_sums` order).  Undefined when digits collide modulo R, hence the
-    simplicity requirement.
-    """
-    if not is_simple_digit_set(pair.R, pair.B):
-        raise SimpleDigitsRequired("digits collide modulo R; cylinders overlap")
-    sums = digit_sums(pair.R, pair.B, n)
-    wv = np.asarray(w, dtype=complex)
-    if wv.shape != (len(sums),):
-        raise SizeMismatch(f"need one weight per level-{n} digit ({len(sums)})")
-    scale = 1.0 / pair.N**n
-    norm_sq = float(scale * np.sum(np.abs(wv) ** 2))
-    ev = FourierEval(pair)
-    arr, _ = _xi_grid(pair.d, xi)
-    if arr.shape[0] != 1:
-        raise SizeMismatch("step_moment evaluates one frequency at a time")
-    z = arr
-    for _ in range(n):
-        z = z @ ev._Rinv
-    phases = inverse_image(pair.R.pow(n), sums) @ arr[0]
-    coeff = complex(np.sum(wv * np.exp(-2j * np.pi * phases)))
-    value = scale * complex(ev.mu_hat(z[0])) * coeff
-    return norm_sq, value
 
 
 # ---------------------------------------------------------------------------

@@ -166,7 +166,7 @@ def cover_constants(triple: HadamardTriple) -> CoverConstants:
 
 
 def _require_empty(pair: AffinePair, evidence: EmptinessEvidence | None) -> EmptinessEvidence:
-    """The zero-set gate of both constructions: refuted evidence raises
+    """The zero-set gate of `corrected_tree`: refuted evidence raises
     ZeroSetNonEmpty with its witness, any other non-empty verdict Undecided."""
     if evidence is None:
         evidence = zero_set_empty_evidence(pair)
@@ -186,7 +186,8 @@ def _corrected_level(
     m_new: int,
     k: int,
 ) -> tuple[list[IVec], list[tuple[int, IVec, IVec]]]:
-    """New points of level k, shift-corrected against the cover certificate.
+    """New points of level k of `corrected_tree`, shift-corrected against
+    the cover certificate.
 
     Bases are lambda + (R^T)^m_prev j over lambda in `current` and nonzero j
     in J.  A base whose |mu_hat((R^T)^-m_new base)|^2 misses m_cover is

@@ -240,8 +240,8 @@ def tower(triple: HadamardTriple, k: int, cap: int = 2**20) -> HadamardTriple:
     verdict, grade and defect; the exact residue distinctness of B_k modulo
     R^k and of L_k modulo (R^k)^T is checked (see `note`).
     """
-    if k < 0:
-        raise InvalidInput("tower level must be nonnegative")
+    if k < 1:
+        raise InvalidInput("tower level must be >= 1; level 0 has the identity matrix")
     triple.require_validated()
     Rk = triple.R.pow(k)
     Bk = _int_rows(digit_sums(triple.R, triple.B, k, cap))

@@ -4,13 +4,20 @@ package against.  None of them is called by the package itself."""
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
 import numpy as np
 
-from spectral_fractal.errors import NoShiftFound, RankDeficient, ResidueCollision, SizeMismatch
-from spectral_fractal.frames import _ratios, frame_matrix_bounds
+from spectral_fractal.errors import (
+    NoShiftFound,
+    RankDeficient,
+    ResidueCollision,
+    SimpleDigitsRequired,
+    SizeMismatch,
+)
+from spectral_fractal.frames import _characters, _measured_report, _ratios, frame_matrix
 from spectral_fractal.intlat import (
     ConjugationRecord,
     IntMatrix,
@@ -23,10 +30,19 @@ from spectral_fractal.intlat import (
     f_inverse,
     f_matvec,
     f_transpose,
+    inverse_image,
+    is_simple_digit_set,
     poly_divmod,
 )
 from spectral_fractal.measure import FourierEval
-from spectral_fractal.triples import NUMERIC_ZERO, digit_sums, hadamard_matrix, mask_eval, validate_triple
+from spectral_fractal.triples import (
+    NUMERIC_ZERO,
+    _xi_grid,
+    digit_sums,
+    hadamard_matrix,
+    mask_eval,
+    validate_triple,
+)
 from spectral_fractal.zeroset import OUT_FLOOR, ZeroCertificate, _window
 
 
@@ -289,23 +305,92 @@ def fraction_certify_zero(pair, ms, xi0, K: int, J: int = 30) -> ZeroCertificate
 # frames
 
 
-def stacked_frequencies(Rt: IntMatrix, reports) -> list[tuple[int, ...]]:
-    """lambda_1 + (R^T)^{n_1} lambda_2 + ... over the level J sets."""
-    lams = [(0,) * Rt.d]
-    m = 0
-    for rep in reports:
-        P = Rt.pow(m)
-        lams = [tuple(a + b for a, b in zip(lam, P.matvec(j))) for lam in lams for j in rep.J_n]
-        m += rep.n
-    return lams
+def exhaustive_subset(pair, n: int):
+    """The best-ratio N^n rows among the complete representatives of
+    (R^T)^n, every subset scored: the reference optimum for
+    `select_subset`'s descent (small candidate sets only)."""
+    Nn = pair.N**n
+    cands = sorted(complete_representatives(pair.R.T.pow(n)))
+    F = frame_matrix(pair, n, cands)
+    best = None  # (ratio, candidate indices)
+    for sub in itertools.combinations(range(len(cands)), Nn):
+        P = F[list(sub)]
+        r = float(_ratios(P @ P.conj().T))
+        if best is None or r < best[0] - 1e-12:
+            best = (r, list(sub))
+    return _measured_report(pair, n, [cands[i] for i in best[1]], "exhaustive", 0)
 
 
-def concatenated_sigma(pair, reports) -> tuple[float, float]:
-    """Squared singular values of the concatenated-level matrix: stacked
-    frequencies against total-level digits, whose bounds the per-level
-    products control."""
-    total = sum(rep.n for rep in reports)
-    return frame_matrix_bounds(pair, total, stacked_frequencies(pair.R.T, reports))
+@dataclass(frozen=True)
+class ParsevalStats:
+    """Ratios sum_lam |<f, e_lam>|^2 / ||f||^2 over sampled step functions."""
+
+    m: int
+    lam_count: int
+    trials: int
+    minimum: float
+    maximum: float
+    mean: float
+    ratios: tuple[float, ...]
+
+
+def parseval_defect(pair, lam, m: int, trials: int = 50, seed: int = 0) -> ParsevalStats:
+    """Energy ratios of random level-m step functions against frequencies lam.
+
+    Moments use the exact cylinder formula: the transform of a level-m step
+    function with weights w is (1/N^m) mu_hat((R^T)^{-m} xi) times the digit
+    character sum, valid when cylinders do not overlap.  The first trial is
+    the constant function, the rest draw complex Gaussian weights.
+    """
+    if not is_simple_digit_set(pair.R, pair.B):
+        raise SimpleDigitsRequired("digits collide modulo R; cylinders overlap")
+    freqs = as_digit_list(lam)
+    Nm = pair.N**m
+    Rm = pair.R.pow(m)
+    sums = digit_sums(pair.R, pair.B, m)
+    mu = np.atleast_1d(FourierEval(pair).mu_hat(inverse_image(Rm.T, freqs)))
+    phases = _characters(Rm, freqs, sums).T
+    scale = 1.0 / Nm
+    rng = np.random.default_rng(seed)
+    ratios = []
+    for t in range(trials):
+        if t == 0:
+            w = np.ones(Nm, dtype=complex)
+        else:
+            w = rng.standard_normal(Nm) + 1j * rng.standard_normal(Nm)
+        norm_sq = scale * float(np.sum(np.abs(w) ** 2))
+        vals = scale * mu * (w @ phases)
+        ratios.append(float(np.sum(np.abs(vals) ** 2)) / norm_sq)
+    rt = tuple(ratios)
+    return ParsevalStats(m, len(freqs), trials, min(rt), max(rt), float(np.mean(rt)), rt)
+
+
+def step_moment(pair, n: int, w, xi) -> tuple[float, complex]:
+    """L2 norm^2 and transform value of a level-n step function.
+
+    The function takes value w_b on the cylinder of the expanded digit b (in
+    `digit_sums` order).  Undefined when digits collide modulo R, hence the
+    simplicity requirement.
+    """
+    if not is_simple_digit_set(pair.R, pair.B):
+        raise SimpleDigitsRequired("digits collide modulo R; cylinders overlap")
+    sums = digit_sums(pair.R, pair.B, n)
+    wv = np.asarray(w, dtype=complex)
+    if wv.shape != (len(sums),):
+        raise SizeMismatch(f"need one weight per level-{n} digit ({len(sums)})")
+    scale = 1.0 / pair.N**n
+    norm_sq = float(scale * np.sum(np.abs(wv) ** 2))
+    ev = FourierEval(pair)
+    arr, _ = _xi_grid(pair.d, xi)
+    if arr.shape[0] != 1:
+        raise SizeMismatch("step_moment evaluates one frequency at a time")
+    z = arr
+    for _ in range(n):
+        z = z @ ev._Rinv
+    phases = inverse_image(pair.R.pow(n), sums) @ arr[0]
+    coeff = complex(np.sum(wv * np.exp(-2j * np.pi * phases)))
+    value = scale * complex(ev.mu_hat(z[0])) * coeff
+    return norm_sq, value
 
 
 def first_improving_swap_dense(F: np.ndarray, current: list[int], ratio: float, sq: np.ndarray):

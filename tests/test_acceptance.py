@@ -10,12 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from spectral_fractal.frames import (
-    frame_matrix_bounds,
-    parseval_defect,
-    residues_distinct,
-    select_subset,
-)
+from spectral_fractal.frames import frame_matrix_bounds, residues_distinct, select_subset
 from spectral_fractal.intlat import (
     Lattice,
     complete_representatives,
@@ -38,7 +33,7 @@ from spectral_fractal.triples import (
 )
 from spectral_fractal.zeroset import certify_zero, zero_set_empty_evidence
 
-from oracles import lattice_eq
+from oracles import exhaustive_subset, lattice_eq, parseval_defect
 
 SKEW_R = [[4, 0], [1, 2]]
 SKEW_B = [(0, 0), (0, 3), (1, 0), (1, 3)]
@@ -169,18 +164,18 @@ def test_c10_subset_selection_quality(cantor_third_pair):
     t0 = time.monotonic()
     pair = cantor_third_pair
     reports = []
-    ex = select_subset(pair, 1, strategy="exhaustive")
-    heu = select_subset(pair, 1, strategy="leverage-swap")
+    ex = exhaustive_subset(pair, 1)
+    heu = select_subset(pair, 1)
     assert heu.ratio == pytest.approx(ex.ratio, abs=1e-9)
     reports += [ex, heu]
     prev = None
     for budget in (1, 2, 4, 8):
-        rep = select_subset(pair, 2, strategy="leverage-swap", seed=0, budget=budget)
+        rep = select_subset(pair, 2, seed=0, budget=budget)
         if prev is not None:
             assert rep.ratio <= prev + 1e-12
         prev = rep.ratio
         reports.append(rep)
-    reports.append(select_subset(pair, 3, strategy="leverage-swap"))
+    reports.append(select_subset(pair, 3))
     for rep in reports:
         if rep.sigma_max_sq < 2 - 1e-9:
             assert residues_distinct(pair.R, rep.J_n, rep.n)

@@ -2,6 +2,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -53,7 +54,7 @@ def test_load_problem_rejects_unknown_keys(tmp_path):
 def test_problem_params_keys_are_the_table_keys(tmp_path):
     # the keys a params block may hold come from cli._PARAMS; render's
     # positional `what` is not one of them
-    keys = ["budget", "cap", "depth", "limit", "n", "resolution", "seed", "strategy", "window"]
+    keys = ["budget", "cap", "depth", "limit", "n", "resolution", "seed", "window"]
     for i, key in enumerate(keys):
         p = write_problem(tmp_path, {"R": [[4]], "B": [[0]], "params": {key: 1}}, f"k{i}.json")
         assert cli.load_problem(p)["params"] == {key: 1}
@@ -239,11 +240,59 @@ def test_frames_report_csv_and_verify(tmp_path):
 
 
 def test_frames_flag_beats_problem_params(tmp_path, capsys):
-    p = write_problem(tmp_path, {**MT, "params": {"n": 1, "strategy": "exhaustive"}})
+    p = write_problem(tmp_path, {**MT, "params": {"n": 1, "budget": 2}})
     assert cli.main(["frames", p, "--depth", "2"]) == 0
     rep = read_stdout_report(capsys)
-    assert rep["params"]["n"] == 2
-    assert rep["params"]["strategy"] == "exhaustive"
+    assert rep["params"] == {"n": 2, "seed": 0, "budget": 2}
+
+
+def test_frames_params_strategy_is_an_unknown_key(tmp_path, capsys):
+    # the search has one strategy; naming one is no longer an input
+    p = write_problem(tmp_path, {**MT, "params": {"strategy": "exhaustive"}})
+    assert cli.main(["frames", p, "--depth", "1"]) == 2
+    assert "unknown params keys: ['strategy']" in capsys.readouterr().err
+
+
+def test_frames_negative_seed_is_invalid(tmp_path):
+    # numpy's generator used to end this in a ValueError traceback
+    assert cli.main(["frames", write_problem(tmp_path, MT), "--depth", "2", "--seed", "-1"]) == 2
+
+
+def test_frames_budget_below_one_is_invalid(tmp_path):
+    for budget in (0, -3):
+        p = write_problem(tmp_path, {**MT, "params": {"budget": budget}})
+        assert cli.main(["frames", p, "--depth", "2"]) == 2
+
+
+def test_frames_triple_takes_exact_tower_rows(tmp_path):
+    out = str(tmp_path / "jp.json")
+    t0 = time.monotonic()
+    assert cli.main(["frames", write_problem(tmp_path, JP), "--depth", "5", "--out", out]) == 0
+    assert time.monotonic() - t0 < 1.0
+    rep = json.load(open(out))
+    res = rep["results"]
+    assert (res["ratio"], res["epsilon"], res["strategy"]) == (1.0, 0.0, "tower")
+    assert (res["sigma_min_sq"], res["sigma_max_sq"]) == (1.0, 1.0)
+    assert res["seed"] is None and res["residues_distinct"] is True
+    assert len(res["J"]) == 32 and res["J"] == sorted(res["J"])
+    assert rep["certificates"] == {"grade": "exact"}
+    assert (tmp_path / "jp.csv").read_text().splitlines()[1] == "5,tower,1,1,1,0"
+    assert cli.main(["verify", out]) == 0
+
+
+def test_frames_triple_level_zero(tmp_path, capsys):
+    assert cli.main(["frames", write_problem(tmp_path, JP), "--depth", "0"]) == 0
+    res = read_stdout_report(capsys)["results"]
+    assert res["J"] == [[0]] and res["strategy"] == "tower"
+
+
+def test_frames_triple_refusals(tmp_path):
+    # a non-Hadamard L is refused as `spectrum` refuses it, not searched
+    bad = write_problem(tmp_path, {"R": [[4]], "B": [[0], [2]], "L": [[0], [2]]}, "bad.json")
+    assert cli.main(["frames", bad, "--depth", "2"]) == 3
+    short = write_problem(tmp_path, {"R": [[4]], "B": [[0], [2]], "L": [[0]]}, "short.json")
+    assert cli.main(["frames", short, "--depth", "2"]) == 2
+    assert cli.main(["frames", write_problem(tmp_path, JP), "--depth", "13"]) == 5
 
 
 def test_frames_cap_exceeded(tmp_path):

@@ -1,4 +1,4 @@
-"""Frame bounds, subset selection, Parseval defects, assembly."""
+"""Frame bounds, tower rows of triples, subset selection, Parseval defects."""
 
 import time
 
@@ -10,28 +10,23 @@ from hypothesis import strategies as st
 from spectral_fractal import frames
 from spectral_fractal.errors import (
     CapExceeded,
-    EpsilonTooLarge,
     InvalidInput,
+    NotHadamard,
     ResidueCollision,
     SimpleDigitsRequired,
-    ZeroSetNonEmpty,
 )
 from spectral_fractal.frames import (
-    FrameReport,
-    concatenated_bounds,
     frame_matrix,
     frame_matrix_bounds,
-    frame_spectrum_build,
-    parseval_defect,
     residues_distinct,
     select_subset,
+    tower_frame,
 )
-from spectral_fractal.intlat import complete_representatives, inverse_image
-from spectral_fractal.measure import FourierEval, step_moment
-from spectral_fractal.spectra import canonical_tree, corrected_tree
+from spectral_fractal.intlat import complete_representatives
+from spectral_fractal.spectra import canonical_tree
 from spectral_fractal.triples import affine_pair, digit_sums, hadamard_triple
 
-from oracles import concatenated_sigma, corrected_level_per_base, first_improving_swap_dense
+from oracles import exhaustive_subset, first_improving_swap_dense, parseval_defect, step_moment
 
 
 @pytest.fixture(scope="module")
@@ -100,7 +95,7 @@ def test_select_exhaustive_matches_all_pairs(cantor_third_pair):
     for sub in combinations([(0,), (1,), (2,)], 2):
         lo, hi = frame_matrix_bounds(cantor_third_pair, 1, sub)
         assert abs(lo - 0.5) < 1e-9 and abs(hi - 1.5) < 1e-9
-    rep = select_subset(cantor_third_pair, 1, strategy="exhaustive")
+    rep = exhaustive_subset(cantor_third_pair, 1)
     assert rep.J_n == ((0,), (1,))
     assert abs(rep.ratio - 3.0) < 1e-9
     heur = select_subset(cantor_third_pair, 1)
@@ -108,7 +103,7 @@ def test_select_exhaustive_matches_all_pairs(cantor_third_pair):
 
 
 def test_select_heuristic_reaches_exhaustive_optimum(cantor_third_pair, mt_subset2):
-    rex = select_subset(cantor_third_pair, 2, strategy="exhaustive")
+    rex = exhaustive_subset(cantor_third_pair, 2)
     assert mt_subset2.ratio <= rex.ratio + 1e-6
 
 
@@ -144,9 +139,12 @@ def test_selected_subsets_have_distinct_residues(jp_triple, cantor_third_pair, m
             assert residues_distinct(pair.R, rep.J_n, rep.n)
 
 
-def test_select_unknown_strategy(jp_triple):
-    with pytest.raises(InvalidInput):
-        select_subset(jp_triple.pair, 1, strategy="anneal")
+def test_select_rejects_negative_seed_and_budget_below_one(jp_triple):
+    # numpy's generator refuses a negative seed with a ValueError, and a
+    # budget below one used to run a single restart unannounced
+    for kwargs in ({"seed": -1}, {"budget": 0}, {"budget": -3}):
+        with pytest.raises(InvalidInput):
+            select_subset(jp_triple.pair, 2, **kwargs)
 
 
 def test_measured_report_refuses_colliding_rows(monkeypatch):
@@ -245,33 +243,6 @@ def test_bounds_keep_most_grams_from_eigvalsh(monkeypatch, cantor_third_pair):
 
 
 # ---------------------------------------------------------------------------
-# concatenation
-
-
-def test_concatenated_bounds_products():
-    rep = FrameReport(1, ((0,),), 0.9, 1.1, 1.1 / 0.9, "manual", 0)
-    c, C = concatenated_bounds([rep, rep])
-    assert abs(c - 0.81) < 1e-12
-    assert abs(C - 1.21) < 1e-12
-
-
-def test_concatenated_epsilon_too_large():
-    bad = FrameReport(1, ((0,),), 0.0, 2.0, float("inf"), "manual", 0)
-    with pytest.raises(EpsilonTooLarge):
-        concatenated_bounds([bad])
-
-
-def test_concatenated_sigma_inside_products(jp_triple, cantor_third_pair, mt_subset2):
-    reps = [select_subset(jp_triple.pair, 1, seed=s) for s in (0, 1, 2)]
-    lo, hi = concatenated_sigma(jp_triple.pair, reps)
-    assert abs(lo - 1) < 1e-9 and abs(hi - 1) < 1e-9
-
-    lo, hi = concatenated_sigma(cantor_third_pair, [mt_subset2, mt_subset2])
-    assert mt_subset2.sigma_min_sq**2 - 1e-9 <= lo <= hi
-    assert hi <= mt_subset2.sigma_max_sq**2 + 1e-9
-
-
-# ---------------------------------------------------------------------------
 # Parseval defect
 
 
@@ -315,81 +286,53 @@ def test_parseval_requires_simple_digits():
 
 
 # ---------------------------------------------------------------------------
-# frame spectrum assembly
+# tower rows of a triple
+
+SKEW_R = [[4, 0], [1, 2]]
+SKEW_B = [(0, 0), (0, 3), (1, 0), (1, 3)]
+SKEW_L = [(0, 0), (2, 0), (0, 1), (2, 1)]
 
 
-def test_frame_build_matches_corrected_tower(jp_triple):
-    lo, hi = frame_matrix_bounds(jp_triple.pair, 1, jp_triple.L)
-    rep = FrameReport(1, tuple(jp_triple.L), lo, hi, hi / lo, "tower", 0)
-    fs = frame_spectrum_build(jp_triple.pair, [rep] * 4)
-    tree = corrected_tree(jp_triple, 4)
-    assert fs.points == tree.points
-    assert fs.exponents == tree.exponents
-    assert fs.grade == "certified"
-    assert fs.corrections == ()
-    assert fs.upper <= 1 + 1e-9
-    assert fs.lower > 0.35
+@pytest.mark.parametrize(
+    "R,B,L,top",
+    [
+        ([[4]], [0, 2], [0, 1], 8),  # jp
+        ([[4]], [0, 2], [0, 3], 8),  # jp3
+        (SKEW_R, SKEW_B, SKEW_L, 3),
+    ],
+    ids=["jp", "jp3", "skew"],
+)
+def test_tower_frame_rows_measure_parseval(R, B, L, top):
+    # the certified (1, 1) agrees with the measured bounds of the same rows
+    triple = hadamard_triple(R, B, L)
+    for n in range(top + 1):
+        rep = tower_frame(triple, n)
+        assert (rep.sigma_min_sq, rep.sigma_max_sq, rep.ratio, rep.epsilon) == (1.0, 1.0, 1.0, 0.0)
+        assert (rep.strategy, rep.seed) == ("tower", None)
+        assert rep.J_n == tuple(sorted(rep.J_n)) and len(rep.J_n) == triple.N**n
+        lo, hi = frame_matrix_bounds(triple.pair, n, rep.J_n)
+        assert abs(lo - 1) <= 1e-12 and abs(hi - 1) <= 1e-12
 
 
-def test_frame_build_middle_third(cantor_third_pair, mt_subset2):
-    fs = frame_spectrum_build(cantor_third_pair, [mt_subset2, mt_subset2])
-    assert fs.grade == "measured"
-    assert len(fs.points) == 16
-    assert len(set(fs.points)) == 16
-    assert fs.lower > 0
-    c, C = concatenated_bounds([mt_subset2, mt_subset2])
-    assert abs(fs.upper - C) < 1e-12
-    assert fs.corrections  # shifts do fire for these levels
+def test_tower_frame_level_zero_is_the_origin(jp_triple, skew_triple):
+    assert tower_frame(jp_triple, 0).J_n == ((0,),)
+    assert tower_frame(skew_triple, 0).J_n == ((0, 0),)
 
 
-def test_frame_build_dual_tile_is_not_a_hadamard_triple(
-    monkeypatch, cantor_third_pair, mt_subset2
-):
-    # the complete-representative dual of mt has 3 frequencies for 2 digits,
-    # so it feeds cover_constants without claiming to be validated
-    seen, cover_constants = [], frames.cover_constants
-
-    def spy(triple):
-        seen.append(triple)
-        return cover_constants(triple)
-
-    monkeypatch.setattr(frames, "cover_constants", spy)
-    frame_spectrum_build(cantor_third_pair, [mt_subset2])
-    (dual,) = seen
-    assert len(dual.L) == 3 and not dual.validated
+def test_tower_frame_beats_the_search_on_jp(jp_triple):
+    # the descent returns ratio 46.78 here after about 20 s
+    t0 = time.monotonic()
+    rep = tower_frame(jp_triple, 5)
+    assert time.monotonic() - t0 < 1.0
+    assert rep.J_n == tuple(sorted(map(tuple, digit_sums(4, [0, 1], 5).tolist())))
 
 
-def test_frame_build_batched_corrections_match_per_base_loop(
-    monkeypatch, cantor_third_pair, mt_subset2
-):
-    fs = frame_spectrum_build(cantor_third_pair, [mt_subset2, mt_subset2])
-    monkeypatch.setattr(frames, "_corrected_level", corrected_level_per_base)
-    oracle = frame_spectrum_build(cantor_third_pair, [mt_subset2, mt_subset2])
-    assert fs.blocks == oracle.blocks
-    assert fs.corrections == oracle.corrections
-    assert (fs.lower, fs.upper) == (oracle.lower, oracle.upper)
+def test_tower_frame_refuses_non_hadamard():
+    with pytest.raises(NotHadamard):
+        tower_frame(hadamard_triple(4, [0, 2], [0, 2]), 1)
 
 
-def test_frame_build_lower_bound_is_warranted(cantor_third_pair, mt_subset2):
-    # lower carries the factor delta_hat only because every new point clears
-    # it after correction; uncorrected points here fall to 0.0024
-    reports = [mt_subset2, mt_subset2]
-    fs = frame_spectrum_build(cantor_third_pair, reports)
-    delta_hat = fs.lower / concatenated_bounds(reports)[0]
-    ev = FourierEval(cantor_third_pair)
-    Rt = cantor_third_pair.R.T
-    for m, blk in zip(fs.exponents[1:], fs.blocks[1:]):
-        vals = np.abs(ev.mu_hat(inverse_image(Rt.pow(m), blk))) ** 2
-        assert vals.min() >= delta_hat - 1e-9
-
-
-def test_frame_build_zero_set_refused():
-    pair = affine_pair(2, [0, 2])
-    fake = FrameReport(1, ((0,), (1,)), 0.5, 1.5, 3.0, "manual", 0)
-    with pytest.raises(ZeroSetNonEmpty):
-        frame_spectrum_build(pair, [fake])
-
-
-def test_frame_build_needs_reports(jp_triple):
-    with pytest.raises(InvalidInput):
-        frame_spectrum_build(jp_triple.pair, [])
+def test_tower_frame_keeps_the_row_cap(jp_triple):
+    tower_frame(jp_triple, 12)  # 4096 rows
+    with pytest.raises(CapExceeded):
+        tower_frame(jp_triple, 13)

@@ -17,12 +17,11 @@ from spectral_fractal.measure import (
     mu_hat_field,
     render_attractor,
     render_field,
-    step_moment,
     write_pgm,
 )
 from spectral_fractal.triples import affine_pair, mask_eval
 
-from oracles import fraction_approximant, refinement_identity_defect
+from oracles import fraction_approximant, refinement_identity_defect, step_moment
 
 
 @pytest.fixture

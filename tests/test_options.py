@@ -15,9 +15,7 @@ OPTIONS = {
     "cli.main": ("argv",),
     "frames.frame_matrix": ("cap",),
     "frames.frame_matrix_bounds": ("cap",),
-    "frames.select_subset": ("strategy", "seed", "budget", "cap"),
-    "frames.parseval_defect": ("trials", "seed", "cap"),
-    "frames.frame_spectrum_build": ("evidence", "cap"),
+    "frames.select_subset": ("seed", "budget", "cap"),
     "intlat.Lattice.from_columns": ("den",),
     "intlat.reduce_to_full": ("L",),
     "measure.discrete_approximant": ("cap",),

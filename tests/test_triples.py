@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spectral_fractal.errors import CapExceeded, NotHadamard, ResidueCollision, SizeMismatch
+from spectral_fractal.errors import (
+    CapExceeded,
+    InvalidInput,
+    NotHadamard,
+    ResidueCollision,
+    SizeMismatch,
+)
 from spectral_fractal.intlat import IntMatrix, as_digit_list
 from spectral_fractal.triples import (
     HadamardTriple,
@@ -189,6 +195,12 @@ def test_tower_jp(jp_triple):
     assert t2.validated and t2.defect < 1e-12
     t4 = tower(jp_triple, 4)
     assert t4.validated and len(t4.B) == 16
+
+
+def test_tower_level_zero_is_refused_by_name(jp_triple):
+    # (R^0, B_0, L_0) would carry the identity, which is not expansive
+    with pytest.raises(InvalidInput, match="level 0"):
+        tower(jp_triple, 0)
 
 
 def test_tower_skew(skew_triple):
