@@ -43,7 +43,6 @@ from .errors import (
     NotInvariant,
     RankDeficient,
     ResidueCollision,
-    SimpleDigitsRequired,
     SpectralFractalError,
     Undecided,
     ZeroSetNonEmpty,
@@ -51,7 +50,7 @@ from .errors import (
 from .frames import residues_distinct, select_subset, tower_frame
 from .intlat import reduce_to_full
 from .measure import FourierEval, mu_hat_field, render_attractor, render_field, write_pgm
-from .quasiprod import full_spectrum, report_frequencies
+from .quasiprod import full_spectrum
 from .triples import affine_pair, hadamard_triple, tower
 from .zeroset import zero_set_empty_evidence
 
@@ -67,7 +66,6 @@ EXIT_CAP = 5
 _REFUSALS = (
     NotHadamard,
     ZeroSetNonEmpty,
-    SimpleDigitsRequired,
     ResidueCollision,
     RankDeficient,
 )
@@ -213,6 +211,8 @@ def _triple(problem: dict):
 
 
 def run_validate(problem: dict, params: dict):
+    """`tower_defects` is informational: each level inherits the base
+    defect through the tower lemma, so nothing is measured per level."""
     base = _triple(problem)
     levels = range(2, int(params["towers"]) + 1) if base.validated else ()
     results = {
@@ -253,7 +253,7 @@ def _evidence_payload(evidence):
 
 def run_spectrum(problem: dict, params: dict):
     rep = _run_pipeline(problem, params)
-    freqs = report_frequencies(rep, limit=int(params["limit"]))
+    freqs = rep.frequencies
     results = {
         "status": rep.status,
         "branch": rep.branch,
@@ -283,7 +283,7 @@ def run_spectrum(problem: dict, params: dict):
             "minimum": rep.product.minimum,
             "threshold": rep.product.threshold,
         }
-    code = EXIT_OK if rep.status in ("spectral", "point-mass") else EXIT_INCONCLUSIVE
+    code = EXIT_OK if rep.status == "spectral" else EXIT_INCONCLUSIVE
     return results, certificates, code, freqs
 
 
@@ -353,7 +353,7 @@ def run_quasiprod(problem: dict, params: dict):
         certificates["product_minimum"] = rep.product.minimum
     if rep.status == "spectral" and rep.branch == "orthonormal" and not rep.note:
         results["note"] = "integer spectrum exists; no product splitting needed"
-    code = EXIT_OK if rep.status in ("spectral", "point-mass") else EXIT_INCONCLUSIVE
+    code = EXIT_OK if rep.status == "spectral" else EXIT_INCONCLUSIVE
     return results, certificates, code
 
 

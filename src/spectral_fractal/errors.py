@@ -32,10 +32,6 @@ class NotHadamard(SpectralFractalError):
     """The supplied (matrix, digits, frequencies) data fails the unitarity test."""
 
 
-class SimpleDigitsRequired(SpectralFractalError):
-    """Digits collide modulo the matrix, so the requested object is undefined."""
-
-
 class ResidueCollision(SpectralFractalError):
     """Two frequency vectors share a residue class that must stay distinct."""
 

@@ -17,8 +17,8 @@ to it.  The steps implemented here:
 * build the product candidate Lambda_1 x (1/beta) Z and accept it only if a
   truncated completeness sweep stays near one on a grid (``product_spectrum``);
 * drive the whole pipeline, including the integer branch when the zero set
-  is empty, and map every reported frequency back to the input coordinates
-  (``full_spectrum``).
+  is empty (``full_spectrum``), and map every reported frequency back to
+  the input coordinates (``report_frequencies``).
 
 All coordinate moves are recorded as exact ConjugationRecords so reported
 frequencies can be replayed against the original system.
@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import islice
 
 import numpy as np
@@ -70,7 +71,6 @@ from .zeroset import EmptinessEvidence, find_invariant_cycle, zero_set_empty_evi
 T_WINDOW = 60  # the product sweep keeps |t| <= T_WINDOW transverse steps
 XI_GRID = 4  # sweep points per axis, at cell centres of [0,1)^d
 THRESHOLD = 0.95  # minimum sweep sum that accepts a beta
-SAMPLE = 32  # frequencies a SpectrumReport carries in `points`
 
 __all__ = [
     "TriangularForm",
@@ -92,17 +92,16 @@ __all__ = [
 # block triangular form
 
 
-def _blocks(R: IntMatrix, r: int) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
-    """(R1, C, R2) of a block lower triangular matrix; top-right must vanish."""
+def _blocks(R: IntMatrix, r: int) -> tuple[IntMatrix, IntMatrix]:
+    """(R1, R2) of a block lower triangular matrix; top-right must vanish."""
     d = R.d
     for i in range(r):
         for j in range(r, d):
             if R.rows[i][j] != 0:
                 raise InvalidInput("matrix is not block lower triangular")
     R1 = IntMatrix.from_rows([row[:r] for row in R.rows[:r]])
-    C = IntMatrix.from_rows([row[:r] for row in R.rows[r:]]) if r < d else R
     R2 = IntMatrix.from_rows([row[r:] for row in R.rows[r:]])
-    return R1, C, R2
+    return R1, R2
 
 
 @dataclass(frozen=True)
@@ -112,9 +111,6 @@ class TriangularForm:
     record: ConjugationRecord
     R_new: IntMatrix
     r: int
-    R1: IntMatrix
-    C: IntMatrix
-    R2: IntMatrix
 
 
 def triangularize(R, W) -> TriangularForm:
@@ -157,8 +153,8 @@ def triangularize(R, W) -> TriangularForm:
         T.T, "rotate the invariant frequency direction onto the leading coordinates"
     )
     R_new = rec.apply_matrix(M)
-    R1, C, R2 = _blocks(R_new, r)
-    return TriangularForm(rec, R_new, r, R1, C, R2)
+    _blocks(R_new, r)  # raises unless R_new is block lower triangular
+    return TriangularForm(rec, R_new, r)
 
 
 def normalize_frequencies(R_new: IntMatrix, L, r: int) -> tuple[IVec, ...]:
@@ -171,7 +167,7 @@ def normalize_frequencies(R_new: IntMatrix, L, r: int) -> tuple[IVec, ...]:
     """
     d = R_new.d
     freqs = as_digit_list(L)
-    _, _, R2 = _blocks(R_new, r)
+    _, R2 = _blocks(R_new, r)
     R2t = R2.T
     inv2 = R2t.inverse_fractions()
     rt = R_new.T.to_fractions()
@@ -216,24 +212,20 @@ def transverse_lattice(ys, n: int) -> Lattice:
 
 @dataclass(frozen=True)
 class QuasiProduct:
-    """A digit system split over the leading block.
+    """A digit system split over the leading block, in block triangular
+    coordinates.
 
-    ``triple`` lives in block triangular coordinates.  Digits group by their
-    leading component u; each group's transverse parts form a complete
-    residue system mod R2 and sit on v_u + Q Z^{d-r} with integer offsets
-    ``c_digits``.  ``sub`` is the leading-block system (R1, {u}, L1) built
+    Digits group by their leading component u; each group's transverse
+    parts form a complete residue system mod R2 and sit on one coset of
+    Q Z^{d-r}.  ``sub`` is the leading-block system (R1, {u}, L1) built
     from the frequencies whose transverse block vanishes.
     """
 
-    triple: HadamardTriple
     r: int
     R1: IntMatrix
     R2: IntMatrix
     Q: IntMatrix
     u_values: tuple[IVec, ...]
-    v_reps: tuple[IVec, ...]
-    c_digits: tuple[tuple[IVec, ...], ...]
-    R2_conj: IntMatrix
     sub: HadamardTriple
 
     @property
@@ -255,7 +247,7 @@ def decompose(triple: HadamardTriple, r: int, orbit) -> QuasiProduct:
     d = R.d
     if not 0 < r < d:
         raise InvalidInput("leading block size must be strictly between 0 and d")
-    R1, _, R2 = _blocks(R, r)
+    R1, R2 = _blocks(R, r)
     groups: dict[IVec, list[IVec]] = {}
     for b in triple.B:
         groups.setdefault(b[:r], []).append(b[r:])
@@ -275,24 +267,17 @@ def decompose(triple: HadamardTriple, r: int, orbit) -> QuasiProduct:
     if abs(Q.det()) < 2:
         raise GammaFullOrTrivial("cycle congruences admit every integer vector")
     Qinv = Q.inverse_fractions()
-    v_reps = []
-    c_digits = []
     for u in u_values:
         v = min(groups[u])
-        cs = []
         for s in sorted(groups[u]):
             w = f_matvec(Qinv, tuple(Fraction(a - b) for a, b in zip(s, v)))
             if any(x.denominator != 1 for x in w):
                 raise InconsistentDecomposition(
                     f"offset {tuple(a - b for a, b in zip(s, v))} is outside the transverse lattice"
                 )
-            cs.append(tuple(int(x) for x in w))
-        v_reps.append(v)
-        c_digits.append(tuple(cs))
     conj = f_matmul(f_matmul(Qinv, R2.to_fractions()), Q.to_fractions())
     if any(x.denominator != 1 for row in conj for x in row):
         raise InconsistentDecomposition("R2 does not preserve the transverse lattice")
-    R2c = IntMatrix.from_rows([[int(x) for x in row] for row in conj])
     L1 = tuple(l[:r] for l in triple.L if all(c == 0 for c in l[r:]))
     if len(L1) != len(u_values):
         raise InconsistentDecomposition(
@@ -300,9 +285,7 @@ def decompose(triple: HadamardTriple, r: int, orbit) -> QuasiProduct:
             f"need one per base digit ({len(u_values)})"
         )
     sub = hadamard_triple(R1, u_values, L1).require_validated()
-    return QuasiProduct(
-        triple, r, R1, R2, Q, u_values, tuple(v_reps), tuple(c_digits), R2c, sub
-    )
+    return QuasiProduct(r, R1, R2, Q, u_values, sub)
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +302,6 @@ class ProductSpectrum:
     threshold: float
     t_window: int
     lam1_count: int
-    partials: tuple[float, ...]
     rejected: tuple[tuple[int, float], ...]
 
 
@@ -337,8 +319,8 @@ def product_spectrum(
     xi (XI_GRID points per axis); the first beta whose minimum clears
     THRESHOLD is accepted.  The default beta list is q, 2q, 3q with q the
     transverse lattice index.  Truncation keeps |t| <= T_WINDOW, ordered by
-    |t| so the recorded partial sums are monotone.  Raises NoBetaAccepted
-    with all sweep minima when every candidate fails.
+    |t|; each sweep sum adds the per-t block sums in that order.  Raises
+    NoBetaAccepted with all sweep minima when every candidate fails.
     """
     d = triple.R.d
     r = quasi.r
@@ -364,16 +346,12 @@ def product_spectrum(
         # lam row-major: t blocks of the full Lambda_1, ordered by |t|
         lam = np.concatenate([base + np.array([(0.0,) * r + (t / beta,)]) for t in ts])
         minv = np.inf
-        min_partials = None
         ok = True
         for xi in grid:
             vals = ev.mu_hat_sq(lam + xi)
             per_t = vals.reshape(len(ts), len(lam1)).sum(axis=1)
-            partials = np.cumsum(per_t)
-            total = float(partials[-1])
-            if total < minv:
-                minv = total
-                min_partials = partials
+            total = float(np.cumsum(per_t)[-1])
+            minv = min(minv, total)
             if total < THRESHOLD:
                 ok = False
                 break
@@ -385,7 +363,6 @@ def product_spectrum(
                 threshold=THRESHOLD,
                 t_window=T_WINDOW,
                 lam1_count=len(lam1),
-                partials=tuple(float(x) for x in min_partials),
                 rejected=tuple(rejected),
             )
         rejected.append((int(beta), minv))
@@ -401,7 +378,11 @@ def product_spectrum(
 
 @dataclass(frozen=True)
 class SpectrumReport:
-    """Outcome of the spectrum pipeline, frequencies in input coordinates."""
+    """Outcome of the spectrum pipeline.
+
+    ``frequencies`` lists up to ``limit`` spectrum frequencies in input
+    coordinates; it is built on first access, once per report.
+    """
 
     status: str  # "spectral" | "undecided"
     branch: str  # "orthonormal" | "quasi-product" | "point-mass" | ""
@@ -412,8 +393,12 @@ class SpectrumReport:
     quasi: QuasiProduct | None
     product: ProductSpectrum | None
     sub_report: "SpectrumReport | None"
-    points: tuple[FVec, ...]
+    limit: int
     note: str = ""
+
+    @cached_property
+    def frequencies(self) -> tuple[FVec, ...]:
+        return report_frequencies(self)
 
 
 def map_frequency_back(points, records) -> list[FVec]:
@@ -442,20 +427,29 @@ def map_frequency_back(points, records) -> list[FVec]:
     ]
 
 
-def report_frequencies(report: SpectrumReport, limit: int = 4096) -> list[FVec]:
-    """Regenerate up to ``limit`` spectrum frequencies in input coordinates."""
+def report_frequencies(report: SpectrumReport) -> tuple[FVec, ...]:
+    """Up to ``report.limit`` spectrum frequencies in input coordinates.
+
+    The orthonormal branch maps the tree's points back; the quasi-product
+    branch takes the sub-report's list as Lambda_1 and extends it by the
+    transverse steps t / beta, ordered by |t|; the point mass has only 0.
+    An undecided report has none.  Every prefix of the list is the list
+    of a smaller limit.
+    """
     if report.branch == "point-mass":
-        return [report.points[0]]
-    if report.branch == "orthonormal" and report.tree is not None:
-        return map_frequency_back(report.tree.points[:limit], report.records)
-    if report.branch == "quasi-product" and report.product is not None:
-        base = report_frequencies(report.sub_report, limit)
+        pts = [(0,)]
+    elif report.branch == "orthonormal" and report.tree is not None:
+        pts = report.tree.points[: report.limit]
+    elif report.branch == "quasi-product" and report.product is not None:
         beta = report.product.beta
         ts = sorted(range(-report.product.t_window, report.product.t_window + 1),
                     key=lambda t: (abs(t), t))
-        out = islice((lam1 + (Fraction(t, beta),) for t in ts for lam1 in base), limit)
-        return map_frequency_back(list(out), report.records)
-    return list(report.points)
+        base = report.sub_report.frequencies
+        out = (lam1 + (Fraction(t, beta),) for t in ts for lam1 in base)
+        pts = list(islice(out, report.limit))
+    else:
+        return ()
+    return tuple(map_frequency_back(pts, report.records))
 
 
 _QUASI_FAILURES = (
@@ -486,6 +480,7 @@ def full_spectrum(
     leading block and test the product candidate.  Structural failures of
     the quasi-product branch are reported as status "undecided" with the
     reason in ``note`` (the refutation of integer spectra still stands).
+    The report's frequency list holds at most ``limit`` points.
     """
     triple.require_validated()
     if _depth > 4:
@@ -502,10 +497,9 @@ def full_spectrum(
             break
         records.append(rp.record)
         if rp.rank == 0:
-            pt = map_frequency_back([(0,) * R.d], records)[0]
             return SpectrumReport(
                 "spectral", "point-mass", "yes", tuple(records), None, None, None,
-                None, None, (pt,), note="single-atom measure, only frequency zero",
+                None, None, limit, note="single-atom measure, only frequency zero",
             )
         if rp.rank < R.d:
             R, B, L = rp.project()
@@ -517,15 +511,14 @@ def full_spectrum(
     evidence = zero_set_empty_evidence(pair, K=scan_K)
     if evidence.empty:
         tree = corrected_tree(triple, K, evidence=evidence)
-        pts = map_frequency_back(tree.points[:SAMPLE], recs)
         return SpectrumReport(
             "spectral", "orthonormal", "yes", recs, evidence, tree, None, None,
-            None, tuple(pts),
+            None, limit,
         )
     if evidence.kind != "refuted":
         return SpectrumReport(
             "undecided", "", "unknown", recs, evidence, None, None, None, None,
-            (), note=f"zero-set scan inconclusive: {evidence.note}",
+            limit, note=f"zero-set scan inconclusive: {evidence.note}",
         )
     witness = evidence.witness
     try:
@@ -542,26 +535,19 @@ def full_spectrum(
         if sub_report.status != "spectral":
             return SpectrumReport(
                 "undecided", "quasi-product", "no", recs, evidence, None, quasi,
-                None, sub_report, (),
+                None, sub_report, limit,
                 note="leading-block subsystem spectrum undecided",
             )
-        lam1 = report_frequencies(sub_report, limit)
-        product = product_spectrum(t2, quasi, lam1)
+        product = product_spectrum(t2, quasi, sub_report.frequencies)
     except _QUASI_FAILURES as exc:
         return SpectrumReport(
             "undecided", "quasi-product", "no", recs, evidence, None, None, None,
-            None, (),
+            None, limit,
             note=f"no integer spectrum (witness {witness}); "
             f"quasi-product splitting failed: {type(exc).__name__}: {exc}",
         )
-    inner = (*recs, tri.record)
-    pts = [
-        lam + (Fraction(t, product.beta),)
-        for t in sorted(range(-2, 3), key=lambda t: (abs(t), t))
-        for lam in lam1[: max(1, SAMPLE // 5)]
-    ][:SAMPLE]
     return SpectrumReport(
-        "spectral", "quasi-product", "no", inner, evidence, None, quasi, product,
-        sub_report, tuple(map_frequency_back(pts, inner)),
+        "spectral", "quasi-product", "no", (*recs, tri.record), evidence, None,
+        quasi, product, sub_report, limit,
         note=f"integer spectra refuted by periodic zero at {witness}",
     )

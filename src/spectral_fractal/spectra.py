@@ -19,7 +19,7 @@ otherwise no integer spectrum exists at all and we refuse with the witness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,7 +50,6 @@ class CoverConstants:
     h: float
     window: int
     m_cover: float
-    lip_correction: float
     delta_hat: float
 
 
@@ -62,9 +61,6 @@ class SpectrumTree:
     corrections: tuple[tuple[int, IVec, IVec], ...]  # (level, base point, kappa)
     cover: CoverConstants | None
     evidence: EmptinessEvidence | None
-    delta_levels: tuple[float, ...]
-    grade: str  # "certified" | "measured"
-    note: str = ""
 
     def level_points(self, k: int) -> tuple[IVec, ...]:
         out: list[IVec] = []
@@ -76,25 +72,20 @@ class SpectrumTree:
     def points(self) -> tuple[IVec, ...]:
         return self.level_points(len(self.new_points) - 1)
 
-    @property
-    def depth(self) -> int:
-        return len(self.exponents) - 1
-
 
 def _zero_frequency_shift(triple: HadamardTriple):
     """Translate L to contain 0; column phases cancel in all |mu_hat| sums."""
     L = triple.L
     if any(all(c == 0 for c in ell) for ell in L):
-        return L, None
+        return L
     base = min(L)
-    shifted = tuple(tuple(a - b for a, b in zip(ell, base)) for ell in L)
-    return shifted, base
+    return tuple(tuple(a - b for a, b in zip(ell, base)) for ell in L)
 
 
 def canonical_tree(triple: HadamardTriple, K: int, cap: int = 2**16) -> SpectrumTree:
     """Plain frequency tower with unit gaps and no corrections."""
     triple.require_validated()
-    L, moved = _zero_frequency_shift(triple)
+    L = _zero_frequency_shift(triple)
     Rt = triple.R.T
     blocks = [((0,) * triple.pair.d,)]
     for k in range(1, K + 1):
@@ -111,20 +102,7 @@ def canonical_tree(triple: HadamardTriple, K: int, cap: int = 2**16) -> Spectrum
                     continue
                 fresh.append(tuple(a + b for a, b in zip(lam, P.matvec(ell))))
         blocks.append(tuple(fresh))
-    exps = tuple(range(K + 1))
-    tree = SpectrumTree(
-        triple,
-        exps,
-        tuple(blocks),
-        (),
-        None,
-        None,
-        (),
-        "measured",
-        note=("frequencies translated by -%s" % (moved,)) if moved else "",
-    )
-    deltas = _measure_deltas(tree)
-    return replace(tree, delta_levels=deltas)
+    return SpectrumTree(triple, tuple(range(K + 1)), tuple(blocks), (), None, None)
 
 
 def cover_constants(triple: HadamardTriple) -> CoverConstants:
@@ -136,7 +114,7 @@ def cover_constants(triple: HadamardTriple) -> CoverConstants:
     ev = FourierEval(pair)
     lo_p, hi_p = attractor_box(pair)
     C = float(np.linalg.norm(np.maximum(np.abs(lo_p), np.abs(hi_p))))
-    L, _ = _zero_frequency_shift(triple)
+    L = _zero_frequency_shift(triple)
     dual = AffinePair(pair.R.T, L)
     lo, hi = attractor_box(dual)
     lo = lo - EPS0
@@ -160,7 +138,7 @@ def cover_constants(triple: HadamardTriple) -> CoverConstants:
             )
         if corr <= 0.15 * np.sqrt(m_cover):
             delta_hat = (np.sqrt(m_cover) - corr) ** 2
-            return CoverConstants(EPS0, h, SHIFT_WINDOW, m_cover, float(corr), float(delta_hat))
+            return CoverConstants(EPS0, h, SHIFT_WINDOW, m_cover, float(delta_hat))
         h /= 2
     raise NoShiftFound("cover grid refinement did not stabilize")
 
@@ -251,7 +229,7 @@ def corrected_tree(
     d = pair.d
     evidence = _require_empty(pair, evidence)
     cover = cover_constants(triple)
-    L, moved = _zero_frequency_shift(triple)
+    L = _zero_frequency_shift(triple)
     Rt = triple.R.T
     ev = FourierEval(pair)
     S = ev.norm_sup
@@ -283,28 +261,9 @@ def corrected_tree(
         blocks.append(tuple(fresh))
         current.extend(fresh)
         exps.append(n)
-    tree = SpectrumTree(
-        triple,
-        tuple(exps),
-        tuple(blocks),
-        tuple(corrections),
-        cover,
-        evidence,
-        (),
-        "certified",
-        note=("frequencies translated by -%s" % (moved,)) if moved else "",
+    return SpectrumTree(
+        triple, tuple(exps), tuple(blocks), tuple(corrections), cover, evidence
     )
-    return replace(tree, delta_levels=_measure_deltas(tree))
-
-
-def _measure_deltas(tree: SpectrumTree) -> tuple[float, ...]:
-    ev = FourierEval(tree.triple.pair)
-    Rt = tree.triple.R.T
-    out = []
-    for k, n in enumerate(tree.exponents):
-        x = inverse_image(Rt.pow(n), tree.level_points(k))
-        out.append(float(ev.mu_hat_sq(x).min()))
-    return tuple(out)
 
 
 def orthogonality_check(tree: SpectrumTree, seed: int = 0) -> float:

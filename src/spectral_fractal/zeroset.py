@@ -588,20 +588,18 @@ def rational_invariant_subspaces(A) -> list[tuple[IVec, ...]]:
 
 @dataclass(frozen=True)
 class InvariantCycle:
-    """A certified cycle of the periodic zero set modulo Z^d."""
+    """A certified cycle of the periodic zero set modulo Z^d, starting at
+    the witness point; W is an invariant direction through it, or ()."""
 
-    x0: FVec
-    period: int
     orbit: tuple[FVec, ...]
     W: tuple[IVec, ...]
-    certificates: tuple[ZeroCertificate, ...]
 
 
 def find_invariant_cycle(pair: AffinePair, witness: ZeroCertificate) -> InvariantCycle:
     """The cycle of x -> R^T x (mod Z^d) through a refuting witness.
 
     The orbit of x0 = witness.point is walked in integers for at most
-    CYCLE_PERIOD steps; x0 keeps the witness certificate and every other
+    CYCLE_PERIOD steps; x0 is certified by the witness and every other
     orbit point is certified at the witness's window.  An invariant rational
     direction W is attached when sampled points of x0 + W certify at that
     window as well.  Raises CycleNotFound naming the point when x0 is not
@@ -618,13 +616,12 @@ def find_invariant_cycle(pair: AffinePair, witness: ZeroCertificate) -> Invarian
     else:
         raise CycleNotFound(f"witness {witness} is not periodic with period <= {CYCLE_PERIOD}")
     orbit = (witness.point, *(tuple(Fraction(c, L) for c in v) for v in nums[1:]))
-    certs = [witness]
     for pt in orbit[1:]:
-        certs.append(certify_zero(pair, pt, K=witness.K))
-        if certs[-1].status != "in":
-            raise CycleNotFound(f"orbit point {certs[-1]} certified {certs[-1].status}")
+        cert = certify_zero(pair, pt, K=witness.K)
+        if cert.status != "in":
+            raise CycleNotFound(f"orbit point {cert} certified {cert.status}")
     W = _attach_invariant_direction(pair, witness.point, witness.K)
-    return InvariantCycle(witness.point, len(orbit), orbit, W, tuple(certs))
+    return InvariantCycle(orbit, W)
 
 
 def _attach_invariant_direction(pair: AffinePair, x0: FVec, K: int):

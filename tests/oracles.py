@@ -14,8 +14,8 @@ from spectral_fractal.errors import (
     NoShiftFound,
     RankDeficient,
     ResidueCollision,
-    SimpleDigitsRequired,
     SizeMismatch,
+    SpectralFractalError,
 )
 from spectral_fractal.frames import _characters, _measured_report, _ratios, frame_matrix
 from spectral_fractal.intlat import (
@@ -44,6 +44,10 @@ from spectral_fractal.triples import (
     validate_triple,
 )
 from spectral_fractal.zeroset import OUT_FLOOR, ZeroCertificate, _window
+
+
+class SimpleDigitsRequired(SpectralFractalError):
+    """Digits collide modulo the matrix, so the requested object is undefined."""
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from spectral_fractal.intlat import (
     smallest_invariant_lattice,
 )
 from spectral_fractal.measure import FourierEval, discrete_approximant
-from spectral_fractal.quasiprod import full_spectrum, report_frequencies
+from spectral_fractal.quasiprod import full_spectrum
 from spectral_fractal.spectra import (
     canonical_tree,
     completeness_partial,
@@ -137,7 +137,7 @@ def test_c08_quasi_product_end_to_end(skew_triple):
     assert rep.product.beta == 3
     assert rep.product.step == Fraction(1, 3)
     assert rep.product.minimum >= 0.95
-    freqs = report_frequencies(rep, limit=64)
+    freqs = rep.frequencies[:64]
     assert all(Fraction(f[1]).denominator in (1, 3) for f in freqs)
     assert time.monotonic() - t0 < 300.0
 

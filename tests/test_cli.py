@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from spectral_fractal import cli
+from spectral_fractal import cli, quasiprod
 from spectral_fractal.errors import InvalidInput
 from spectral_fractal.quasiprod import SpectrumReport
 from spectral_fractal.zeroset import EmptinessEvidence
@@ -161,12 +161,38 @@ def test_spectrum_undecided_maps_to_inconclusive(tmp_path, capsys, monkeypatch):
         quasi=None,
         product=None,
         sub_report=None,
-        points=(),
+        limit=4096,
         note="stubbed",
     )
     monkeypatch.setattr(cli, "full_spectrum", lambda *a, **k: stub)
     assert cli.main(["spectrum", write_problem(tmp_path, JP)]) == 4
     assert read_stdout_report(capsys)["results"]["status"] == "undecided"
+
+
+@pytest.mark.parametrize(
+    "command, problem, flags, calls",
+    [
+        # the sub-system's Lambda_1 once, extended once to the exported list
+        ("spectrum", SKEW, [], 2),
+        # Lambda_1 feeds the product sweep; quasiprod exports no list
+        ("quasiprod", SKEW, [], 1),
+        ("spectrum", JP, ["--depth", "14"], 1),
+        ("quasiprod", JP, [], 0),
+    ],
+)
+def test_each_frequency_list_is_mapped_back_once(
+    tmp_path, capsys, monkeypatch, command, problem, flags, calls
+):
+    seen = []
+    map_back = quasiprod.map_frequency_back
+
+    def counted(points, records):
+        seen.append(len(points))
+        return map_back(points, records)
+
+    monkeypatch.setattr(quasiprod, "map_frequency_back", counted)
+    assert cli.main([command, write_problem(tmp_path, problem), *flags]) == 0
+    assert len(seen) == calls
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ from spectral_fractal.errors import (
     InvalidInput,
     NotHadamard,
     ResidueCollision,
-    SimpleDigitsRequired,
 )
 from spectral_fractal.frames import (
     frame_matrix,
@@ -26,7 +25,13 @@ from spectral_fractal.intlat import complete_representatives
 from spectral_fractal.spectra import canonical_tree
 from spectral_fractal.triples import affine_pair, digit_sums, hadamard_triple
 
-from oracles import exhaustive_subset, first_improving_swap_dense, parseval_defect, step_moment
+from oracles import (
+    SimpleDigitsRequired,
+    exhaustive_subset,
+    first_improving_swap_dense,
+    parseval_defect,
+    step_moment,
+)
 
 
 @pytest.fixture(scope="module")

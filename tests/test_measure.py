@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spectral_fractal import measure
-from spectral_fractal.errors import CapExceeded, InvalidInput, SimpleDigitsRequired
+from spectral_fractal.errors import CapExceeded, InvalidInput
 from spectral_fractal.measure import (
     TAIL_TOL,
     XI_MAX,
@@ -21,7 +21,12 @@ from spectral_fractal.measure import (
 )
 from spectral_fractal.triples import affine_pair, mask_eval
 
-from oracles import fraction_approximant, refinement_identity_defect, step_moment
+from oracles import (
+    SimpleDigitsRequired,
+    fraction_approximant,
+    refinement_identity_defect,
+    step_moment,
+)
 
 
 @pytest.fixture

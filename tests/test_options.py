@@ -21,7 +21,6 @@ OPTIONS = {
     "measure.discrete_approximant": ("cap",),
     "measure.render_attractor": ("depth", "cap"),
     "quasiprod.product_spectrum": ("betas", "cap"),
-    "quasiprod.report_frequencies": ("limit",),
     "quasiprod.full_spectrum": ("K", "scan_K", "limit", "_depth"),
     "spectra.canonical_tree": ("cap",),
     "spectra.corrected_tree": ("cap", "evidence"),

@@ -28,7 +28,6 @@ from spectral_fractal.quasiprod import (
     map_frequency_back,
     normalize_frequencies,
     product_spectrum,
-    report_frequencies,
     transverse_lattice,
     triangularize,
 )
@@ -70,10 +69,8 @@ def test_triangularize_aligned_direction_is_identity(skew_triple):
     tri = triangularize(skew_triple.R, ((1, 0),))
     assert tri.r == 1
     assert tri.record.forward == ((F(1), F(0)), (F(0), F(1)))
+    # blocks R1 = (4), C = (1), R2 = (2)
     assert tri.R_new.rows == ((4, 0), (1, 2))
-    assert tri.R1.rows == ((4,),)
-    assert tri.C.rows == ((1,),)
-    assert tri.R2.rows == ((2,),)
 
 
 def test_triangularize_rotates_conjugated_direction(conj_skew):
@@ -159,9 +156,7 @@ def test_decompose_skew_structure(skew_quasi):
     assert q.Q.rows == ((3,),)
     assert q.transverse_index == 3
     assert q.u_values == ((0,), (1,))
-    assert q.v_reps == ((0,), (0,))
-    assert q.c_digits == (((0,), (1,)), ((0,), (1,)))
-    assert q.R2_conj.rows == ((2,),)
+    assert q.R2.rows == ((2,),)
     assert q.sub.R.rows == ((4,),)
     assert q.sub.B == ((0,), (1,))
     assert q.sub.L == ((0,), (2,))
@@ -227,9 +222,6 @@ def test_product_spectrum_accepts_one_third_step(skew_triple, skew_quasi):
     assert ps.step == F(1, 3)
     assert ps.minimum >= 0.95
     assert ps.rejected == ()
-    partials = np.array(ps.partials)
-    assert np.all(np.diff(partials) >= -1e-12)
-    assert abs(partials[-1] - ps.minimum) < 1e-9
 
 
 def test_product_spectrum_rejects_integer_step(skew_triple, skew_quasi):
@@ -255,7 +247,17 @@ def test_full_spectrum_skew_quasi_product(skew_report):
     assert rep.product.minimum >= 0.95
     assert rep.sub_report.branch == "orthonormal"
     assert rep.evidence.kind == "refuted"
-    assert rep.points[0] == (F(0), F(0))
+    assert rep.frequencies[0] == (F(0), F(0))
+
+
+def test_report_frequencies_are_built_once_and_feed_the_sweep(skew_report):
+    assert skew_report.frequencies is skew_report.frequencies
+    sub = skew_report.sub_report
+    assert len(sub.frequencies) == skew_report.product.lam1_count
+    # the exported list extends Lambda_1 with t = 0 first
+    assert [p[0] for p in skew_report.frequencies[: len(sub.frequencies)]] == [
+        p[0] for p in sub.frequencies
+    ]
 
 
 def test_full_spectrum_skew_note_shows_the_witness_point(skew_report):
@@ -289,7 +291,7 @@ def test_full_spectrum_inconclusive_note_names_the_stage(monkeypatch, jp_triple)
 
 
 def test_full_spectrum_skew_frequency_list(skew_report):
-    freqs = report_frequencies(skew_report, 400)
+    freqs = skew_report.frequencies[:400]
     # base block: the corrected tower of (4, {0,1}, {0,2})
     assert [p[0] for p in freqs[:8]] == [0, 2, 8, -6, 32, -30, -24, 26]
     assert all(p[1] == 0 for p in freqs[:8])
@@ -301,7 +303,7 @@ def test_full_spectrum_skew_frequency_list(skew_report):
 
 
 def test_full_spectrum_skew_orthogonality_spot_check(skew_triple, skew_report):
-    freqs = report_frequencies(skew_report, 24)
+    freqs = skew_report.frequencies[:24]
     ev = FourierEval(skew_triple.pair)
     for i in range(len(freqs)):
         for j in range(i + 1, len(freqs)):
@@ -320,7 +322,7 @@ def test_full_spectrum_conjugated_system(conj_skew, conj_report):
     assert rep.product.minimum >= 0.95
     assert len(rep.sub_report.tree.corrections) == 31
     # reported points are in the input coordinates: orthogonality holds there
-    freqs = report_frequencies(rep, 20)
+    freqs = rep.frequencies[:20]
     ev = FourierEval(conj_skew.pair)
     for i in range(len(freqs)):
         for j in range(i + 1, len(freqs)):
@@ -335,9 +337,9 @@ def test_full_spectrum_jp_integer_branch(jp_triple):
     assert rep.integer_spectrum == "yes"
     # digits {0,2} rescale through 2Z, one record
     assert len(rep.records) == 1
-    assert rep.points[0] == (F(0),)
-    assert all(p[0].denominator == 1 for p in rep.points)
-    vals = {int(p[0]) for p in rep.points}
+    assert rep.frequencies[0] == (F(0),)
+    assert all(p[0].denominator == 1 for p in rep.frequencies[:32])
+    vals = {int(p[0]) for p in rep.frequencies[:32]}
     assert {0, 1} <= vals
 
 
@@ -346,7 +348,7 @@ def test_full_spectrum_lebesgue(lebesgue_triple):
     assert rep.status == "spectral"
     assert rep.branch == "orthonormal"
     assert rep.records == ()
-    assert [int(p[0]) for p in rep.points[:6]] == [0, 1, 2, -1, 4, -3]
+    assert [int(p[0]) for p in rep.frequencies[:6]] == [0, 1, 2, -1, 4, -3]
 
 
 def test_full_spectrum_point_mass():
@@ -354,7 +356,7 @@ def test_full_spectrum_point_mass():
     rep = full_spectrum(t)
     assert rep.status == "spectral"
     assert rep.branch == "point-mass"
-    assert rep.points == ((F(0),),)
+    assert rep.frequencies == ((F(0),),)
 
 
 def test_map_frequency_back_pads_projected_points():
@@ -383,16 +385,15 @@ def test_composed_frequency_map_matches_per_point_chain(R, B, L):
     pts = rep.tree.points
     chain = [map_frequency_back_per_point(p, rep.records) for p in pts]
     assert map_frequency_back(pts, rep.records) == chain
-    assert report_frequencies(rep, 4096) == chain
-    assert list(rep.points) == chain[: len(rep.points)]
+    assert list(rep.frequencies) == chain
 
 
 @pytest.mark.parametrize("name", ["skew_report", "conj_report"])
 def test_composed_frequency_map_matches_chain_on_rational_points(request, name):
     rep = request.getfixturevalue(name)
     assert rep.branch == "quasi-product"
-    base = report_frequencies(rep.sub_report, 400)
+    base = rep.sub_report.frequencies[:400]
     pts = [lam + (F(t, rep.product.beta),) for t in (0, -1, 1) for lam in base]
     chain = [map_frequency_back_per_point(p, rep.records) for p in pts]
     assert map_frequency_back(pts, rep.records) == chain
-    assert report_frequencies(rep, len(pts)) == chain
+    assert list(rep.frequencies[: len(pts)]) == chain
