@@ -272,20 +272,12 @@ def f_rank(rows) -> int:
 
 
 def clear_denominators(vec: Sequence[Fraction]) -> tuple[IVec, int]:
-    """Return (integer vector, den) with vec = ivec / den and gcd(ivec, den) reduced."""
+    """Return (integer vector, den) with vec = ivec / den, den the least common
+    denominator of the (reduced) entries, so gcd(ivec, den) = 1."""
     den = 1
     for x in vec:
         den = den * x.denominator // gcd(den, x.denominator)
-    ints = [int(x * den) for x in vec]
-    g = den
-    for x in ints:
-        g = gcd(g, abs(x))
-        if g == 1:
-            break
-    if g > 1:
-        den //= g
-        ints = [x // g for x in ints]
-    return tuple(ints), den
+    return tuple(x.numerator * (den // x.denominator) for x in vec), den
 
 
 # ---------------------------------------------------------------------------

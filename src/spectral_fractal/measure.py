@@ -29,6 +29,9 @@ at rounding size.
 Each evaluator derives its depth cap from R and B: the fewest factors after
 which every |xi| <= XI_MAX passes both of its tests.  A point that needs more
 raises CapExceeded.
+
+The level-n approximant is the first n layers of the convolution, so its
+transform is exactly the n-factor product (`DiscreteMeasure.fourier`).
 """
 
 from __future__ import annotations
@@ -175,12 +178,16 @@ class FourierEval:
 
 @dataclass(frozen=True)
 class DiscreteMeasure:
-    """Finite atomic stand-in for mu at convolution depth n.
+    """The level-n approximant delta_{R^-1 B} * ... * delta_{R^-n B} of mu.
 
-    Atom i sits at atoms[i] / den and carries weight counts[i] / N^n; the
-    numerator rows are exact integers (object array), sorted and distinct.
+    Atom i sits at atoms[i] / den (exact integer rows, sorted and distinct)
+    with weight counts[i] / N^n, counts[i] the digit sums landing on it.  So
+    the weighted atom sum runs over the N^n digit strings, weight 1/N^n each,
+    and factors into the first n factors of mu_hat.
     """
 
+    pair: AffinePair
+    n: int
     atoms: np.ndarray
     den: int
     counts: np.ndarray
@@ -190,24 +197,9 @@ class DiscreteMeasure:
         # Python-int true division rounds each coordinate correctly
         return (self.atoms / self.den).astype(float)
 
-    @cached_property
-    def weight_array(self) -> np.ndarray:
-        return self.counts / self.counts.sum()
-
     def fourier(self, xi):
-        d = self.atoms.shape[1]
-        arr, scalar = _xi_grid(d, xi)
-        flat = arr.reshape(-1, d)
-        # atom chunks keep about 2^20 phase entries (and their exponentials)
-        # alive at a time
-        step = max(1, 2**20 // max(1, len(flat)))
-        vals = sum(
-            np.exp(-2j * np.pi * (flat @ self.points[s : s + step].T))
-            @ self.weight_array[s : s + step]
-            for s in range(0, len(self.atoms), step)
-        )
-        vals = vals.reshape(arr.shape[:-1])
-        return vals[0] if scalar else vals
+        """The transform at xi, as the n-factor product; a scalar gives a scalar."""
+        return FourierEval(self.pair).mu_hat_truncated(xi, self.n)
 
 
 def discrete_approximant(pair: AffinePair, n: int, cap: int = 2**20) -> DiscreteMeasure:
@@ -239,7 +231,7 @@ def discrete_approximant(pair: AffinePair, n: int, cap: int = 2**20) -> Discrete
     # distinct sums give distinct atoms, so the atoms need only sorting
     atoms = sums @ np.array(adj.rows, dtype=object).T * sign
     order = np.lexsort(atoms.T[::-1])
-    return DiscreteMeasure(atoms[order], abs(det), counts[order])
+    return DiscreteMeasure(pair, n, atoms[order], abs(det), counts[order])
 
 
 def _merge_rows(rows: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import islice
+from math import lcm
 
 import numpy as np
 
@@ -406,25 +406,30 @@ def map_frequency_back(points, records) -> list[FVec]:
 
     ``records`` is outermost-first; points shorter than a record (from a
     projected block system) are padded with zeros, which is exact because
-    the measure lives in the leading coordinates there.  The chain composes
-    to one rational matrix, the padding being the embedding of the leading
-    coordinates; over its common denominator D the entries are integers, so
-    each integer or ``Fraction`` row maps by one product and a division by D.
+    the measure lives in the leading coordinates there.  The integer or
+    ``Fraction`` points go to `_map_numerators_back` over their common denominator.
     """
-    rows = np.array(points, dtype=object)
-    if not len(rows):
+    if not len(points):
         return []
-    d = rows.shape[1]
+    num, q = clear_denominators([x for p in points for x in p])
+    return _map_numerators_back(np.array(num, dtype=object).reshape(len(points), -1), q, records)
+
+
+def _map_numerators_back(num: np.ndarray, q: int, records) -> list[FVec]:
+    """`map_frequency_back` of the points num / q, num an integer object array.
+
+    The chain composes to one rational matrix (the padding embeds the leading
+    coordinates), integer over its common denominator D: one integer product
+    maps every row over D q, and each ``Fraction`` is formed once at the end.
+    """
+    d = num.shape[1]
     M = f_identity(d)
     for rec in reversed(records):
         M = M + ((Fraction(0),) * d,) * (rec.dim - len(M))
         M = f_matmul(f_transpose(rec.forward), M)
-    num, D = clear_denominators([x for row in M for x in row])
-    num_rows = [num[i * d:(i + 1) * d] for i in range(len(M))]
-    return [
-        tuple(Fraction(sum(m * x for m, x in zip(nrow, row)), D) for nrow in num_rows)
-        for row in rows
-    ]
+    A, D = clear_denominators([x for row in M for x in row])
+    out = num @ np.array(A, dtype=object).reshape(len(M), d).T
+    return [tuple(Fraction(v, D * q) for v in row) for row in out.tolist()]
 
 
 def report_frequencies(report: SpectrumReport) -> tuple[FVec, ...]:
@@ -432,9 +437,9 @@ def report_frequencies(report: SpectrumReport) -> tuple[FVec, ...]:
 
     The orthonormal branch maps the tree's points back; the quasi-product
     branch takes the sub-report's list as Lambda_1 and extends it by the
-    transverse steps t / beta, ordered by |t|; the point mass has only 0.
-    An undecided report has none.  Every prefix of the list is the list
-    of a smaller limit.
+    transverse steps t / beta, ordered by |t|, as numerators over one
+    denominator; the point mass has only 0.  An undecided report has none.
+    Every prefix of the list is the list of a smaller limit.
     """
     if report.branch == "point-mass":
         pts = [(0,)]
@@ -442,11 +447,17 @@ def report_frequencies(report: SpectrumReport) -> tuple[FVec, ...]:
         pts = report.tree.points[: report.limit]
     elif report.branch == "quasi-product" and report.product is not None:
         beta = report.product.beta
-        ts = sorted(range(-report.product.t_window, report.product.t_window + 1),
-                    key=lambda t: (abs(t), t))
         base = report.sub_report.frequencies
-        out = (lam1 + (Fraction(t, beta),) for t in ts for lam1 in base)
-        pts = list(islice(out, report.limit))
+        a, q1 = clear_denominators([x for lam in base for x in lam])
+        q = lcm(q1, beta)
+        lam1 = np.array(a, dtype=object).reshape(len(base), -1) * (q // q1)
+        ts = sorted(range(-report.product.t_window, report.product.t_window + 1),
+                    key=lambda t: (abs(t), t))[: -(-report.limit // len(base))]
+        num = np.column_stack([
+            np.tile(lam1, (len(ts), 1)),
+            np.repeat(np.array(ts, dtype=object) * (q // beta), len(base)),
+        ])
+        return tuple(_map_numerators_back(num[: report.limit], q, report.records))
     else:
         return ()
     return tuple(map_frequency_back(pts, report.records))
@@ -480,8 +491,11 @@ def full_spectrum(
     leading block and test the product candidate.  Structural failures of
     the quasi-product branch are reported as status "undecided" with the
     reason in ``note`` (the refutation of integer spectra still stands).
-    The report's frequency list holds at most ``limit`` points.
+    The report's frequency list holds at most ``limit`` points, and
+    ``limit`` must be at least 1.
     """
+    if limit < 1:
+        raise InvalidInput(f"limit must be >= 1, got {limit}")
     triple.require_validated()
     if _depth > 4:
         raise CapExceeded("recursion depth", _depth, 4)

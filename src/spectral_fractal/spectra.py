@@ -32,7 +32,7 @@ from .errors import (
 )
 from .intlat import IVec, inverse_image
 from .measure import FourierEval, attractor_box
-from .triples import AffinePair, HadamardTriple, _int_rows, digit_sums
+from .triples import AffinePair, HadamardTriple, digit_sums
 from .zeroset import EmptinessEvidence, _window, zero_set_empty_evidence
 
 SHIFT_WINDOW = 4  # shifts kappa range over [-SHIFT_WINDOW, SHIFT_WINDOW]^d
@@ -159,7 +159,7 @@ def _corrected_level(
     ev: FourierEval,
     cover: CoverConstants,
     current,
-    J,
+    J: np.ndarray,
     m_prev: int,
     m_new: int,
     k: int,
@@ -167,18 +167,21 @@ def _corrected_level(
     """New points of level k of `corrected_tree`, shift-corrected against
     the cover certificate.
 
-    Bases are lambda + (R^T)^m_prev j over lambda in `current` and nonzero j
-    in J.  A base whose |mu_hat((R^T)^-m_new base)|^2 misses m_cover is
-    moved by (R^T)^m_new kappa, kappa the best translate in the cover
-    window; that never changes its residue mod (R^T)^m_new.  Returns the
-    new points and the (level, base, kappa) corrections.  Two mu_hat_sq calls:
-    one on the rescaled bases, one on every translate of every miss.
+    Bases are lambda + (R^T)^m_prev j over lambda in `current` and the
+    nonzero rows j of the integer array J, lambda-major.  A base whose
+    |mu_hat((R^T)^-m_new base)|^2 misses m_cover is moved by
+    (R^T)^m_new kappa, kappa the best translate in the cover window; that
+    never changes its residue mod (R^T)^m_new.  Bases, shifts and points
+    are exact integer products (Python ints), one per level each; the new
+    points and the (level, base, kappa) corrections come back as tuples.
+    Two mu_hat_sq calls: one on the rescaled bases, one on every translate
+    of every miss.
     """
+    d = ev.pair.d
     Rt = ev.pair.R.T
-    P_prev = Rt.pow(m_prev)
-    steps = [P_prev.matvec(j) for j in J if any(j)]
-    bases = [tuple(a + b for a, b in zip(lam, s)) for lam in current for s in steps]
-    if not bases:
+    steps = J[np.any(J != 0, axis=1)] @ np.array(Rt.pow(m_prev).rows, dtype=object).T
+    bases = (np.asarray(current, dtype=object).reshape(-1, 1, d) + steps).reshape(-1, d)
+    if not len(bases):
         return [], []
     P_new = Rt.pow(m_new)
     x = inverse_image(P_new, bases)
@@ -186,11 +189,11 @@ def _corrected_level(
     # any gap that would matter for the lower bound
     good = ev.mu_hat_sq(x) >= cover.m_cover - 1e-6
     miss = np.flatnonzero(~good)
-    best = {}
+    kappa = np.zeros_like(bases)
     if len(miss):
-        shifts = _window(cover.window, ev.pair.d)
+        shifts = _window(cover.window, d)
         pts = x[miss][:, None, :] + np.array(shifts, dtype=float)[None, :, :]
-        vals = ev.mu_hat_sq(pts.reshape(-1, ev.pair.d)).reshape(len(miss), len(shifts))
+        vals = ev.mu_hat_sq(pts.reshape(-1, d)).reshape(len(miss), len(shifts))
         top = vals.argmax(axis=1)
         got = vals[np.arange(len(miss)), top]
         # the grid certificate only warrants delta_hat off-grid; the stricter
@@ -200,17 +203,13 @@ def _corrected_level(
             raise NoShiftFound(
                 f"cover guarantee failed at level {k} (got {got[failed[0]]:.3g})"
             )
-        best = {int(i): shifts[t] for i, t in zip(miss, top) if any(shifts[t])}
-    fresh: list[IVec] = []
-    corrections: list[tuple[int, IVec, IVec]] = []
-    for i, b in enumerate(bases):
-        kappa = best.get(i)
-        if kappa is None:
-            fresh.append(b)
-            continue
-        corrections.append((k, b, kappa))
-        fresh.append(tuple(a + c for a, c in zip(b, P_new.matvec(kappa))))
-    return fresh, corrections
+        kappa[miss] = np.array(shifts, dtype=object)[top]
+    fixed = np.flatnonzero(np.any(kappa != 0, axis=1))
+    fresh = bases + kappa @ np.array(P_new.rows, dtype=object).T
+    corrections = [
+        (k, tuple(b), tuple(c)) for b, c in zip(bases[fixed].tolist(), kappa[fixed].tolist())
+    ]
+    return list(map(tuple, fresh.tolist())), corrections
 
 
 def corrected_tree(
@@ -238,9 +237,9 @@ def corrected_tree(
     exps = [0]
     blocks: list[tuple[IVec, ...]] = [((0,) * d,)]
     corrections: list[tuple[int, IVec, IVec]] = []
-    current: list[IVec] = [(0,) * d]
+    current = np.zeros((1, d), dtype=object)  # every point so far, Python ints
     for k in range(1, K + 1):
-        arr = np.array(current, dtype=float)
+        arr = current.astype(float)
         n = exps[-1] + 1
         while True:
             imgs = arr @ np.linalg.matrix_power(Rt_inv, n).T
@@ -251,7 +250,7 @@ def corrected_tree(
         gap = n - exps[-1]
         if gap >= MAX_GAP:
             raise CapExceeded("level gap", gap, MAX_GAP)
-        J = _int_rows(digit_sums(Rt, L, gap, cap=cap))
+        J = digit_sums(Rt, L, gap, cap=cap)
         if len(current) * len(J) > cap:
             raise CapExceeded("spectrum tree", len(current) * len(J), cap)
         fresh, fixes = _corrected_level(ev, cover, current, J, exps[-1], n, k)
@@ -259,7 +258,7 @@ def corrected_tree(
             raise ResidueCollision(f"level {k} repeats a point")
         corrections.extend(fixes)
         blocks.append(tuple(fresh))
-        current.extend(fresh)
+        current = np.concatenate([current, np.array(fresh, dtype=object).reshape(-1, d)])
         exps.append(n)
     return SpectrumTree(
         triple, tuple(exps), tuple(blocks), tuple(corrections), cover, evidence

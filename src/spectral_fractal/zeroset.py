@@ -110,14 +110,6 @@ def vanishing_orders_1d(digits: tuple[int, ...]) -> frozenset[int]:
     return frozenset(orders)
 
 
-def _lcm_den(v: FVec) -> int:
-    """Least common denominator of a tuple of fractions."""
-    out = 1
-    for c in v:
-        out = out * c.denominator // gcd(out, c.denominator)
-    return out
-
-
 def _frac_mod1(x: Fraction) -> Fraction:
     return x - (x.numerator // x.denominator)
 
@@ -213,12 +205,6 @@ def _window(K: int, d: int):
     return pts
 
 
-def _numerators(point: FVec) -> tuple[IVec, int]:
-    """(a, L) with point = a / L, L the least common denominator."""
-    L = _lcm_den(point)
-    return tuple(c.numerator * (L // c.denominator) for c in point), L
-
-
 @lru_cache(maxsize=256)
 def _inverse_step(R: IntMatrix) -> tuple[tuple[IVec, ...], int]:
     """(s adj(R^T), |det R|), s the sign of det R: their quotient is (R^T)^-1."""
@@ -250,7 +236,7 @@ def certify_zero(pair: AffinePair, xi0, K: int = 10, J: int = 30) -> ZeroCertifi
     if len(point) != pair.d:
         raise InvalidInput("candidate point has wrong dimension")
     ms = mask_zero_structure(pair)
-    a, L = _numerators(point)
+    a, L = clear_denominators(point)
     ev = FourierEval(pair)
     witnesses: list[tuple[IVec, int]] = []
     unresolved: list[IVec] = []
@@ -289,7 +275,7 @@ def replay_certificate(pair: AffinePair, cert: ZeroCertificate) -> bool:
         expected = {tuple(k) for k in _window(cert.K, pair.d)}
         if {k for k, _ in cert.witnesses} != expected:
             return False
-        a, L = _numerators(cert.point)
+        a, L = clear_denominators(cert.point)
         for k, j in cert.witnesses:
             if j < 1:
                 return False
@@ -384,7 +370,7 @@ def scan_zero_set(pair: AffinePair, K: int = 10) -> ScanCandidates:
         ok = _below_on_window(ev, pts, K, SCAN_TAU)
         confirmed = [cand_list[i] for i in np.flatnonzero(ok)]
 
-    out = ScanCandidates(sorted(confirmed, key=lambda v: (_lcm_den(v), v)))
+    out = ScanCandidates(sorted(confirmed, key=lambda v: (clear_denominators(v)[1], v)))
     out.survivors = int(alive.sum())
     return out
 
@@ -606,7 +592,7 @@ def find_invariant_cycle(pair: AffinePair, witness: ZeroCertificate) -> Invarian
     periodic or an orbit point fails to certify.
     """
     Rt = pair.R.T
-    a, L = _numerators(witness.point)
+    a, L = clear_denominators(witness.point)
     nums = [tuple(c % L for c in a)]
     for _ in range(CYCLE_PERIOD):
         nxt = tuple(c % L for c in Rt.matvec(nums[-1]))

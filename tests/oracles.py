@@ -191,6 +191,23 @@ def fraction_approximant(pair, n: int):
     return [a for a, _ in items], [c * w for _, c in items]
 
 
+def discrete_fourier_atoms(dm, xi):
+    """The approximant's transform as the weighted sum over its atoms,
+    sum_i (counts[i] / N^n) exp(-2 pi i <xi, points[i]>); a scalar gives a
+    scalar.  Atom chunks keep about 2^20 phase entries alive at a time."""
+    d = dm.atoms.shape[1]
+    arr, scalar = _xi_grid(d, xi)
+    flat = arr.reshape(-1, d)
+    weights = dm.counts / dm.pair.N**dm.n
+    step = max(1, 2**20 // max(1, len(flat)))
+    vals = sum(
+        np.exp(-2j * np.pi * (flat @ dm.points[s : s + step].T)) @ weights[s : s + step]
+        for s in range(0, len(dm.atoms), step)
+    )
+    vals = vals.reshape(arr.shape[:-1])
+    return vals[0] if scalar else vals
+
+
 # ---------------------------------------------------------------------------
 # transform identities
 
@@ -452,6 +469,43 @@ def corrected_level_per_base(ev: FourierEval, cover, current, J, m_prev: int, m_
             raise NoShiftFound(f"cover guarantee failed at level {k} (got {vals[best]:.3g})")
         kappa = shifts[best]
         if not any(kappa):
+            fresh.append(b)
+            continue
+        corrections.append((k, b, kappa))
+        fresh.append(tuple(a + c for a, c in zip(b, P_new.matvec(kappa))))
+    return fresh, corrections
+
+
+def corrected_level_per_point(ev: FourierEval, cover, current, J, m_prev: int, m_new: int, k: int):
+    """The shift-corrected level with tuple bookkeeping: each base is built
+    by one tuple comprehension and each kappa added by one `IntMatrix.matvec`.
+    Same mu_hat_sq batches and contract as `spectra._corrected_level`."""
+    Rt = ev.pair.R.T
+    P_prev = Rt.pow(m_prev)
+    steps = [P_prev.matvec(j) for j in J if any(j)]
+    bases = [tuple(a + b for a, b in zip(lam, s)) for lam in current for s in steps]
+    if not bases:
+        return [], []
+    P_new = Rt.pow(m_new)
+    x = inverse_image(P_new, bases)
+    good = ev.mu_hat_sq(x) >= cover.m_cover - 1e-6
+    miss = np.flatnonzero(~good)
+    best = {}
+    if len(miss):
+        shifts = _window(cover.window, ev.pair.d)
+        pts = x[miss][:, None, :] + np.array(shifts, dtype=float)[None, :, :]
+        vals = ev.mu_hat_sq(pts.reshape(-1, ev.pair.d)).reshape(len(miss), len(shifts))
+        top = vals.argmax(axis=1)
+        got = vals[np.arange(len(miss)), top]
+        failed = np.flatnonzero(got < cover.delta_hat - 1e-9)
+        if len(failed):
+            raise NoShiftFound(f"cover guarantee failed at level {k} (got {got[failed[0]]:.3g})")
+        best = {int(i): shifts[t] for i, t in zip(miss, top) if any(shifts[t])}
+    fresh = []
+    corrections = []
+    for i, b in enumerate(bases):
+        kappa = best.get(i)
+        if kappa is None:
             fresh.append(b)
             continue
         corrections.append((k, b, kappa))

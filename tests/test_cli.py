@@ -183,14 +183,15 @@ def test_spectrum_undecided_maps_to_inconclusive(tmp_path, capsys, monkeypatch):
 def test_each_frequency_list_is_mapped_back_once(
     tmp_path, capsys, monkeypatch, command, problem, flags, calls
 ):
+    # every list, of integer or rational points, is mapped by _map_numerators_back
     seen = []
-    map_back = quasiprod.map_frequency_back
+    map_back = quasiprod._map_numerators_back
 
-    def counted(points, records):
-        seen.append(len(points))
-        return map_back(points, records)
+    def counted(num, q, records):
+        seen.append(len(num))
+        return map_back(num, q, records)
 
-    monkeypatch.setattr(quasiprod, "map_frequency_back", counted)
+    monkeypatch.setattr(quasiprod, "_map_numerators_back", counted)
     assert cli.main([command, write_problem(tmp_path, problem), *flags]) == 0
     assert len(seen) == calls
 
@@ -288,6 +289,18 @@ def test_frames_budget_below_one_is_invalid(tmp_path):
     for budget in (0, -3):
         p = write_problem(tmp_path, {**MT, "params": {"budget": budget}})
         assert cli.main(["frames", p, "--depth", "2"]) == 2
+
+
+@pytest.mark.parametrize("command", ["spectrum", "quasiprod"])
+@pytest.mark.parametrize("problem", [JP, SKEW], ids=["jp", "skew"])
+def test_limit_below_one_is_invalid(tmp_path, capsys, command, problem):
+    # a limit below 1 once sliced the tree's list from the end (exit 0 with
+    # 59 of 64 points) or reached islice's ValueError
+    for flags in (["--cap", "0"], ["--cap", "-5"]):
+        assert cli.main([command, write_problem(tmp_path, problem), *flags]) == 2
+        assert "limit" in capsys.readouterr().err
+    p = write_problem(tmp_path, {**problem, "params": {"limit": -1}})
+    assert cli.main([command, p]) == 2
 
 
 def test_frames_triple_takes_exact_tower_rows(tmp_path):

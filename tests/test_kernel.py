@@ -18,8 +18,10 @@ from spectral_fractal.intlat import (
     inverse_image,
     residues_unique,
 )
-from spectral_fractal.measure import FourierEval, discrete_approximant
+from spectral_fractal.measure import discrete_approximant
 from spectral_fractal.triples import affine_pair, digit_sums, hadamard_matrix
+
+from oracles import discrete_fourier_atoms
 
 SKEW = ([[4, 0], [1, 2]], [(0, 0), (0, 3), (1, 0), (1, 3)], [(0, 0), (2, 0), (0, 1), (2, 1)])
 JP = ([[4]], [(0,), (2,)], [(0,), (1,)])
@@ -171,6 +173,6 @@ def test_fourier_over_atom_chunks_matches_closed_form():
     pair = affine_pair([[3]], [(0,), (2,)])
     dm = discrete_approximant(pair, 16)
     xi = np.random.default_rng(2).uniform(-50.0, 50.0, size=(128, 1))
-    exact = FourierEval(pair).mu_hat_truncated(xi, 16)
+    exact = discrete_fourier_atoms(dm, xi)
     assert np.max(np.abs(dm.fourier(xi) - exact)) < 1e-9
-    assert abs(dm.fourier(0.25) - FourierEval(pair).mu_hat_truncated(0.25, 16)) < 1e-9
+    assert abs(dm.fourier(0.25) - discrete_fourier_atoms(dm, 0.25)) < 1e-9

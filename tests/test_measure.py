@@ -23,6 +23,7 @@ from spectral_fractal.triples import affine_pair, mask_eval
 
 from oracles import (
     SimpleDigitsRequired,
+    discrete_fourier_atoms,
     fraction_approximant,
     refinement_identity_defect,
     step_moment,
@@ -67,14 +68,20 @@ def test_mu_hat_depth_stability(jp_pair, skew_pair):
         assert np.max(np.abs(base - deeper)) < 1e-9
 
 
-def test_mu_hat_agrees_with_discrete_oracle(jp_pair):
-    # both sides are the same finite product when depths are matched exactly
-    ev = FourierEval(jp_pair)
-    dm = discrete_approximant(jp_pair, 6)
-    xs = np.linspace(-5, 5, 33)
-    lhs = ev.mu_hat_truncated(xs, 6)
-    rhs = dm.fourier(xs)
-    assert np.max(np.abs(lhs - rhs)) < 1e-12
+def test_mu_hat_agrees_with_discrete_oracle():
+    # the weighted atom sum of the level-n approximant is the n-factor product
+    for R, B, n in (
+        ([[4]], [(0,), (2,)], 6),  # jp
+        ([[4, 0], [1, 2]], [(0, 0), (0, 3), (1, 0), (1, 3)], 6),  # skew
+        ([[3]], [(0,), (1,), (3,), (4,)], 5),  # digits collide mod 3: merged atoms
+    ):
+        pair = affine_pair(R, B)
+        dm = discrete_approximant(pair, n)
+        xs = np.random.default_rng(4).uniform(-5, 5, size=(33, pair.d))
+        atom_sum = discrete_fourier_atoms(dm, xs)
+        assert np.max(np.abs(FourierEval(pair).mu_hat_truncated(xs, n) - atom_sum)) < 1e-12
+        assert np.max(np.abs(dm.fourier(xs) - atom_sum)) < 1e-12
+        assert abs(dm.fourier(xs[0]) - atom_sum[0]) < 1e-12  # a point in, a scalar out
 
 
 def test_mu_hat_depth_cap_is_not_silent():
@@ -242,7 +249,7 @@ def test_discrete_approximant_matches_fraction_oracle(R, B, depths):
         want_points = np.array([[float(c) for c in a] for a in atoms])
         want_weights = np.array([float(w) for w in weights])
         assert np.array_equal(dm.points, want_points)
-        assert np.array_equal(dm.weight_array, want_weights)
+        assert np.array_equal(dm.counts / pair.N**n, want_weights)
 
 
 def test_attractor_boxes(jp_pair):

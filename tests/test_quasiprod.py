@@ -376,6 +376,7 @@ def test_map_frequency_back_pads_projected_points():
         ([[4]], [(1,), (3,)], [(0,), (1,)]),  # translated, then rescaled
         # digits on the diagonal: moved onto the first axis, projected, rescaled
         ([[3, 1], [1, 3]], [(0, 0), (2, 2)], [(0, 0), (1, 0)]),
+        ([[9]], [(0,), (3,), (6,)], [(0,), (1,), (2,)]),  # rescaled through 3Z
     ],
 )
 def test_composed_frequency_map_matches_per_point_chain(R, B, L):
@@ -392,8 +393,11 @@ def test_composed_frequency_map_matches_per_point_chain(R, B, L):
 def test_composed_frequency_map_matches_chain_on_rational_points(request, name):
     rep = request.getfixturevalue(name)
     assert rep.branch == "quasi-product"
-    base = rep.sub_report.frequencies[:400]
-    pts = [lam + (F(t, rep.product.beta),) for t in (0, -1, 1) for lam in base]
+    # the exported list is Lambda_1 extended by t / beta, ordered by |t|;
+    # its first 1,024 points span 16 values of t
+    base = rep.sub_report.frequencies
+    ts = sorted(range(-rep.product.t_window, rep.product.t_window + 1), key=lambda t: (abs(t), t))
+    pts = [lam + (F(t, rep.product.beta),) for t in ts for lam in base][:1024]
     chain = [map_frequency_back_per_point(p, rep.records) for p in pts]
     assert map_frequency_back(pts, rep.records) == chain
     assert list(rep.frequencies[: len(pts)]) == chain

@@ -19,7 +19,7 @@ from spectral_fractal.spectra import (
 from spectral_fractal.triples import hadamard_triple
 from spectral_fractal.zeroset import EmptinessEvidence, find_invariant_cycle, zero_set_empty_evidence
 
-from oracles import corrected_level_per_base, delta_lower_bound
+from oracles import corrected_level_per_base, corrected_level_per_point, delta_lower_bound
 
 F = Fraction
 
@@ -140,6 +140,27 @@ def test_batched_corrections_match_per_base_loop(monkeypatch, R, B, L, K):
     oracle = corrected_tree(triple, K)
     assert tree.points == oracle.points
     assert tree.corrections == oracle.corrections
+
+
+@pytest.mark.parametrize(
+    "R, B, L, K",
+    [
+        ([[4]], [0, 2], [0, 1], 14),  # jp
+        ([[4]], [0, 1], [0, 2], 14),  # jp after its rescale: 8,179 corrections
+        ([[4]], [0, 2], [0, 3], 12),  # jp3
+        ([[9]], [0, 3, 6], [0, 1, 2], 10),
+    ],
+)
+def test_integer_corrections_match_per_point_loop(monkeypatch, R, B, L, K):
+    triple = hadamard_triple(R, [(b,) for b in B], [(l,) for l in L]).require_validated()
+    tree = corrected_tree(triple, K)
+    monkeypatch.setattr(spectra, "_corrected_level", corrected_level_per_point)
+    oracle = corrected_tree(triple, K)
+    assert tree.new_points == oracle.new_points
+    assert tree.corrections == oracle.corrections
+    # plain Python ints, so no numpy integer reaches a report or CSV
+    assert all(type(c) is int for p in tree.points for c in p)
+    assert all(type(c) is int for _, b, kappa in tree.corrections for c in b + kappa)
 
 
 def test_orthogonality_check_of_one_point_is_zero(jp_triple):

@@ -37,6 +37,8 @@ ALLOWED_FIELDS = {
     "quasiprod.ProductSpectrum.rejected",
     # oracles.delta_lower_bound rescales each level by it to check the cover bound
     "spectra.SpectrumTree.exponents",
+    # the oracle atom sum reads it
+    "measure.DiscreteMeasure.counts",
 }
 
 
