@@ -532,7 +532,7 @@ def run_verify(path: str) -> int:
         return EXIT_INVALID
     params = report["params"]
     try:
-        _check_params(command, params)
+        _check_params(command, params, problem)
     except InvalidInput as exc:
         print(f"FAIL: recorded params are invalid: {exc}")
         return EXIT_INVALID
@@ -588,6 +588,9 @@ _PARAMS = {
     ),
 }
 _PARAMS["quasiprod"] = _PARAMS["spectrum"]
+# params that a triple's run does not read: a triple's frame rows are its
+# tower rows, which no seed or budget steers, so they are recorded as null
+_TRIPLE_UNREAD = {"frames": ("seed", "budget")}
 # keys a problem file's params block may hold; render's `what` is positional
 _PARAM_KEYS = {pkey for rows in _PARAMS.values() for _, _, pkey, _, _ in rows} - {"what"}
 
@@ -644,19 +647,24 @@ def _resolved_params(command: str, problem: dict, args) -> dict:
             params[key] = typ(value)
         except (TypeError, ValueError):
             raise InvalidInput(f"params {pkey}: expected {typ.__name__}, got {value!r}") from None
+    if "L" in problem:
+        params.update(dict.fromkeys(_TRIPLE_UNREAD.get(command, ())))
     return params
 
 
-def _check_params(command: str, params) -> None:
+def _check_params(command: str, params, problem: dict) -> None:
     """A report's resolved params must hold exactly the keys `_PARAMS` gives
     the command, each value of its type; an int passes for a float, a bool
-    for nothing."""
+    for nothing.  For a triple, a param it does not read may be null."""
     types = {key: typ for key, _, _, _, typ in _PARAMS[command]}
     if not isinstance(params, dict) or set(params) != set(types):
         got = sorted(params) if isinstance(params, dict) else type(params).__name__
         raise InvalidInput(f"expected keys {sorted(types)}, got {got}")
+    unread = _TRIPLE_UNREAD.get(command, ()) if "L" in problem else ()
     for key, typ in types.items():
         value = params[key]
+        if value is None and key in unread:
+            continue
         ok = isinstance(value, (int, float) if typ is float else typ)
         if isinstance(value, bool) or not ok:
             raise InvalidInput(f"{key}: expected {typ.__name__}, got {value!r}")

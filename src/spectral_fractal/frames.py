@@ -13,14 +13,25 @@ Parseval, so the triple's exact verdict certifies the bounds (1, 1) and no
 Gram is formed.  A bare digit system has no such rows, and `select_subset`
 searches the complete representatives of (R^T)^n for a well-conditioned
 subset: swap descent bounds every candidate from one eigendecomposition per
-position and judges only the possible winners exactly.  Bounds are
-measured from the Gram matrix of the shorter side.
+position and judges only the possible winners exactly.
+
+Bounds come from the rows-side Gram F F*, whose entry (l, l') is the
+truncated mu_hat product prod_{j<=n} m_B((R^T)^{-j}(l - l')).  Taking the
+levels in consecutive groups of k, levels a+1..a+k contribute N^{-k} P P*
+with P the characters of R^(a+k) on the level-k digit sums, so F F* is the
+entrywise product of small-width group Grams instead of one product over
+all N^n columns.  When B = s - B for an integer vector s, centring each
+group's digit sums at half their symmetry centre makes every group Gram
+real (C C^T + S S^T from the cosines and sines of exact phases) without
+moving an eigenvalue, and the solve is a real `eigvalsh`.  More rows than
+columns (complete representatives only) take F*F, summed over row blocks.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import sub
 
 import numpy as np
 
@@ -52,6 +63,9 @@ __all__ = [
 # GRAM_SIDE-sized Gram, so the blocks add little to its peak
 _BLOCK = 2**18
 GRAM_SIDE = 4096  # largest Gram matrix side frame_matrix_bounds forms
+# digit sums per level group of the product Gram: groups of N^k <= 64
+# columns; widths 16-64 timed alike on the jp level-10 tower rows
+_GROUP_WIDTH = 64
 
 
 def _characters(M: IntMatrix, rows, cols) -> np.ndarray:
@@ -68,13 +82,50 @@ def frame_matrix(pair: AffinePair, n: int, J, cap: int = 2**20) -> np.ndarray:
     return F
 
 
-def frame_matrix_bounds(pair: AffinePair, n: int, J, cap: int = 2**26) -> tuple[float, float]:
-    """Extreme squared singular values of the level-n matrix for rows J.
+def _symmetry_centre(B) -> IVec | None:
+    """The integer vector s with B = s - B, or None when there is none.
 
-    With fewer rows than the N^n columns the rank is short, so sigma_min^2
-    is exactly 0 and only sigma_max^2 is computed.  The Gram matrix of the
-    shorter side (F F* for a wide matrix, F*F otherwise) is summed over
-    blocks of the longer side and solved densely; a shorter side above
+    Summing over B gives s = 2 mean(B), so one candidate is tested exactly.
+    """
+    twice = [2 * sum(c) for c in zip(*B)]
+    if any(t % len(B) for t in twice):
+        return None
+    s = tuple(t // len(B) for t in twice)
+    return s if sorted(tuple(map(sub, s, b)) for b in B) == sorted(B) else None
+
+
+def _group_gram(pair: AffinePair, m: int, k: int, freqs, centre) -> np.ndarray:
+    """P P* for P the characters of R^m on B_k: N^k times the mask factors
+    of levels m-k+1..m.
+
+    With B = s - B, the sums centred at c_k = (1/2) sum_{i<k} R^i s are
+    symmetric about 0, so the imaginary parts cancel and the Gram is
+    C C^T + S S^T, C and S the cosine and sine of the exact phases
+    <(2R^m)^{-1}(2b - 2c_k), l>.  Centring is a diagonal unitary
+    similarity, so it moves no eigenvalue.
+    """
+    sums = digit_sums(pair.R, pair.B, k)
+    if centre is None:
+        P = _characters(pair.R.pow(m), freqs, sums)
+        return P @ P.conj().T
+    cols = 2 * sums - digit_sums(pair.R, [centre], k)
+    twice = [[2 * x for x in row] for row in pair.R.pow(m).rows]
+    theta = 2 * np.pi * character_phases(twice, freqs, cols)
+    X = np.concatenate((np.cos(theta), np.sin(theta)), axis=1)
+    return X @ X.T
+
+
+def frame_matrix_bounds(pair: AffinePair, n: int, J, cap: int = 2**26) -> tuple[float, float]:
+    """Extreme squared singular values of the level-n matrix F for rows J.
+
+    With rows <= N^n the rows-side Gram F F* is formed from the product
+    structure of mu_hat: entry (l, l') is prod_{j<=n} m_B((R^T)^{-j}(l - l')),
+    so with the levels taken in consecutive groups of k (N^k near
+    _GROUP_WIDTH), F F* is N^{-n} times the entrywise product of the group
+    Grams of `_group_gram`.  A symmetric digit set (B = s - B) gives real
+    group Grams, so the solve is a real `eigvalsh`.  With fewer rows than
+    columns the rank is short, so sigma_min^2 is exactly 0.  More rows than
+    columns take F* F, summed over blocks of rows.  A shorter side above
     GRAM_SIDE raises CapExceeded before any character is formed.  Phases
     come from the exact character kernel.
     """
@@ -88,21 +139,28 @@ def frame_matrix_bounds(pair: AffinePair, n: int, J, cap: int = 2**26) -> tuple[
     side = min(rows, Nn)
     if side > GRAM_SIDE:
         raise CapExceeded("frame Gram side", side, GRAM_SIDE)
-    wide = rows < Nn
+    if rows <= Nn:
+        k = 1
+        while k < n and pair.N ** (k + 1) <= _GROUP_WIDTH:
+            k += 1
+        centre = _symmetry_centre(pair.B)
+        K = np.ones((rows, rows), dtype=complex if centre is None else float)
+        for a in range(0, n, k):
+            m = min(a + k, n)
+            K *= _group_gram(pair, m, m - a, freqs, centre)
+        K /= Nn
+        w = np.linalg.eigvalsh(K)
+        return (0.0 if rows < Nn else float(max(w[0], 0.0))), float(w[-1])
     Rn = pair.R.pow(n)
     sums = digit_sums(pair.R, pair.B, n, cap=cap)
-    K = np.zeros((side, side), dtype=complex)
-    step = max(1, _BLOCK // side)
-    for s in range(0, max(rows, Nn), step):
-        if wide:
-            P = _characters(Rn, freqs, sums[s : s + step])
-            K += P @ P.conj().T
-        else:
-            P = _characters(Rn, freqs[s : s + step], sums)
-            K += P.conj().T @ P
+    K = np.zeros((Nn, Nn), dtype=complex)
+    step = max(1, _BLOCK // Nn)
+    for s in range(0, rows, step):
+        P = _characters(Rn, freqs[s : s + step], sums)
+        K += P.conj().T @ P
     K /= Nn
     w = np.linalg.eigvalsh(K)
-    return (0.0 if wide else float(max(w[0], 0.0))), float(w[-1])
+    return float(max(w[0], 0.0)), float(w[-1])
 
 
 def residues_distinct(R, J, n: int) -> bool:

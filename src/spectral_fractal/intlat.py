@@ -622,25 +622,46 @@ def poly_divmod(a: Sequence, b: Sequence) -> tuple[list, list]:
     return q, rem
 
 
-@lru_cache(maxsize=None)
-def cyclotomic(q: int) -> list[int]:
-    """Phi_q as the Moebius product of the factors (x^e - 1)^mu(q/e), e | q.
+@lru_cache(maxsize=1024)
+def _radical_split(q: int) -> tuple[tuple[int, ...], int]:
+    """The distinct primes of q, ascending, and s = q / rad(q)."""
+    primes, m, p = [], q, 2
+    while p * p <= m:
+        if m % p == 0:
+            primes.append(p)
+            while m % p == 0:
+                m //= p
+        p += 1
+    if m > 1:
+        primes.append(m)
+    return tuple(primes), q // prod(primes)
 
-    mu(q/e) is nonzero only for e = q / prod(S), S a set of distinct primes
-    of q, where it is (-1)^|S|.  Each factor multiplies or exactly divides
-    in one linear pass (lowest degree first here), multiplications first.
+
+def root_sum_vanishes(exps, q: int) -> bool:
+    """Whether the sum of zeta_q^e over the exponents e in [0, q) is zero.
+
+    Exponents count with multiplicity.  With t = rad(q) and s = q / t,
+    zeta_q is a root of x^s - zeta_t of degree [Q(zeta_q) : Q(zeta_t)] = s,
+    so 1, zeta_q, ..., zeta_q^(s-1) is a basis over Q(zeta_t): the sum
+    vanishes iff, for each a = e mod s, the sum of the t-th roots
+    zeta_t^(e div s) does.  For squarefree t, Q(zeta_t) is the tensor
+    product of the Q(zeta_p), p | t, and indexing a t-th root by its
+    residues mod each p differs from the CRT split by a Galois automorphism,
+    which keeps zero and nonzero apart.  On each prime axis,
+    zeta_p^(p-1) = -(1 + ... + zeta_p^(p-2)) leaves a basis; the sum is zero
+    iff every coordinate left is.  O(q) integer work.
     """
-    primes = [p for p in range(2, q + 1) if q % p == 0 and all(p % r for r in range(2, p))]
-    subsets = itertools.chain(*(itertools.combinations(primes, k) for k in range(len(primes) + 1)))
-    p = [1]
-    for odd, e in sorted((len(S) % 2, q // prod(S)) for S in subsets):
-        if not odd:  # p (x^e - 1)
-            p = [a - b for a, b in zip([0] * e + p, p + [0] * e)]
-        else:  # p / (x^e - 1)
-            p = [-c for c in p[: len(p) - e]]
-            for i in range(e, len(p)):
-                p[i] += p[i - e]
-    return p[::-1]
+    if q == 1:
+        return len(exps) == 0
+    primes, s = _radical_split(q)
+    t = q // s
+    counts = np.bincount(np.asarray(exps, dtype=np.int64), minlength=q).reshape(t, s)
+    A = np.zeros(primes + (s,), dtype=np.int64)
+    u = np.arange(t)
+    A[tuple(u % p for p in primes)] = counts
+    for axis, p in enumerate(primes):
+        A = np.take(A, range(p - 1), axis) - np.take(A, [p - 1], axis)
+    return not A.any()
 
 
 def _has_reciprocal_root_pair(p: Sequence[int]) -> bool:

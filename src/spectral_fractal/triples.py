@@ -35,10 +35,9 @@ from .intlat import (
     adjugate,
     as_digit_list,
     character_phases,
-    cyclotomic,
     is_expansive,
-    poly_divmod,
     residues_unique,
+    root_sum_vanishes,
 )
 
 NUMERIC_ZERO = 1e-12  # a float mask value below this counts as a zero ("numeric" grade)
@@ -123,16 +122,16 @@ def mask_vanishes(digits, v: IVec, den: int, cap: int) -> tuple[bool, str]:
     """(the digit mask vanishes at v / den, grade) for integer numerators v.
 
     The phases <b, v> / den share the reduced denominator q, so the mask is a
-    sum of q-th roots of unity: zero exactly when Phi_q divides the polynomial
-    of its exponents folded mod q (grade 'exact', q <= cap), else judged in
-    floats (grade 'numeric').  Repeated digits count with multiplicity.
+    sum of q-th roots of unity, decided exactly by `intlat.root_sum_vanishes`
+    (grade 'exact', q <= cap), else judged in floats (grade 'numeric').
+    Repeated digits count with multiplicity.
     """
     nums = [sum(map(mul, b, v)) for b in digits]
     g = gcd(den, *nums)
     q = den // g
     exps = [n // g % q for n in nums]
     if q <= cap:
-        return not poly_divmod(np.bincount(exps)[::-1].tolist(), cyclotomic(q))[1], "exact"
+        return root_sum_vanishes(exps, q), "exact"
     # int / int is correctly rounded, as float(Fraction(e, q)) is
     val = abs(np.exp(-2j * np.pi * np.array([e / q for e in exps])).sum()) / len(digits)
     return bool(val < NUMERIC_ZERO), "numeric"

@@ -12,7 +12,7 @@ matters.  Strategy:
   small-denominator rationals;
 * certify: for a rational candidate, produce per-translate witnesses "the
   level-j mask factor vanishes", a vanishing sum of roots of unity decided
-  by cyclotomic divisibility (per axis for a product digit set) and judged
+  exactly (by its reduced orders per axis for a product digit set) and judged
   in floats only beyond `triples.GENERAL_CAP`; the point
   steps through the levels as integer numerators over a common denominator;
 * cycle: from the refuting witness x0 the orbit of x -> R^T x (mod Z^d) is
@@ -42,10 +42,10 @@ from .intlat import (
     charpoly,
     clear_denominators,
     complete_representatives,
-    cyclotomic,
     f_nullspace,
     f_rank,
     poly_divmod,
+    root_sum_vanishes,
 )
 from .measure import FourierEval
 from .triples import GENERAL_CAP, AffinePair, mask_vanishes
@@ -56,10 +56,11 @@ SCAN_STEP = 1 / 256  # grid spacing of the scan over [0,1)^d
 SNAP_DENOMINATOR = 64  # survivors snap to rationals with at most this denominator
 CYCLE_PERIOD = 12  # periods m searched for cycle points
 CYCLE_CAP = 4096  # periods with more than this many points mod Z^d are skipped
+_PREFILTER_BLOCK = 2**16  # phase entries per block of the vanishing-order prefilter
 
 
 # ---------------------------------------------------------------------------
-# cyclotomic helpers (integer polynomials, highest-degree coefficient first)
+# vanishing orders of a 1D digit mask
 
 
 def _orders_with_totient_at_most(bound: int) -> list[int]:
@@ -90,8 +91,9 @@ def vanishing_orders_1d(digits: tuple[int, ...]) -> frozenset[int]:
     rational mask zeros in one dimension are decided exactly.  Phi_q has
     degree phi(q), so only q with phi(q) <= deg can divide the digit
     polynomial P.  A float value |P(e^(2 pi i/q))| above the rounding bound
-    proves P(zeta_q) != 0; the other q are decided by exact division of P,
-    its exponents folded mod q (Phi_q divides x^q - 1), by Phi_q.
+    proves P(zeta_q) != 0; it is taken for every candidate q at once, in
+    blocks.  The other q are decided exactly on the exponents folded mod q
+    (`intlat.root_sum_vanishes`).
     """
     lo = min(digits)
     exps = np.array([dd - lo for dd in digits], dtype=np.int64)
@@ -99,14 +101,15 @@ def vanishing_orders_1d(digits: tuple[int, ...]) -> frozenset[int]:
     n = len(exps)
     # each term is off by a few ulp and summing n of them adds at most n^2 eps
     bound = 1e-14 * n * (n + 1)
+    qs = np.array(_orders_with_totient_at_most(deg), dtype=np.int64)
+    step = max(1, _PREFILTER_BLOCK // n)
     orders = set()
-    for q in _orders_with_totient_at_most(deg):
-        r = exps % q
-        if abs(np.exp(2j * np.pi * (r / q)).sum()) > bound:
-            continue
-        coeffs = np.bincount(r)[::-1].tolist()
-        if not poly_divmod(coeffs, cyclotomic(q))[1]:
-            orders.add(q)
+    for s in range(0, len(qs), step):
+        q = qs[s : s + step, None]
+        vals = np.exp(2j * np.pi * ((exps % q) / q)).sum(axis=1)
+        for qi in q[np.abs(vals) <= bound, 0].tolist():
+            if root_sum_vanishes(exps % qi, qi):
+                orders.add(qi)
     return frozenset(orders)
 
 
@@ -139,7 +142,7 @@ def mask_zero_test(pair: AffinePair, ms: MaskZeroStructure, v: IVec, den: int) -
 
     Grade 'exact' means a rigorous verdict.  A coordinate c / den reduces
     mod 1 to the denominator den / gcd(c, den); a digit set that is not a
-    product goes through the cyclotomic test of `triples.mask_vanishes`.
+    product goes through the exact root-sum test of `triples.mask_vanishes`.
     """
     if ms.product:
         hit = any(den // gcd(c, den) in orders for c, orders in zip(v, ms.axis_orders))

@@ -6,18 +6,28 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from functools import lru_cache
+from math import gcd, prod
 
 import numpy as np
 
 from spectral_fractal.errors import (
+    CapExceeded,
+    InvalidInput,
     NoShiftFound,
     RankDeficient,
     ResidueCollision,
     SizeMismatch,
     SpectralFractalError,
 )
-from spectral_fractal.frames import _characters, _measured_report, _ratios, frame_matrix
+from spectral_fractal.frames import (
+    _BLOCK,
+    GRAM_SIDE,
+    _characters,
+    _measured_report,
+    _ratios,
+    frame_matrix,
+)
 from spectral_fractal.intlat import (
     ConjugationRecord,
     IntMatrix,
@@ -25,7 +35,6 @@ from spectral_fractal.intlat import (
     as_digit_list,
     canonical_residue,
     complete_representatives,
-    cyclotomic,
     f_identity,
     f_inverse,
     f_matvec,
@@ -272,6 +281,34 @@ def transition_weights(pair, x) -> list[tuple[tuple[int, ...], tuple, float]]:
     return out
 
 
+@lru_cache(maxsize=None)
+def cyclotomic(q: int) -> list[int]:
+    """Phi_q as the Moebius product of the factors (x^e - 1)^mu(q/e), e | q.
+
+    mu(q/e) is nonzero only for e = q / prod(S), S a set of distinct primes
+    of q, where it is (-1)^|S|.  Each factor multiplies or exactly divides
+    in one linear pass (lowest degree first here), multiplications first.
+    Highest-degree coefficient first in the result.
+    """
+    primes = [p for p in range(2, q + 1) if q % p == 0 and all(p % r for r in range(2, p))]
+    subsets = itertools.chain(*(itertools.combinations(primes, k) for k in range(len(primes) + 1)))
+    p = [1]
+    for odd, e in sorted((len(S) % 2, q // prod(S)) for S in subsets):
+        if not odd:  # p (x^e - 1)
+            p = [a - b for a, b in zip([0] * e + p, p + [0] * e)]
+        else:  # p / (x^e - 1)
+            p = [-c for c in p[: len(p) - e]]
+            for i in range(e, len(p)):
+                p[i] += p[i - e]
+    return p[::-1]
+
+
+def phi_division_vanishes(exps, q: int) -> bool:
+    """The sum of zeta_q^e over exponents e in [0, q) is zero: Phi_q divides
+    the polynomial with these exponent counts, by exact long division."""
+    return not poly_divmod(np.bincount(exps)[::-1].tolist(), cyclotomic(q))[1]
+
+
 def _frac_mask_zero(pair, ms, rho) -> tuple[bool, str]:
     """The mask zero test on a point of Fractions: reduced denominators of
     the coordinates (product digit sets), cyclotomic divisibility of the
@@ -412,6 +449,37 @@ def step_moment(pair, n: int, w, xi) -> tuple[float, complex]:
     coeff = complex(np.sum(wv * np.exp(-2j * np.pi * phases)))
     value = scale * complex(ev.mu_hat(z[0])) * coeff
     return norm_sq, value
+
+
+def frame_matrix_bounds_dense(pair, n: int, J, cap: int = 2**26) -> tuple[float, float]:
+    """`frames.frame_matrix_bounds` from the Gram of the shorter side of the
+    level-n matrix (F F* when wide, F*F otherwise), summed over blocks of
+    the longer side and solved as a complex Hermitian matrix."""
+    freqs = as_digit_list(J)
+    if not freqs:
+        raise InvalidInput("need at least one frequency row")
+    Nn = pair.N**n
+    rows = len(freqs)
+    if Nn * rows > cap:
+        raise CapExceeded("frame matrix work", Nn * rows, cap)
+    side = min(rows, Nn)
+    if side > GRAM_SIDE:
+        raise CapExceeded("frame Gram side", side, GRAM_SIDE)
+    wide = rows < Nn
+    Rn = pair.R.pow(n)
+    sums = digit_sums(pair.R, pair.B, n, cap=cap)
+    K = np.zeros((side, side), dtype=complex)
+    step = max(1, _BLOCK // side)
+    for s in range(0, max(rows, Nn), step):
+        if wide:
+            P = _characters(Rn, freqs, sums[s : s + step])
+            K += P @ P.conj().T
+        else:
+            P = _characters(Rn, freqs[s : s + step], sums)
+            K += P.conj().T @ P
+    K /= Nn
+    w = np.linalg.eigvalsh(K)
+    return (0.0 if wide else float(max(w[0], 0.0))), float(w[-1])
 
 
 def first_improving_swap_dense(F: np.ndarray, current: list[int], ratio: float, sq: np.ndarray):

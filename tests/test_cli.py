@@ -319,6 +319,22 @@ def test_frames_triple_takes_exact_tower_rows(tmp_path):
     assert cli.main(["verify", out]) == 0
 
 
+def test_frames_triple_records_unread_seed_and_budget_as_null(tmp_path, capsys):
+    # tower rows take no seed or budget, so a given value steers nothing
+    p = write_problem(tmp_path, {**JP, "params": {"budget": 3}})
+    out = str(tmp_path / "jp.json")
+    assert cli.main(["frames", p, "--depth", "2", "--seed", "5", "--out", out]) == 0
+    rep = json.load(open(out))
+    assert rep["params"] == {"n": 2, "seed": None, "budget": None}
+    assert cli.main(["verify", out]) == 0
+    assert capsys.readouterr().out.strip().endswith("PASS")
+    # a bare pair reads both, so null is no value there
+    bad = {**rep, "problem": MT, "inputs_digest": cli.inputs_digest(cli.normalize_problem(MT))}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(bad))
+    assert cli.main(["verify", str(path)]) == 2
+
+
 def test_frames_triple_level_zero(tmp_path, capsys):
     assert cli.main(["frames", write_problem(tmp_path, JP), "--depth", "0"]) == 0
     res = read_stdout_report(capsys)["results"]

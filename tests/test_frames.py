@@ -29,6 +29,7 @@ from oracles import (
     SimpleDigitsRequired,
     exhaustive_subset,
     first_improving_swap_dense,
+    frame_matrix_bounds_dense,
     parseval_defect,
     step_moment,
 )
@@ -87,6 +88,54 @@ def test_bounds_refuse_a_gram_side_beyond_4096(cantor_third_pair):
     with pytest.raises(CapExceeded, match="frame Gram side"):
         frame_matrix_bounds(cantor_third_pair, 13, rows)
     assert time.monotonic() - t0 < 1.0
+
+
+SKEW_R = [[4, 0], [1, 2]]
+SKEW_B = [(0, 0), (0, 3), (1, 0), (1, 3)]
+SKEW_L = [(0, 0), (2, 0), (0, 1), (2, 1)]
+SKEW = (SKEW_R, SKEW_B)
+SKEW_TILTED = (SKEW_R, [(0, 0), (0, 3), (1, 0), (2, 3)])  # not symmetric
+
+
+def _random_rows(pair, count: int, seed: int):
+    rng = np.random.default_rng(seed)
+    return [tuple(map(int, r)) for r in rng.integers(-500, 500, size=(count, pair.d))]
+
+
+# (R, B), n, rows: a name and a function of the pair.  Symmetric digit sets
+# (B = s - B) take the real product Gram, the others the complex one;
+# N^k <= 64 groups levels by 6 for N = 2, by 3 for N = 3 and N = 4.
+BOUNDS_CASES = {
+    "jp-tower-square": ((4, [0, 2]), 4, lambda p: digit_sums([[4]], [0, 1], 4)),
+    "jp-tower-wide": ((4, [0, 2]), 9, lambda p: digit_sums([[4]], [0, 1], 5)),
+    "mt-square-two-groups": ((3, [0, 2]), 7, lambda p: _random_rows(p, 128, 1)),
+    "mt-wide-two-groups": ((3, [0, 2]), 8, lambda p: _random_rows(p, 100, 2)),
+    "mt-tall-representatives": ((3, [0, 2]), 3, lambda p: complete_representatives([[27]])),
+    "nonsym-square": ((5, [0, 1, 3]), 4, lambda p: _random_rows(p, 81, 3)),
+    "nonsym-wide": ((5, [0, 1, 3]), 4, lambda p: _random_rows(p, 40, 4)),
+    "nonsym-tall": ((5, [0, 1, 3]), 2, lambda p: complete_representatives([[25]])),
+    "skew-tower-3": (SKEW, 3, lambda p: digit_sums([[4, 1], [0, 2]], SKEW_L, 3)),
+    "skew-tower-4": (SKEW, 4, lambda p: digit_sums([[4, 1], [0, 2]], SKEW_L, 4)),
+    "skew-wide": (SKEW, 4, lambda p: _random_rows(p, 200, 5)),
+    "skew-tilted-square": (SKEW_TILTED, 4, lambda p: _random_rows(p, 256, 6)),
+    "skew-tilted-wide": (SKEW_TILTED, 3, lambda p: _random_rows(p, 30, 7)),
+    "colliding-rows": ((4, [0, 2]), 1, lambda p: [(0,), (4,)]),
+    "one-digit": ((3, [1]), 2, lambda p: [(5,)]),
+    "level-zero": ((4, [0, 2]), 0, lambda p: [(0,)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BOUNDS_CASES))
+def test_bounds_match_the_dense_gram(name):
+    RB, n, make_rows = BOUNDS_CASES[name]
+    pair = affine_pair(*RB)
+    J = make_rows(pair)
+    lo, hi = frame_matrix_bounds(pair, n, J)
+    want_lo, want_hi = frame_matrix_bounds_dense(pair, n, J)
+    tol = 1e-12 * max(1.0, want_hi)
+    assert abs(hi - want_hi) <= tol and abs(lo - want_lo) <= tol
+    if len(J) < pair.N**n:  # short rank: exactly zero on both sides
+        assert lo == want_lo == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -292,10 +341,6 @@ def test_parseval_requires_simple_digits():
 
 # ---------------------------------------------------------------------------
 # tower rows of a triple
-
-SKEW_R = [[4, 0], [1, 2]]
-SKEW_B = [(0, 0), (0, 3), (1, 0), (1, 3)]
-SKEW_L = [(0, 0), (2, 0), (0, 1), (2, 1)]
 
 
 @pytest.mark.parametrize(

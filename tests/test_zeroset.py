@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from spectral_fractal.errors import CycleNotFound, DimensionUnsupported
-from spectral_fractal.intlat import IntMatrix, cyclotomic, f_matvec
+from spectral_fractal.intlat import IntMatrix, f_matvec, root_sum_vanishes
 from spectral_fractal.measure import FourierEval
 from spectral_fractal.triples import affine_pair
 from spectral_fractal.zeroset import (
@@ -25,7 +25,7 @@ from spectral_fractal.zeroset import (
     zero_set_empty_evidence,
 )
 
-from oracles import fraction_certify_zero, transition_weights
+from oracles import cyclotomic, fraction_certify_zero, phi_division_vanishes, transition_weights
 
 F = Fraction
 
@@ -90,11 +90,50 @@ def test_vanishing_orders_wide_digits_are_fast():
 
 def test_vanishing_orders_500_wide_digits_are_fast():
     # 970 orders have phi(q) <= 500; a float value above its rounding bound
-    # rules most out, and Phi_q is a cached Moebius product
+    # rules most out, and the rest take the exact root-sum test
     t0 = time.monotonic()
     assert vanishing_orders_1d((0, 500)) == frozenset({8, 40, 200, 1000})
     assert time.monotonic() - t0 < 1.0
     assert cyclotomic(105)[:8] == [1, 1, 1, 0, 0, -1, -1, -2]  # first entry beyond +-1
+
+
+def test_vanishing_orders_30000_wide_digits_are_fast():
+    # 58,344 orders have phi(q) <= 30000; dividing by each surviving Phi_q
+    # took 22-30 s, and the set is the one that division gives
+    t0 = time.monotonic()
+    orders = vanishing_orders_1d((0, 30000))
+    assert time.monotonic() - t0 < 1.0
+    assert orders == frozenset({32, 96, 160, 480, 800, 2400, 4000, 12000, 20000, 60000})
+
+
+def _vanishing_exponents(rng, q: int) -> list[int]:
+    """Exponents of a vanishing sum: rotated regular p-gons, p | q prime."""
+    primes = [p for p in range(2, q + 1) if q % p == 0 and all(p % r for r in range(2, p))]
+    exps = []
+    for _ in range(int(rng.integers(1, 4))):
+        p = int(rng.choice(primes))
+        r = int(rng.integers(q))
+        exps += [(r + j * (q // p)) % q for j in range(p)]
+    return exps
+
+
+def test_root_sum_vanishes_matches_phi_division():
+    # random counts rarely vanish, so half the cases are built to vanish and
+    # then perturbed by one term or not
+    rng = np.random.default_rng(3)
+    hits = 0
+    for case in range(3000):
+        q = int(rng.integers(1, 241))
+        if case % 2 and q > 1:
+            exps = _vanishing_exponents(rng, q)
+            if rng.random() < 0.3:
+                exps.append(int(rng.integers(q)))
+        else:
+            exps = rng.integers(q, size=int(rng.integers(1, 13))).tolist()
+        want = phi_division_vanishes(exps, q)
+        assert root_sum_vanishes(exps, q) == want, (q, exps)
+        hits += want
+    assert 500 < hits < 2500
 
 
 def test_vanishing_orders_numeric_oracle():
