@@ -74,9 +74,9 @@ def _characters(M: IntMatrix, rows, cols) -> np.ndarray:
     return np.exp(P, out=P)
 
 
-def frame_matrix(pair: AffinePair, n: int, J, cap: int = 2**20) -> np.ndarray:
+def frame_matrix(pair: AffinePair, n: int, J) -> np.ndarray:
     """The dense level-n matrix, frequency rows over digit columns."""
-    sums = digit_sums(pair.R, pair.B, n, cap=cap)
+    sums = digit_sums(pair.R, pair.B, n)
     F = _characters(pair.R.pow(n), as_digit_list(J), sums)
     F /= math.sqrt(pair.N**n)
     return F
@@ -298,7 +298,6 @@ def select_subset(
     n: int,
     seed: int = 0,
     budget: int = 4,
-    cap: int = 4096,
 ) -> FrameReport:
     """Pick N^n frequency rows from the complete representatives of (R^T)^n.
 
@@ -317,8 +316,8 @@ def select_subset(
     if budget < 1:
         raise InvalidInput(f"budget must be >= 1, got {budget}")
     Nn = pair.N**n
-    if Nn > cap:
-        raise CapExceeded("subset target size", Nn, cap)
+    if Nn > GRAM_SIDE:
+        raise CapExceeded("subset target size", Nn, GRAM_SIDE)
     strategy = "leverage-swap"
     cands = sorted(complete_representatives(pair.R.T.pow(n)))
     if Nn >= len(cands):

@@ -1,11 +1,15 @@
-"""Exact integer and rational linear algebra for expanding-matrix digit systems.
+"""Exact integer linear algebra for expanding-matrix digit systems.
 
-Everything that decides a congruence, a lattice membership, or a rank is done
-in exact arithmetic (Python ints and fractions.Fraction).  Floating point is
-allowed in two places: estimating eigenvalue moduli for the expansiveness
-test, where the borderline cases are resolved exactly or rejected loudly, and
-the last step of the character kernel (`character_residues`), where one
-correctly rounded division turns an exact residue r / |det M| into a phase.
+Every exact linear-algebra question -- a congruence, a lattice membership, a
+rank, a kernel, an inverse, a characteristic polynomial -- is decided over
+the integers: Hermite normal forms (kernels, ranks, lattice bases), Bareiss
+determinants and the cached adjugate (inverses as adj(M) / det M).
+Fractions remain only for rational points and for the maps that conjugation
+records carry.  Floating point is allowed in two places: estimating
+eigenvalue moduli for the expansiveness test, where the borderline cases are
+resolved exactly or rejected loudly, and the last step of the character
+kernel (`character_residues`), where one correctly rounded division turns an
+exact residue r / |det M| into a phase.
 
 Conventions
 -----------
@@ -142,6 +146,12 @@ class IntMatrix:
             k >>= 1
         return out
 
+    def add_scalar(self, c: int) -> "IntMatrix":
+        """M + c I."""
+        return IntMatrix(
+            tuple(tuple(x + c * (i == j) for j, x in enumerate(r)) for i, r in enumerate(self.rows))
+        )
+
     def det(self) -> int:
         return _bareiss_det(self.rows)
 
@@ -149,8 +159,11 @@ class IntMatrix:
         return tuple(tuple(Fraction(x) for x in row) for row in self.rows)
 
     def inverse_fractions(self) -> tuple[FVec, ...]:
-        inv = f_inverse(self.to_fractions())
-        return inv
+        """adj(M) / det M, from the cached adjugate."""
+        adj, det = adjugate(self)
+        if det == 0:
+            raise RankDeficient("matrix is singular")
+        return tuple(tuple(Fraction(x, det) for x in row) for row in adj.rows)
 
     def to_array(self) -> np.ndarray:
         return np.array(self.rows, dtype=float)
@@ -211,64 +224,6 @@ def f_matvec(a, v) -> FVec:
 
 def f_transpose(a) -> tuple[FVec, ...]:
     return tuple(tuple(a[i][j] for i in range(len(a))) for j in range(len(a[0])))
-
-
-def f_inverse(a) -> tuple[FVec, ...]:
-    """Gauss-Jordan inverse of a square Fraction matrix."""
-    n = len(a)
-    m = [list(row) + [Fraction(1 if i == j else 0) for j in range(n)] for i, row in enumerate(a)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
-            raise RankDeficient("matrix is singular")
-        m[col], m[piv] = m[piv], m[col]
-        p = m[col][col]
-        m[col] = [x / p for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return tuple(tuple(row[n:]) for row in m)
-
-
-def f_nullspace(a) -> list[FVec]:
-    """Basis of the right nullspace of a Fraction matrix (row-reduced)."""
-    if not a:
-        return []
-    m = [list(row) for row in a]
-    rows, cols = len(m), len(m[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        p = m[r][c]
-        m[r] = [x / p for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * cols
-        v[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            v[pc] = -m[i][fc]
-        basis.append(tuple(v))
-    return basis
-
-
-def f_rank(rows) -> int:
-    """Rank of a rational matrix given by its rows."""
-    m = tuple(tuple(Fraction(c) for c in r) for r in rows)
-    return len(m[0]) - len(f_nullspace(m)) if m else 0
 
 
 def clear_denominators(vec: Sequence[Fraction]) -> tuple[IVec, int]:
@@ -350,12 +305,20 @@ def hermite_normal_form(A) -> tuple[IntMatrix, IntMatrix]:
 
 
 def integer_kernel_basis(A) -> list[IVec]:
-    """Basis of {x in Z^n : A x = 0}; saturated (a primitive basis)."""
+    """Basis of {x in Z^n : A x = 0}; saturated (a primitive basis).
+
+    Each vector is oriented so that its last nonzero entry is positive.
+    """
     M = IntMatrix.from_rows(A)
     H, U = hermite_normal_form(M)
     h, w = H.shape
-    zero_cols = [j for j in range(w) if all(H.rows[i][j] == 0 for i in range(h))]
-    return [tuple(U.rows[i][j] for i in range(w)) for j in zero_cols]
+    out = []
+    for j in range(w):
+        if all(H.rows[i][j] == 0 for i in range(h)):
+            v = tuple(U.rows[i][j] for i in range(w))
+            last = next(x for x in reversed(v) if x)
+            out.append(v if last > 0 else tuple(-x for x in v))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -364,45 +327,27 @@ def integer_kernel_basis(A) -> list[IVec]:
 
 @dataclass(frozen=True)
 class Lattice:
-    """A (possibly rational, possibly lower-rank) lattice (1/den) * span_Z(cols).
+    """A (possibly lower-rank) integer lattice span_Z(cols).
 
-    `cols` is the canonical Hermite basis of the integer span; `den` carries
-    no common factor with the entries of `cols`.
+    `cols` is the canonical Hermite basis of the span.
     """
 
     dim: int
     cols: tuple[IVec, ...]
-    den: int = 1
 
     @staticmethod
-    def from_columns(dim: int, cols: Iterable[Sequence[int]], den: int = 1) -> "Lattice":
+    def from_columns(dim: int, cols: Iterable[Sequence[int]]) -> "Lattice":
         cl = [as_ivec(c) for c in cols]
         for c in cl:
             if len(c) != dim:
                 raise SizeMismatch("lattice column has wrong length")
-        if den <= 0:
-            raise InvalidInput("lattice denominator must be positive")
         if not cl:
-            return Lattice(dim, (), 1)
+            return Lattice(dim, ())
         A = IntMatrix(tuple(tuple(c[i] for c in cl) for i in range(dim)))
         H, _ = hermite_normal_form(A)
         h, w = H.shape
         keep = [j for j in range(w) if any(H.rows[i][j] != 0 for i in range(h))]
-        canon = [tuple(H.rows[i][j] for i in range(h)) for j in keep]
-        if not canon:
-            return Lattice(dim, (), 1)
-        g = den
-        for c in canon:
-            for x in c:
-                g = gcd(g, abs(x))
-                if g == 1:
-                    break
-            if g == 1:
-                break
-        if g > 1:
-            den //= g
-            canon = [tuple(x // g for x in c) for c in canon]
-        return Lattice(dim, tuple(canon), den)
+        return Lattice(dim, tuple(tuple(H.rows[i][j] for i in range(h)) for j in keep))
 
     @property
     def rank(self) -> int:
@@ -410,11 +355,11 @@ class Lattice:
 
     @property
     def basis_matrix(self) -> IntMatrix:
-        # d x r, columns are basis vectors of den * lattice
+        # d x r, columns are the basis vectors
         return IntMatrix(tuple(tuple(c[i] for c in self.cols) for i in range(self.dim)))
 
     def is_standard(self) -> bool:
-        return self.den == 1 and self.rank == self.dim and self.basis_matrix.rows == IntMatrix.identity(self.dim).rows
+        return self.rank == self.dim and self.basis_matrix.rows == IntMatrix.identity(self.dim).rows
 
 
 # ---------------------------------------------------------------------------
@@ -583,22 +528,18 @@ def smallest_invariant_lattice(R, B) -> Lattice:
 
 @lru_cache(maxsize=256)
 def charpoly(M: IntMatrix) -> tuple[int, ...]:
-    """Monic characteristic polynomial, highest degree first (exact)."""
-    n = M.d
-    A = M.to_fractions()
-    Mk = tuple(tuple(Fraction(0) for _ in range(n)) for _ in range(n))
-    ck = Fraction(1)
-    coeffs = [Fraction(1)]
-    for k in range(1, n + 1):
-        AMk = f_matmul(A, Mk)
-        Mk = tuple(
-            tuple(AMk[i][j] + (ck if i == j else 0) for j in range(n)) for i in range(n)
-        )
-        AMk1 = f_matmul(A, Mk)
-        ck = -sum((AMk1[i][i] for i in range(n)), Fraction(0)) / k
-        coeffs.append(ck)
-    assert all(c.denominator == 1 for c in coeffs)
-    return tuple(int(c) for c in coeffs)
+    """Monic characteristic polynomial, highest degree first, by Faddeev-LeVerrier.
+
+    With N_1 = I, c_k = -tr(M N_k) / k and N_{k+1} = M N_k + c_k I, the
+    coefficient of x^(n-k) is c_k; the division by k is exact in integers.
+    """
+    coeffs = [1]
+    N = IntMatrix.identity(M.d)
+    for k in range(1, M.d + 1):
+        MN = M.mul(N)
+        coeffs.append(-sum(MN.rows[i][i] for i in range(M.d)) // k)
+        N = MN.add_scalar(coeffs[-1])
+    return tuple(coeffs)
 
 
 def _poly_eval_int(p: Sequence[int], x: int) -> int:
@@ -608,12 +549,12 @@ def _poly_eval_int(p: Sequence[int], x: int) -> int:
     return acc
 
 
-def poly_divmod(a: Sequence, b: Sequence) -> tuple[list, list]:
-    """Quotient and remainder, highest-degree coefficient first; exact for
-    integers over a monic b and for Fractions.  No leading zeros remain."""
+def poly_divmod(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of integer polynomials over a monic b, highest-degree
+    coefficient first.  No leading zeros remain in the remainder."""
     a, q = list(a), []
     for i in range(len(a) - len(b) + 1):
-        q.append(a[i] if b[0] == 1 else Fraction(a[i]) / b[0])
+        q.append(a[i])
         for j in range(1, len(b)):
             a[i + j] -= q[-1] * b[j]
     rem = a[len(q) :]
@@ -669,16 +610,18 @@ def _has_reciprocal_root_pair(p: Sequence[int]) -> bool:
 
     For a real polynomial this catches every root on the unit circle and every
     reciprocal pair straddling it; either way the matrix is not expansive.
+    The two share a root exactly when their Sylvester resultant vanishes.
     """
-    a = [Fraction(c) for c in p]
-    b = [Fraction(c) for c in reversed(p)]
-    while a and a[0] == 0:
+    a = list(p)
+    b = a[::-1]
+    while a[0] == 0:
         a.pop(0)
-    while b and b[0] == 0:
+    while b[0] == 0:
         b.pop(0)
-    while b:
-        a, b = b, poly_divmod(a, b)[1]
-    return len(a) > 1
+    m, n = len(a) - 1, len(b) - 1
+    sylvester = [[0] * i + a + [0] * (n - 1 - i) for i in range(n)]
+    sylvester += [[0] * i + b + [0] * (m - 1 - i) for i in range(m)]
+    return _bareiss_det(sylvester) == 0
 
 
 _EXPANSIVE_MARGIN = 1e-9  # moduli this close to 1 get the exact tests
@@ -743,8 +686,7 @@ class ConjugationRecord:
         det = M.det()
         if det not in (1, -1):
             raise InvalidInput("matrix is not unimodular")
-        fwd = M.to_fractions()
-        return ConjugationRecord(fwd, f_inverse(fwd), note)
+        return ConjugationRecord(M.to_fractions(), M.inverse_fractions(), note)
 
     @property
     def dim(self) -> int:
@@ -837,7 +779,7 @@ def reduce_to_full(R, B, L=None) -> ReducedPair:
         Mt = U.T
         rec = ConjugationRecord(
             Mt.to_fractions(),
-            f_inverse(Mt.to_fractions()),
+            Mt.inverse_fractions(),
             "unimodular move of the invariant span onto the leading coordinates",
             translation=translation,
         )
@@ -853,13 +795,10 @@ def reduce_to_full(R, B, L=None) -> ReducedPair:
         Ln = None if freqs is None else rec.apply_frequencies(freqs)
         return ReducedPair(rec, Rn, Bn, Ln, r)
     if not lat.is_standard():
-        if lat.den != 1:
-            raise InvalidInput("integer digits generated a rational lattice")  # pragma: no cover
         G = lat.basis_matrix
-        gf = G.to_fractions()
         rec = ConjugationRecord(
-            f_inverse(gf),
-            gf,
+            G.inverse_fractions(),
+            G.to_fractions(),
             "rescale through the invariant sublattice basis",
             lattice_basis=G,
             translation=translation,

@@ -56,14 +56,12 @@ from .intlat import (
     f_identity,
     f_matvec,
     f_matmul,
-    f_nullspace,
-    f_rank,
     f_transpose,
     hermite_normal_form,
     integer_kernel_basis,
     reduce_to_full,
 )
-from .measure import FourierEval
+from .measure import TAIL_TOL, FourierEval
 from .triples import HadamardTriple, hadamard_triple
 from .spectra import SpectrumTree, corrected_tree
 from .zeroset import EmptinessEvidence, find_invariant_cycle, zero_set_empty_evidence
@@ -71,6 +69,7 @@ from .zeroset import EmptinessEvidence, find_invariant_cycle, zero_set_empty_evi
 T_WINDOW = 60  # the product sweep keeps |t| <= T_WINDOW transverse steps
 XI_GRID = 4  # sweep points per axis, at cell centres of [0,1)^d
 THRESHOLD = 0.95  # minimum sweep sum that accepts a beta
+SWEEP_CAP = 2**23  # most mu_hat evaluations of one product sweep
 
 __all__ = [
     "TriangularForm",
@@ -124,25 +123,24 @@ def triangularize(R, W) -> TriangularForm:
     """
     M = R if isinstance(R, IntMatrix) else IntMatrix.from_rows(R)
     d = M.d
-    basis = tuple(tuple(Fraction(c) for c in w) for w in W)
-    if not basis or any(len(w) != d for w in basis):
+    rows = [clear_denominators([Fraction(c) for c in w])[0] for w in W]
+    if not rows or any(len(w) != d for w in rows):
         raise InvalidInput("subspace basis must be nonempty vectors of matching length")
-    r = f_rank(basis)
-    if r != len(basis):
+    # the integer normals of W: span(W) is exactly the vectors they annihilate
+    normals = integer_kernel_basis(rows)
+    r = d - len(normals)
+    if r != len(rows):
         raise InvalidInput("subspace basis is linearly dependent")
     if r >= d:
         raise InvalidInput("subspace must be proper; nothing to split")
-    Rt = M.T.to_fractions()
-    for w in basis:
-        img = f_matvec(Rt, w)
-        if f_rank(basis + (img,)) != r:
+    Rt = M.T
+    for w in rows:
+        img = Rt.matvec(w)
+        if any(sum(a * b for a, b in zip(nrm, img)) for nrm in normals):
             raise NotInvariant("subspace is not invariant under the transposed matrix")
-    # Integer rows annihilating W; their integer kernel is the saturation
-    # W cap Z^d, read off the Hermite transform's kernel columns.
-    normals = f_nullspace(basis)
-    arows = [clear_denominators(nrm)[0] for nrm in normals]
-    A = IntMatrix.from_rows(arows)
-    H, U = hermite_normal_form(A)
+    # the integer kernel of the normals is the saturation W cap Z^d, read
+    # off the Hermite transform's kernel columns
+    H, U = hermite_normal_form(normals)
     h, w_ = H.shape
     zero_cols = [j for j in range(w_) if all(H.rows[i][j] == 0 for i in range(h))]
     if len(zero_cols) != r:  # pragma: no cover - normals have full row rank
@@ -294,7 +292,11 @@ def decompose(triple: HadamardTriple, r: int, orbit) -> QuasiProduct:
 
 @dataclass(frozen=True)
 class ProductSpectrum:
-    """An accepted candidate Lambda_1 x (1/beta) Z^{d-r} with sweep evidence."""
+    """An accepted candidate Lambda_1 x (1/beta) Z^{d-r} with sweep evidence.
+
+    ``rejected`` holds (beta, smallest sum, largest sum) of each candidate
+    tried before it.
+    """
 
     beta: int
     step: Fraction
@@ -302,7 +304,7 @@ class ProductSpectrum:
     threshold: float
     t_window: int
     lam1_count: int
-    rejected: tuple[tuple[int, float], ...]
+    rejected: tuple[tuple[int, float, float], ...]
 
 
 def product_spectrum(
@@ -310,17 +312,21 @@ def product_spectrum(
     quasi: QuasiProduct,
     lam1_points,
     betas=None,
-    cap: int = 2 ** 23,
 ) -> ProductSpectrum:
     """Test Lambda_1 x (1/beta) Z against a truncated completeness sweep.
 
     For each candidate denominator beta the sum sum_{lam} |mu_hat(xi+lam)|^2
     over the truncated product set is evaluated on an off-lattice grid of
-    xi (XI_GRID points per axis); the first beta whose minimum clears
-    THRESHOLD is accepted.  The default beta list is q, 2q, 3q with q the
-    transverse lattice index.  Truncation keeps |t| <= T_WINDOW, ordered by
-    |t|; each sweep sum adds the per-t block sums in that order.  Raises
-    NoBetaAccepted with all sweep minima when every candidate fails.
+    xi (XI_GRID points per axis).  The first beta whose sums all lie in
+    [THRESHOLD, 1 + allowance] is accepted.  For an orthonormal set every
+    true sum is at most 1 (Bessel).  Each computed term exceeds its true
+    value by at most TAIL_TOL (the tail bound of `mu_hat_sq`), and a float
+    sum S of n non-negative terms is within n eps S of their exact sum, so
+    the allowance is n (TAIL_TOL + eps S) for n terms.  The default beta
+    list is q, 2q, 3q with q the transverse lattice index.  Truncation keeps
+    |t| <= T_WINDOW, ordered by |t|; each sweep sum adds the per-t block
+    sums in that order.  Raises NoBetaAccepted with the smallest and largest
+    sum of every candidate when none is accepted.
     """
     d = triple.R.d
     r = quasi.r
@@ -336,39 +342,34 @@ def product_spectrum(
     axes = [(np.arange(XI_GRID) + 0.5) / XI_GRID for _ in range(d)]
     mesh = np.meshgrid(*axes, indexing="ij")
     grid = np.stack([m.ravel() for m in mesh], axis=-1)
-    needed = len(lam1) * len(ts) * len(grid)
-    if needed > cap:
-        raise CapExceeded("product sweep evaluations", needed, cap)
+    terms = len(lam1) * len(ts)
+    if terms * len(grid) > SWEEP_CAP:
+        raise CapExceeded("product sweep evaluations", terms * len(grid), SWEEP_CAP)
     ev = FourierEval(triple.pair)
     base = np.array(lam1, dtype=float)
     rejected = []
     for beta in betas:
         # lam row-major: t blocks of the full Lambda_1, ordered by |t|
         lam = np.concatenate([base + np.array([(0.0,) * r + (t / beta,)]) for t in ts])
-        minv = np.inf
-        ok = True
-        for xi in grid:
-            vals = ev.mu_hat_sq(lam + xi)
-            per_t = vals.reshape(len(ts), len(lam1)).sum(axis=1)
-            total = float(np.cumsum(per_t)[-1])
-            minv = min(minv, total)
-            if total < THRESHOLD:
-                ok = False
-                break
-        if ok:
+        sums = [
+            float(np.cumsum(ev.mu_hat_sq(lam + xi).reshape(len(ts), len(lam1)).sum(axis=1))[-1])
+            for xi in grid
+        ]
+        lo, hi = min(sums), max(sums)
+        if lo >= THRESHOLD and hi <= 1 + terms * (TAIL_TOL + np.finfo(float).eps * hi):
             return ProductSpectrum(
                 beta=int(beta),
                 step=Fraction(1, int(beta)),
-                minimum=minv,
+                minimum=lo,
                 threshold=THRESHOLD,
                 t_window=T_WINDOW,
                 lam1_count=len(lam1),
                 rejected=tuple(rejected),
             )
-        rejected.append((int(beta), minv))
+        rejected.append((int(beta), lo, hi))
     raise NoBetaAccepted(
-        "no transverse denominator reached "
-        f"{THRESHOLD}: " + ", ".join(f"beta={b} min={m:.4f}" for b, m in rejected)
+        f"no transverse denominator kept its sweep sums in [{THRESHOLD}, 1 + allowance]: "
+        + ", ".join(f"beta={b} sums in [{lo:.4f}, {hi:.4f}]" for b, lo, hi in rejected)
     )
 
 

@@ -42,6 +42,7 @@ from .intlat import (
 
 NUMERIC_ZERO = 1e-12  # a float mask value below this counts as a zero ("numeric" grade)
 GENERAL_CAP = 600  # largest reduced order whose root-of-unity sums are decided exactly
+TOWER_CAP = 2**20  # most digit sums one tower level forms
 
 
 @dataclass(frozen=True)
@@ -208,7 +209,7 @@ def hadamard_triple(R, B, L) -> HadamardTriple:
 # towers
 
 
-def digit_sums(R, B, n: int, cap: int = 2**20) -> np.ndarray:
+def digit_sums(R, B, n: int, cap: int = TOWER_CAP) -> np.ndarray:
     """The level-n digit expansion sum_{i=1..n} R^(n-i) c_i, c_i in B.
 
     One row per tuple (c_1, ..., c_n), enumerated lexicographically with the
@@ -232,7 +233,7 @@ def _int_rows(sums: np.ndarray) -> tuple[IVec, ...]:
     return tuple(map(tuple, sums.tolist()))
 
 
-def tower(triple: HadamardTriple, k: int, cap: int = 2**20) -> HadamardTriple:
+def tower(triple: HadamardTriple, k: int) -> HadamardTriple:
     """The level-k system (R^k, B_k, L_k) of a validated triple.
 
     By the tower lemma it is a Hadamard triple, so it inherits the base
@@ -243,8 +244,8 @@ def tower(triple: HadamardTriple, k: int, cap: int = 2**20) -> HadamardTriple:
         raise InvalidInput("tower level must be >= 1; level 0 has the identity matrix")
     triple.require_validated()
     Rk = triple.R.pow(k)
-    Bk = _int_rows(digit_sums(triple.R, triple.B, k, cap))
-    Lk = _int_rows(digit_sums(triple.R.T, triple.L, k, cap))
+    Bk = _int_rows(digit_sums(triple.R, triple.B, k))
+    Lk = _int_rows(digit_sums(triple.R.T, triple.L, k))
     for mat, vecs, label in ((Rk, Bk, "digit"), (Rk.T, Lk, "frequency")):
         if not residues_unique(mat, vecs):
             raise ResidueCollision(f"{label} tower loses residue distinctness")

@@ -38,12 +38,12 @@ from .intlat import (
     IntMatrix,
     IVec,
     Lattice,
+    _poly_eval_int,
     adjugate,
     charpoly,
     clear_denominators,
     complete_representatives,
-    f_nullspace,
-    f_rank,
+    integer_kernel_basis,
     poly_divmod,
     root_sum_vanishes,
 )
@@ -123,7 +123,6 @@ class MaskZeroStructure:
 
     product: bool
     axis_orders: tuple[frozenset[int], ...] = ()
-    general_cap: int = GENERAL_CAP
 
 
 def mask_zero_structure(pair: AffinePair) -> MaskZeroStructure:
@@ -147,7 +146,7 @@ def mask_zero_test(pair: AffinePair, ms: MaskZeroStructure, v: IVec, den: int) -
     if ms.product:
         hit = any(den // gcd(c, den) in orders for c, orders in zip(v, ms.axis_orders))
         return hit, "exact"
-    return mask_vanishes(pair.B, v, den, ms.general_cap)
+    return mask_vanishes(pair.B, v, den, GENERAL_CAP)
 
 
 # ---------------------------------------------------------------------------
@@ -491,10 +490,12 @@ def zero_set_empty_evidence(pair: AffinePair, K: int = 10) -> EmptinessEvidence:
 
 
 def rational_invariant_subspaces(A) -> list[tuple[IVec, ...]]:
-    """Proper nonzero A-invariant rational subspaces (d <= 3), as integer bases.
+    """Proper nonzero A-invariant rational subspaces (d <= 3), as saturated bases.
 
     Factors the characteristic polynomial over Q (complete for degree <= 3 by
-    integer root extraction) and returns kernels of the proper divisors.
+    integer root extraction) and returns the kernels of f(A) for the proper
+    divisors f.  Each kernel is A-invariant, since A commutes with f(A); its
+    integer kernel basis spans W cap Z^d, given in Hermite form.
     """
     M = A if isinstance(A, IntMatrix) else IntMatrix.from_rows(A)
     d = M.d
@@ -502,32 +503,23 @@ def rational_invariant_subspaces(A) -> list[tuple[IVec, ...]]:
         raise DimensionUnsupported("invariant subspace search supports d <= 3")
     if d == 1:
         return []
-    p = list(charpoly(M))
     factors: list[list[int]] = []
-    work = p[:]
+    work = list(charpoly(M))
     while len(work) > 1:
-        root = None
+        # an integer root of a monic integer polynomial divides its constant term
         c0 = work[-1]
-        if c0 == 0:
-            root = 0
-        else:
-            for r in sorted({s * v for v in range(1, abs(c0) + 1) if c0 % v == 0 for s in (1, -1)}, key=abs):
-                acc = 0
-                for c in work:
-                    acc = acc * r + c
-                if acc == 0:
-                    root = r
-                    break
+        cands = {s * v for v in range(1, abs(c0) + 1) if c0 % v == 0 for s in (1, -1)}
+        cands = [0] if c0 == 0 else sorted(cands, key=abs)
+        root = next((r for r in cands if _poly_eval_int(work, r) == 0), None)
         if root is None:
             factors.append(work)
             break
         factors.append([1, -root])
-        q, rem = poly_divmod(work, [1, -root])
+        work, rem = poly_divmod(work, [1, -root])
         assert not rem
-        work = q
-    results: dict[tuple, tuple[IVec, ...]] = {}
+    found: set[tuple[int, tuple[IVec, ...]]] = set()
     nf = len(factors)
-    for mask in range(1, 2**nf - 0):
+    for mask in range(1, 2**nf):
         chosen = [factors[i] for i in range(nf) if mask >> i & 1]
         deg = sum(len(f) - 1 for f in chosen)
         if not 1 <= deg < d:
@@ -539,40 +531,15 @@ def rational_invariant_subspaces(A) -> list[tuple[IVec, ...]]:
                 for j, b in enumerate(f):
                     out[i + j] += a * b
             poly = out
-        # evaluate poly at the matrix
-        acc = IntMatrix.identity(d)
-        val = None
-        for c in poly:
-            if val is None:
-                val = IntMatrix.from_rows([[c if i == j else 0 for j in range(d)] for i in range(d)])
-            else:
-                val = M.mul(val)
-                val = IntMatrix.from_rows(
-                    [[val.rows[i][j] + (c if i == j else 0) for j in range(d)] for i in range(d)]
-                )
-        kernel = f_nullspace(tuple(tuple(Fraction(x) for x in row) for row in val.rows))
+        val = IntMatrix.identity(d)  # poly is monic: Horner from its leading 1
+        for c in poly[1:]:
+            val = M.mul(val).add_scalar(c)
+        kernel = integer_kernel_basis(val)
         if not kernel or len(kernel) >= d:
             continue
-        cols = []
-        for vec in kernel:
-            iv, _ = clear_denominators(vec)
-            cols.append(iv)
-        lat = Lattice.from_columns(d, cols)
-        key = (lat.rank, lat.cols)
-        if key in results:
-            continue
-        # invariance check: A * basis stays inside the rational span
-        span_rows = tuple(tuple(Fraction(c[i]) for c in lat.cols) for i in range(d))
-        ok = True
-        for c in lat.cols:
-            img = M.matvec(c)
-            stacked = [row + (Fraction(img[i]),) for i, row in enumerate(span_rows)]
-            if f_rank(stacked) != lat.rank:
-                ok = False
-                break
-        if ok:
-            results[key] = lat.cols
-    return [results[k] for k in sorted(results, key=lambda t: (t[0], t[1]))]
+        lat = Lattice.from_columns(d, kernel)
+        found.add((lat.rank, lat.cols))
+    return [cols for _, cols in sorted(found)]
 
 
 @dataclass(frozen=True)

@@ -36,9 +36,7 @@ from spectral_fractal.intlat import (
     canonical_residue,
     complete_representatives,
     f_identity,
-    f_inverse,
     f_matvec,
-    f_transpose,
     inverse_image,
     is_simple_digit_set,
     poly_divmod,
@@ -52,6 +50,7 @@ from spectral_fractal.triples import (
     mask_eval,
     validate_triple,
 )
+from spectral_fractal import zeroset
 from spectral_fractal.zeroset import OUT_FLOOR, ZeroCertificate, _window
 
 
@@ -60,26 +59,53 @@ class SimpleDigitsRequired(SpectralFractalError):
 
 
 # ---------------------------------------------------------------------------
+# Gauss-Jordan and Euclid over Fractions, the references for the integer algebra
+
+
+def f_inverse(a) -> tuple[tuple[Fraction, ...], ...]:
+    """Gauss-Jordan inverse of a square Fraction matrix."""
+    n = len(a)
+    m = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(a)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
+        if piv is None:
+            raise RankDeficient("matrix is singular")
+        m[col], m[piv] = m[piv], m[col]
+        p = m[col][col]
+        m[col] = [x / p for x in m[col]]
+        for r in range(n):
+            if r != col and m[r][col] != 0:
+                f = m[r][col]
+                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
+    return tuple(tuple(row[n:]) for row in m)
+
+
+def euclid_reciprocal_root_pair(p) -> bool:
+    """p shares a root with its reversal: their gcd over Q, by the Euclidean
+    algorithm in Fractions, is not constant."""
+
+    def strip(c):
+        c = [Fraction(x) for x in c]
+        while c and c[0] == 0:
+            c.pop(0)
+        return c
+
+    a, b = strip(p), strip(reversed(p))
+    while b:
+        for i in range(len(a) - len(b) + 1):
+            q = a[i] / b[0]
+            for j in range(len(b)):
+                a[i + j] -= q * b[j]
+        a, b = b, strip(a)
+    return len(a) > 1
+
+
+# ---------------------------------------------------------------------------
 # lattices
 
 
 def lattice_eq(a: Lattice, b: Lattice) -> bool:
-    return a.dim == b.dim and a.den == b.den and a.cols == b.cols
-
-
-def dual_lattice(lat: Lattice) -> Lattice:
-    """Dual {x : <x, g> in Z for all lattice vectors g}; needs full rank."""
-    if lat.rank != lat.dim:
-        raise RankDeficient("dual of a lower-rank lattice is not discrete")
-    G = lat.basis_matrix.to_fractions()
-    scaled = tuple(tuple(x / lat.den for x in row) for row in G)
-    inv_t = f_transpose(f_inverse(scaled))
-    den = 1
-    for row in inv_t:
-        for x in row:
-            den = den * x.denominator // gcd(den, x.denominator)
-    cols = [tuple(int(inv_t[i][j] * den) for i in range(lat.dim)) for j in range(lat.dim)]
-    return Lattice.from_columns(lat.dim, cols, den)
+    return a.dim == b.dim and a.cols == b.cols
 
 
 def identity_record(d: int) -> ConjugationRecord:
@@ -89,12 +115,12 @@ def identity_record(d: int) -> ConjugationRecord:
 def lattice_contains(lat: Lattice, v) -> bool:
     """Exact membership of the rational vector v in the lattice, by forward
     substitution along the pivot rows of its echelon basis."""
-    scaled = [Fraction(x) * lat.den for x in v]
-    if len(scaled) != lat.dim:
+    v = [Fraction(x) for x in v]
+    if len(v) != lat.dim:
         raise SizeMismatch("vector length does not match lattice dimension")
-    if any(x.denominator != 1 for x in scaled):
+    if any(x.denominator != 1 for x in v):
         return False
-    w = [int(x) for x in scaled]
+    w = [int(x) for x in v]
     for col in lat.cols:
         i = next(i for i in range(lat.dim) if col[i] != 0)
         q, r = divmod(w[i], col[i])
@@ -312,14 +338,15 @@ def phi_division_vanishes(exps, q: int) -> bool:
 def _frac_mask_zero(pair, ms, rho) -> tuple[bool, str]:
     """The mask zero test on a point of Fractions: reduced denominators of
     the coordinates (product digit sets), cyclotomic divisibility of the
-    phase polynomial up to ms.general_cap, the float sum beyond it."""
+    phase polynomial up to zeroset.GENERAL_CAP (read at call time, so a
+    patched cap reaches both sides), the float sum beyond it."""
     if ms.product:
         return any((t % 1).denominator in o for t, o in zip(rho, ms.axis_orders)), "exact"
     exps = [sum((bi * ri for bi, ri in zip(b, rho)), Fraction(0)) % 1 for b in pair.B]
     den = 1
     for e in exps:
         den = den * e.denominator // gcd(den, e.denominator)
-    if den <= ms.general_cap:
+    if den <= zeroset.GENERAL_CAP:
         coeffs = [0] * den
         for e in exps:
             coeffs[int(e * den)] += 1

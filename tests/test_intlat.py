@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from spectral_fractal.errors import AmbiguousSpectrum, RankDeficient
@@ -10,10 +10,11 @@ from spectral_fractal.intlat import (
     ConjugationRecord,
     IntMatrix,
     Lattice,
+    _bareiss_det,
+    _has_reciprocal_root_pair,
     canonical_residue,
     charpoly,
     complete_representatives,
-    f_inverse,
     hermite_normal_form,
     integer_kernel_basis,
     is_expansive,
@@ -22,15 +23,21 @@ from spectral_fractal.intlat import (
     smallest_invariant_lattice,
 )
 
-from oracles import dual_lattice, identity_record, is_unimodular, lattice_contains, lattice_eq
+from oracles import (
+    euclid_reciprocal_root_pair,
+    f_inverse,
+    identity_record,
+    is_unimodular,
+    lattice_contains,
+)
 
 ints = st.integers(min_value=-9, max_value=9)
 
 
-def small_matrix(d_max=3):
+def small_matrix(d_max=3, entries=ints):
     return st.integers(min_value=1, max_value=d_max).flatmap(
         lambda d: st.lists(
-            st.lists(ints, min_size=d, max_size=d), min_size=d, max_size=d
+            st.lists(entries, min_size=d, max_size=d), min_size=d, max_size=d
         )
     )
 
@@ -71,6 +78,46 @@ def test_hnf_known_row():
     H, U = hermite_normal_form([[2, 4]])
     assert H.rows == ((2, 0),)
     assert U.det() in (1, -1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_matrix(4))
+def test_inverse_fractions_equals_gauss_jordan(rows):
+    M = IntMatrix.from_rows(rows)
+    assume(M.det() != 0)
+    assert M.inverse_fractions() == f_inverse(M.to_fractions())
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_matrix(4))
+def test_charpoly_equals_the_determinant(rows):
+    M = IntMatrix.from_rows(rows)
+    p = charpoly(M)
+    for x in range(M.d + 1):
+        xI_M = [[x * (i == j) - c for j, c in enumerate(row)] for i, row in enumerate(M.rows)]
+        assert sum(c * x ** (M.d - k) for k, c in enumerate(p)) == _bareiss_det(xI_M)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_matrix(4, st.integers(min_value=-2, max_value=2)))
+def test_reciprocal_root_pair_equals_euclid(rows):
+    p = charpoly(IntMatrix.from_rows(rows))
+    assert _has_reciprocal_root_pair(p) == euclid_reciprocal_root_pair(p)
+
+
+def test_reciprocal_root_pair_examples():
+    assert _has_reciprocal_root_pair((1, 0, 1))  # +-i
+    assert _has_reciprocal_root_pair((1, -5, 1))  # (5 +- sqrt 21) / 2, a reciprocal pair
+    assert not _has_reciprocal_root_pair((1, 0, -3))  # +-sqrt 3
+    assert not _has_reciprocal_root_pair((1, 0, 0))  # a double zero root
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_matrix(4).map(lambda rows: rows[:-1] or rows))  # d - 1 rows: a kernel
+def test_integer_kernel_orientation(rows):
+    for v in integer_kernel_basis(rows):
+        assert IntMatrix.from_rows(rows).matvec(v) == (0,) * len(rows)
+        assert next(x for x in reversed(v) if x) > 0
 
 
 def test_charpoly_matches_numpy_eigs():
@@ -136,7 +183,7 @@ def test_simple_digit_sets():
 
 def test_smallest_invariant_lattice_1d_gcd():
     lat = smallest_invariant_lattice([[4]], [(0,), (2,)])
-    assert lat.rank == 1 and lat.cols == ((2,),) and lat.den == 1
+    assert lat.rank == 1 and lat.cols == ((2,),)
     lat = smallest_invariant_lattice([[3]], [(0,), (1,)])
     assert lat.is_standard()
 
@@ -159,32 +206,6 @@ def test_lattice_membership():
     assert lattice_contains(lat, (2, 0)) and lattice_contains(lat, (2, 4))
     assert not lattice_contains(lat, (1, 0))
     assert lattice_contains(lat, (Fraction(4, 2), Fraction(0)))
-
-
-def test_dual_lattice_diag():
-    lat = Lattice.from_columns(2, [(2, 0), (0, 5)])
-    dual = dual_lattice(lat)
-    assert dual.den == 10
-    assert dual.cols == ((5, 0), (0, 2))
-    assert lattice_contains(dual, (Fraction(1, 2), Fraction(0)))
-    assert lattice_eq(dual_lattice(dual), lat)
-
-
-def test_dual_lattice_1d():
-    lat = Lattice.from_columns(1, [(3,)])
-    dual = dual_lattice(lat)
-    assert dual.den == 3 and dual.cols == ((1,),)
-    assert lattice_eq(dual_lattice(dual), lat)
-
-
-@settings(max_examples=60, deadline=None)
-@given(small_matrix(2))
-def test_dual_involution(rows):
-    R = IntMatrix.from_rows(rows)
-    if R.det() == 0:
-        return
-    lat = Lattice.from_columns(R.d, R.T.rows)
-    assert lattice_eq(dual_lattice(dual_lattice(lat)), lat)
 
 
 def test_integer_kernel():

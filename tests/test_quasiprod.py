@@ -232,6 +232,18 @@ def test_product_spectrum_rejects_integer_step(skew_triple, skew_quasi):
         product_spectrum(skew_triple, skew_quasi, lam1, betas=[1])
 
 
+def test_product_spectrum_rejects_sums_above_one(skew_triple, skew_report):
+    # an orthonormal set keeps every sweep sum at most 1 (Bessel); halving
+    # the transverse step double-counts, so beta = 6 sums sit near 2
+    quasi, lam1 = skew_report.quasi, skew_report.sub_report.frequencies
+    with pytest.raises(NoBetaAccepted, match=r"beta=6 sums in \[1\.94\d*, 1\.97\d*\]"):
+        product_spectrum(skew_triple, quasi, lam1, betas=(6,))
+    ps = product_spectrum(skew_triple, quasi, lam1, betas=(9, 3))
+    assert ps.beta == 3 and ps.minimum == skew_report.product.minimum
+    ((beta, lo, hi),) = ps.rejected
+    assert beta == 9 and 2.86 < lo <= hi < 2.96
+
+
 # ---------------------------------------------------------------------------
 # the full pipeline
 

@@ -1,5 +1,7 @@
 """Periodic zero set: scanning, exact certification, cycles."""
 
+import itertools
+import math
 import time
 from fractions import Fraction
 
@@ -198,11 +200,12 @@ def test_mask_zero_test_general_cyclotomic():
     assert mask_zero_test(pair, ms, (7, 7), 7) == (False, "exact")
 
 
-def test_mask_zero_test_numeric_fallback():
-    from spectral_fractal.zeroset import MaskZeroStructure
+def test_mask_zero_test_numeric_fallback(monkeypatch):
+    from spectral_fractal import zeroset
 
     pair = affine_pair([[2, 0], [0, 2]], [(0, 0), (1, 0), (2, 1)])
-    ms = MaskZeroStructure(False, general_cap=1)  # force the float path
+    monkeypatch.setattr(zeroset, "GENERAL_CAP", 1)  # force the float path
+    ms = zeroset.MaskZeroStructure(False)
     hit, grade = mask_zero_test(pair, ms, (4, 0), 12)
     assert hit and grade == "numeric"
     hit, grade = mask_zero_test(pair, ms, (1, 2), 7)
@@ -314,8 +317,9 @@ def test_integer_stepping_equals_the_fraction_oracle(
 
     pair = affine_pair(R, B)
     if structure is not None:
-        ms = zeroset.MaskZeroStructure(structure[0], general_cap=structure[1])
+        ms = zeroset.MaskZeroStructure(structure[0])
         monkeypatch.setattr(zeroset, "mask_zero_structure", lambda p: ms)
+        monkeypatch.setattr(zeroset, "GENERAL_CAP", structure[1])
     ms = zeroset.mask_zero_structure(pair)
     cert = certify_zero(pair, point, K=K)
     assert cert == fraction_certify_zero(pair, ms, point, K)
@@ -510,6 +514,41 @@ def test_invariant_subspaces_diag3():
     assert len(subs) == 6
     assert ((1, 0, 0),) in subs
     assert ((1, 0, 0), (0, 1, 0)) in subs
+
+
+def _minors(cols, k):
+    """The k x k minors of the matrix with the given columns."""
+    return [
+        IntMatrix.from_rows([[c[i] for c in cols] for i in rows]).det()
+        for rows in itertools.combinations(range(len(cols[0])), k)
+    ]
+
+
+def _assert_saturated_invariant(M, W):
+    r = len(W)
+    assert math.gcd(*_minors(W, r)) == 1  # W spans all of span(W) cap Z^d
+    for w in W:
+        assert not any(_minors(W + (M.matvec(w),), r + 1))  # M w stays in span(W)
+
+
+def test_invariant_subspaces_are_saturated():
+    # a plane basis such as ((1, 150, -40), (0, 270, -70)) spans an index-10
+    # sublattice of W cap Z^3: the sampled points t = 1/2 and 2/5 along
+    # (0, 270, -70) fall on x0 + Z^3 and would certify trivially
+    M = IntMatrix.from_rows([[-5, -3, -2], [0, 4, -3], [0, 1, -2]])
+    subs = rational_invariant_subspaces(M)
+    assert subs == [((1, 0, 0),), ((1, 15, -5), (0, 27, -7))]
+    for W in subs:
+        _assert_saturated_invariant(M, W)
+
+
+def test_random_invariant_subspaces_are_saturated():
+    rng = np.random.default_rng(22)
+    for _ in range(80):
+        d = int(rng.integers(2, 4))
+        M = IntMatrix.from_rows(rng.integers(-6, 7, size=(d, d)).tolist())
+        for W in rational_invariant_subspaces(M):
+            _assert_saturated_invariant(M, W)
 
 
 def test_invariant_subspaces_dimension_guard():
