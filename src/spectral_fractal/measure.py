@@ -117,29 +117,41 @@ class FourierEval:
     def _prepare(self, xi):
         return _xi_grid(self.pair.d, xi)
 
-    def _arguments(self, arr, tail, cap: int):
-        """Yield (R^T)^{-j} xi for j = 1, 2, ... until the whole batch has its
-        sup norm within ETA and tail(2-norm) within TAIL_TOL; CapExceeded
-        beyond `cap` factors."""
-        z = arr.reshape(-1, self.pair.d)
-        if not z.size:
+    def _settled(self, a, b, tail) -> bool:
+        """Whether every sum a_i + b_k has sup norm within ETA and tail(2-norm)
+        within TAIL_TOL.  The sup norm comes exactly from the per-coordinate
+        extremes and bounds the 2-norm below; |a|max + |b|max bounds it above;
+        only when neither decides is the largest sum's norm formed."""
+        sup = max(float(np.max(a.max(axis=0) + b.max(axis=0))), -float(np.min(a.min(axis=0) + b.min(axis=0))))
+        if sup > ETA or tail(sup) > TAIL_TOL:
+            return False
+        if a.shape[1] == 1:
+            return True
+        # max of np.linalg.norm(a, axis=1), bit for bit, without its overhead
+        high = np.sqrt(np.max((a * a).sum(axis=1))) + np.sqrt(np.max((b * b).sum(axis=1)))
+        return tail(float(high)) <= TAIL_TOL or tail(_largest_sum(a, b)) <= TAIL_TOL
+
+    def _arguments(self, u, v, tail, cap: int):
+        """Yield (u (R^T)^{-j}, v (R^T)^{-j}) for j = 1, 2, ... until every sum
+        of a row of the first and a row of the second is `_settled`;
+        CapExceeded beyond `cap` factors."""
+        a, b = u, v
+        if not (len(a) and len(b)):
             return
         T = 0
-        while True:
-            # max of np.linalg.norm(z, axis=1), bit for bit, without its overhead
-            nrm2 = float(np.sqrt(np.max((z * z).sum(axis=1))))
-            if tail(nrm2) <= TAIL_TOL and float(np.max(np.abs(z))) <= ETA:
-                return
+        while not self._settled(a, b, tail):
             if T == cap:
-                raise CapExceeded(f"mu_hat factors (tail bound {tail(nrm2):.2g} left)", T + 1, T)
-            z = z @ self._Rinv
+                left = tail(_largest_sum(a, b))
+                raise CapExceeded(f"mu_hat factors (tail bound {left:.2g} left)", T + 1, T)
+            a, b = a @ self._Rinv, b @ self._Rinv
             T += 1
-            yield z
+            yield a, b
 
     def depth_for(self, xi) -> int:
         """Factors `mu_hat` needs for the whole batch; CapExceeded beyond max_depth."""
         arr, _ = self._prepare(xi)
-        return sum(1 for _ in self._arguments(arr, self.tail_bound, self.max_depth))
+        z = arr.reshape(-1, self.pair.d)
+        return sum(1 for _ in self._arguments(z, np.zeros((1, self.pair.d)), self.tail_bound, self.max_depth))
 
     def mu_hat_truncated(self, xi, depth: int):
         """Finite product of exactly `depth` mask factors."""
@@ -157,19 +169,40 @@ class FourierEval:
         out = self.mu_hat_truncated(arr, self.depth_for(arr))
         return out[0] if scalar else out
 
-    def _mask_sq(self, z: np.ndarray) -> np.ndarray:
-        """|m_B|^2 of the (n, d) points z, from the merged differences."""
-        return np.cos(z @ self._diff_phase) @ self._diff_weight + 1.0 / self.pair.N
+    def _mask_sq(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """|m_B(a_i + b_k)|^2 as an (len(a), len(b)) table, from the merged
+        differences and the cosine addition formula."""
+        alpha, beta = a @ self._diff_phase, b @ self._diff_phase
+        w = self._diff_weight
+        left = np.concatenate([np.cos(alpha) * w, np.sin(alpha) * -w], axis=1)
+        right = np.concatenate([np.cos(beta), np.sin(beta)], axis=1)
+        return left @ right.T + 1.0 / self.pair.N
 
-    def mu_hat_sq(self, xi):
+    def mu_hat_sq(self, xi, shifts=None):
         """Adaptive-depth |mu_hat|^2 as a product of the real factors |m_B|^2,
-        within TAIL_TOL; the depth stops on the quadratic `tail_bound_sq`."""
+        within TAIL_TOL; the depth stops on the quadratic `tail_bound_sq`.
+
+        With `shifts`, the batch xi against every shift: the (len(xi),
+        len(shifts)) table of |mu_hat(xi_i + shifts_k)|^2, at one depth for
+        the whole table.  Without, the table against the single shift 0.
+        """
         arr, scalar = self._prepare(xi)
-        acc = np.ones(arr.size // self.pair.d)
-        for z in self._arguments(arr, self.tail_bound_sq, self.max_depth_sq):
-            acc *= self._mask_sq(z)
-        out = acc.reshape(arr.shape[:-1])
+        d = self.pair.d
+        u = arr.reshape(-1, d)
+        v = np.zeros((1, d)) if shifts is None else np.asarray(shifts, dtype=float).reshape(-1, d)
+        acc = np.ones((len(u), len(v)))
+        for a, b in self._arguments(u, v, self.tail_bound_sq, self.max_depth_sq):
+            acc *= self._mask_sq(a, b)
+        if shifts is not None:
+            return acc
+        out = acc[:, 0].reshape(arr.shape[:-1])
         return out[0] if scalar else out
+
+
+def _largest_sum(a: np.ndarray, b: np.ndarray) -> float:
+    """max over i, k of |a_i + b_k|, from |a_i|^2 + 2 <a_i, b_k> + |b_k|^2."""
+    sq = (a * a).sum(axis=1)[:, None] + 2.0 * (a @ b.T) + (b * b).sum(axis=1)
+    return float(np.sqrt(max(float(np.max(sq)), 0.0)))
 
 
 # ---------------------------------------------------------------------------

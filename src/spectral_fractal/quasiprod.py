@@ -346,15 +346,13 @@ def product_spectrum(
     if terms * len(grid) > SWEEP_CAP:
         raise CapExceeded("product sweep evaluations", terms * len(grid), SWEEP_CAP)
     ev = FourierEval(triple.pair)
-    base = np.array(lam1, dtype=float)
+    base = np.array(lam1, dtype=float) + np.zeros((1, d))
     rejected = []
     for beta in betas:
-        # lam row-major: t blocks of the full Lambda_1, ordered by |t|
-        lam = np.concatenate([base + np.array([(0.0,) * r + (t / beta,)]) for t in ts])
-        sums = [
-            float(np.cumsum(ev.mu_hat_sq(lam + xi).reshape(len(ts), len(lam1)).sum(axis=1))[-1])
-            for xi in grid
-        ]
+        # table rows: the steps t / beta, ordered by |t|; columns: Lambda_1 + xi
+        steps = np.zeros((len(ts), d))
+        steps[:, r] = np.array(ts) / beta
+        sums = [float(np.cumsum(ev.mu_hat_sq(steps, base + xi).sum(axis=1))[-1]) for xi in grid]
         lo, hi = min(sums), max(sums)
         if lo >= THRESHOLD and hi <= 1 + terms * (TAIL_TOL + np.finfo(float).eps * hi):
             return ProductSpectrum(

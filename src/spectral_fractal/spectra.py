@@ -128,9 +128,7 @@ def cover_constants(triple: HadamardTriple) -> CoverConstants:
         else:
             mesh = np.meshgrid(*axes, indexing="ij")
             grid = np.stack([m.ravel() for m in mesh], axis=-1)
-        pts = grid[:, None, :] + shifts[None, :, :]
-        vals = ev.mu_hat_sq(pts.reshape(-1, d)).reshape(len(grid), len(shifts))
-        m_cover = float(vals.max(axis=1).min())
+        m_cover = float(ev.mu_hat_sq(grid, shifts).max(axis=1).min())
         corr = 2 * np.pi * C * (h * np.sqrt(d) / 2)
         if m_cover < 1e-10:
             raise NoShiftFound(
@@ -192,9 +190,10 @@ def _corrected_level(
     kappa = np.zeros_like(bases)
     if len(miss):
         shifts = _window(cover.window, d)
-        pts = x[miss][:, None, :] + np.array(shifts, dtype=float)[None, :, :]
-        vals = ev.mu_hat_sq(pts.reshape(-1, d)).reshape(len(miss), len(shifts))
-        top = vals.argmax(axis=1)
+        vals = ev.mu_hat_sq(x[miss], shifts)
+        # the first translate in window order within 1e-12 of the best, so a
+        # tie such as |mu_hat(x)| = |mu_hat(-x)| does not hang on rounding
+        top = np.argmax(vals >= vals.max(axis=1, keepdims=True) - 1e-12, axis=1)
         got = vals[np.arange(len(miss)), top]
         # the grid certificate only warrants delta_hat off-grid; the stricter
         # m_cover test above merely selects representatives
@@ -301,9 +300,6 @@ def completeness_partial(tree: SpectrumTree, xi) -> np.ndarray:
     acc = np.zeros(len(xi_arr))
     for blk in tree.new_points:
         if blk:
-            lam = np.array(blk, dtype=float)
-            pts = xi_arr[:, None, :] + lam[None, :, :]
-            vals = ev.mu_hat_sq(pts.reshape(-1, tree.triple.pair.d))
-            acc = acc + vals.reshape(len(xi_arr), len(blk)).sum(axis=1)
+            acc = acc + ev.mu_hat_sq(xi_arr, np.array(blk, dtype=float)).sum(axis=1)
         rows.append(acc.copy())
     return np.array(rows)

@@ -145,7 +145,7 @@ def test_mask_sq_has_the_quadratic_bound(system):
     # 1 - cos u <= u^2 / 2 gives 1 - |m_B(x)|^2 <= c |x|^2 for every x
     pair, x = system
     ev = FourierEval(pair)
-    got = ev._mask_sq(x)[0]
+    got = ev._mask_sq(x, np.zeros((1, pair.d)))[0, 0]
     assert got == pytest.approx(abs(mask_eval(pair, x)[0]) ** 2, abs=1e-12)
     assert 1 - got <= ev._curv * float(x[0] @ x[0]) + 1e-12
 

@@ -22,6 +22,7 @@ OPTIONS = {
     "frames.frame_matrix_bounds": ("cap",),
     "frames.select_subset": ("seed", "budget"),
     "intlat.reduce_to_full": ("L",),
+    "measure.FourierEval.mu_hat_sq": ("shifts",),
     "measure.discrete_approximant": ("cap",),
     "measure.render_attractor": ("depth", "cap"),
     "quasiprod.product_spectrum": ("betas",),

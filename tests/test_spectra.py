@@ -200,9 +200,9 @@ def test_corrected_level_evaluates_mu_hat_twice(monkeypatch):
     per_level = []
     real_mu_hat_sq, real_level = FourierEval.mu_hat_sq, spectra._corrected_level
 
-    def counting_mu_hat_sq(self, xi):
+    def counting_mu_hat_sq(self, xi, shifts=None):
         calls[0] += 1
-        return real_mu_hat_sq(self, xi)
+        return real_mu_hat_sq(self, xi, shifts)
 
     def level(*args):
         before = calls[0]
