@@ -281,6 +281,7 @@ def run_spectrum(problem: dict, params: dict):
             "beta": rep.product.beta,
             "step": _enc_frac(rep.product.step),
             "minimum": rep.product.minimum,
+            "maximum": rep.product.maximum,
             "threshold": rep.product.threshold,
         }
     code = EXIT_OK if rep.status == "spectral" else EXIT_INCONCLUSIVE
@@ -348,6 +349,7 @@ def run_quasiprod(problem: dict, params: dict):
             "beta": rep.product.beta,
             "step": _enc_frac(rep.product.step),
             "minimum": rep.product.minimum,
+            "maximum": rep.product.maximum,
             "lattice_factor_count": rep.product.lam1_count,
         }
         certificates["product_minimum"] = rep.product.minimum

@@ -294,6 +294,7 @@ def decompose(triple: HadamardTriple, r: int, orbit) -> QuasiProduct:
 class ProductSpectrum:
     """An accepted candidate Lambda_1 x (1/beta) Z^{d-r} with sweep evidence.
 
+    ``minimum`` and ``maximum`` are its smallest and largest sweep sums;
     ``rejected`` holds (beta, smallest sum, largest sum) of each candidate
     tried before it.
     """
@@ -301,6 +302,7 @@ class ProductSpectrum:
     beta: int
     step: Fraction
     minimum: float
+    maximum: float
     threshold: float
     t_window: int
     lam1_count: int
@@ -316,8 +318,10 @@ def product_spectrum(
     """Test Lambda_1 x (1/beta) Z against a truncated completeness sweep.
 
     For each candidate denominator beta the sum sum_{lam} |mu_hat(xi+lam)|^2
-    over the truncated product set is evaluated on an off-lattice grid of
-    xi (XI_GRID points per axis).  The first beta whose sums all lie in
+    over the truncated product set Lambda_1 x {t / beta : |t| <= T_WINDOW}
+    (the points (lam_1, t / beta), lam_1 in the leading r coordinates) is
+    evaluated on an off-lattice grid of xi (XI_GRID points per axis), each
+    xi as one `mu_hat_sq` table of the steps t / beta against Lambda_1 + xi.  The first beta whose sums all lie in
     [THRESHOLD, 1 + allowance] is accepted.  For an orthonormal set every
     true sum is at most 1 (Bessel).  Each computed term exceeds its true
     value by at most TAIL_TOL (the tail bound of `mu_hat_sq`), and a float
@@ -336,8 +340,8 @@ def product_spectrum(
     if betas is None:
         betas = (q, 2 * q, 3 * q)
     lam1 = [tuple(float(c) for c in p) for p in lam1_points]
-    if not lam1:
-        raise InvalidInput("need a nonempty base frequency set")
+    if not lam1 or any(len(p) != r for p in lam1):
+        raise InvalidInput("need a nonempty base frequency set in the leading coordinates")
     ts = sorted(range(-T_WINDOW, T_WINDOW + 1), key=lambda t: (abs(t), t))
     axes = [(np.arange(XI_GRID) + 0.5) / XI_GRID for _ in range(d)]
     mesh = np.meshgrid(*axes, indexing="ij")
@@ -346,7 +350,8 @@ def product_spectrum(
     if terms * len(grid) > SWEEP_CAP:
         raise CapExceeded("product sweep evaluations", terms * len(grid), SWEEP_CAP)
     ev = FourierEval(triple.pair)
-    base = np.array(lam1, dtype=float) + np.zeros((1, d))
+    base = np.zeros((len(lam1), d))
+    base[:, :r] = lam1
     rejected = []
     for beta in betas:
         # table rows: the steps t / beta, ordered by |t|; columns: Lambda_1 + xi
@@ -359,6 +364,7 @@ def product_spectrum(
                 beta=int(beta),
                 step=Fraction(1, int(beta)),
                 minimum=lo,
+                maximum=hi,
                 threshold=THRESHOLD,
                 t_window=T_WINDOW,
                 lam1_count=len(lam1),
@@ -562,5 +568,6 @@ def full_spectrum(
     return SpectrumReport(
         "spectral", "quasi-product", "no", (*recs, tri.record), evidence, None,
         quasi, product, sub_report, limit,
-        note=f"integer spectra refuted by periodic zero at {witness}",
+        note=f"integer spectra refuted by periodic zero at {witness}; completeness "
+        f"sampled at {XI_GRID ** t2.R.d} points over |t| <= {product.t_window}",
     )

@@ -472,6 +472,17 @@ def test_verify_detects_tampered_results(tmp_path):
     assert cli.main(["verify", str(bad)]) == 1
 
 
+def test_verify_detects_a_tampered_sweep_maximum(tmp_path):
+    out = str(tmp_path / "skew.json")
+    assert cli.main(["spectrum", write_problem(tmp_path, SKEW), "--out", out]) == 0
+    rep = json.load(open(out))
+    assert rep["certificates"]["product"]["maximum"] <= 1 + 1e-6
+    rep["certificates"]["product"]["maximum"] = 1.5
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(rep))
+    assert cli.main(["verify", str(bad)]) == cli.EXIT_VERIFY_FAILED
+
+
 def test_verify_detects_tampered_witness(tmp_path):
     out = str(tmp_path / "zs.json")
     p = write_problem(tmp_path, {"R": [[2]], "B": [[0], [2]]})

@@ -23,6 +23,8 @@ from spectral_fractal.errors import (
 from spectral_fractal.intlat import ConjugationRecord, IntMatrix
 from spectral_fractal.measure import FourierEval
 from spectral_fractal.quasiprod import (
+    T_WINDOW,
+    XI_GRID,
     decompose,
     full_spectrum,
     map_frequency_back,
@@ -236,12 +238,25 @@ def test_product_spectrum_rejects_sums_above_one(skew_triple, skew_report):
     # an orthonormal set keeps every sweep sum at most 1 (Bessel); halving
     # the transverse step double-counts, so beta = 6 sums sit near 2
     quasi, lam1 = skew_report.quasi, skew_report.sub_report.frequencies
-    with pytest.raises(NoBetaAccepted, match=r"beta=6 sums in \[1\.94\d*, 1\.97\d*\]"):
+    with pytest.raises(NoBetaAccepted, match=r"beta=6 sums in \[1\.9930, 1\.9931\]"):
         product_spectrum(skew_triple, quasi, lam1, betas=(6,))
     ps = product_spectrum(skew_triple, quasi, lam1, betas=(9, 3))
     assert ps.beta == 3 and ps.minimum == skew_report.product.minimum
     ((beta, lo, hi),) = ps.rejected
-    assert beta == 9 and 2.86 < lo <= hi < 2.96
+    assert beta == 9 and 2.9844 < lo <= hi < 2.9848
+
+
+def test_product_sweep_sums_the_exported_set(skew_triple, skew_report):
+    # the sweep runs over the points (lam_1, t / beta) that the report
+    # exports: Lambda_1 in the leading coordinate, t / beta in the last
+    ps = skew_report.product
+    lam1 = [float(p[0]) for p in skew_report.sub_report.frequencies]
+    pts = np.array([(x, t / ps.beta) for t in range(-T_WINDOW, T_WINDOW + 1) for x in lam1])
+    axis = (np.arange(XI_GRID) + 0.5) / XI_GRID
+    ev = FourierEval(skew_triple.pair)
+    sums = [float(ev.mu_hat_sq(pts + (x, y)).sum()) for x in axis for y in axis]
+    assert ps.minimum == pytest.approx(min(sums), abs=1e-12)
+    assert ps.maximum == pytest.approx(max(sums), abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +289,10 @@ def test_report_frequencies_are_built_once_and_feed_the_sweep(skew_report):
 
 def test_full_spectrum_skew_note_shows_the_witness_point(skew_report):
     assert len(skew_report.note) < 200
-    assert skew_report.note == "integer spectra refuted by periodic zero at (0, 1/3)"
+    assert skew_report.note == (
+        "integer spectra refuted by periodic zero at (0, 1/3); "
+        "completeness sampled at 16 points over |t| <= 60"
+    )
 
 
 def test_full_spectrum_walks_the_periodic_points_once(monkeypatch, skew_triple):
