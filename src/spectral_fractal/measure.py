@@ -21,7 +21,17 @@ that:
   several factors earlier than the linear one.
 
 Callers that read only the modulus (the cover, the shift corrections, the
-completeness sums and the product sweep) use `mu_hat_sq`.  Zero tests keep
+completeness sums and the product sweep) use `mu_hat_sq` on outer-sum
+tables: `mu_hat_sq(u, v)[i, k]` is |mu_hat(u_i + v_k)|^2.  The two sides
+are contracted separately, a = u (R^T)^{-j} and b = v (R^T)^{-j}, and the
+cosine addition formula turns each factor into one product
+[w cos alpha | -w sin alpha] @ [cos beta | sin beta]^T with alpha = 2 pi a D
+and beta = 2 pi b D (D the merged differences, w their weights): cosines on
+len(u) + len(v) points, not on len(u) len(v).  The depth rule reads the
+largest sum a_i + b_k, so a table has the depth of its flattened batch, and
+its entries differ from that batch's only by rounding, since each side's
+phases round on their own (about 1e-15 on the reference sweeps).  The plain
+call `mu_hat_sq(xi)` is the table against the single shift 0.  Zero tests keep
 `mu_hat`: near a true zero the cosine sum cancels to a residue of about 1e-17
 in |m_B|^2, which is about 1e-9 in |mu_hat|, where the complex product stays
 at rounding size.
@@ -114,32 +124,21 @@ class FourierEval:
         """
         return self._curv * self._norm_sq_sum * z_norm * z_norm
 
-    def _prepare(self, xi):
-        return _xi_grid(self.pair.d, xi)
-
-    def _settled(self, a, b, tail) -> bool:
-        """Whether every sum a_i + b_k has sup norm within ETA and tail(2-norm)
-        within TAIL_TOL.  The sup norm comes exactly from the per-coordinate
-        extremes and bounds the 2-norm below; |a|max + |b|max bounds it above;
-        only when neither decides is the largest sum's norm formed."""
-        sup = max(float(np.max(a.max(axis=0) + b.max(axis=0))), -float(np.min(a.min(axis=0) + b.min(axis=0))))
-        if sup > ETA or tail(sup) > TAIL_TOL:
-            return False
-        if a.shape[1] == 1:
-            return True
-        # max of np.linalg.norm(a, axis=1), bit for bit, without its overhead
-        high = np.sqrt(np.max((a * a).sum(axis=1))) + np.sqrt(np.max((b * b).sum(axis=1)))
-        return tail(float(high)) <= TAIL_TOL or tail(_largest_sum(a, b)) <= TAIL_TOL
-
     def _arguments(self, u, v, tail, cap: int):
-        """Yield (u (R^T)^{-j}, v (R^T)^{-j}) for j = 1, 2, ... until every sum
-        of a row of the first and a row of the second is `_settled`;
-        CapExceeded beyond `cap` factors."""
+        """Yield (a, b) = (u (R^T)^{-j}, v (R^T)^{-j}) for j = 1, 2, ... until
+        every a_i + b_k has sup norm within ETA and tail(2-norm) within
+        TAIL_TOL; CapExceeded beyond `cap` factors.  The sup norm, exact from
+        per-coordinate extremes, bounds the 2-norm below and is tested first."""
         a, b = u, v
         if not (len(a) and len(b)):
             return
         T = 0
-        while not self._settled(a, b, tail):
+        while True:
+            top, bottom = a.max(axis=0) + b.max(axis=0), a.min(axis=0) + b.min(axis=0)
+            sup = float(max(np.max(top), -np.min(bottom)))
+            if sup <= ETA and tail(sup) <= TAIL_TOL:
+                if a.shape[1] == 1 or tail(_largest_sum(a, b)) <= TAIL_TOL:
+                    return
             if T == cap:
                 left = tail(_largest_sum(a, b))
                 raise CapExceeded(f"mu_hat factors (tail bound {left:.2g} left)", T + 1, T)
@@ -149,15 +148,14 @@ class FourierEval:
 
     def depth_for(self, xi) -> int:
         """Factors `mu_hat` needs for the whole batch; CapExceeded beyond max_depth."""
-        arr, _ = self._prepare(xi)
-        z = arr.reshape(-1, self.pair.d)
-        return sum(1 for _ in self._arguments(z, np.zeros((1, self.pair.d)), self.tail_bound, self.max_depth))
+        arr, _ = _xi_grid(self.pair.d, xi)
+        z, zero = arr.reshape(-1, self.pair.d), np.zeros((1, self.pair.d))
+        return sum(1 for _ in self._arguments(z, zero, self.tail_bound, self.max_depth))
 
     def mu_hat_truncated(self, xi, depth: int):
         """Finite product of exactly `depth` mask factors."""
-        arr, scalar = self._prepare(xi)
-        z = arr
-        acc = np.ones(arr.shape[:-1], dtype=complex)
+        z, scalar = _xi_grid(self.pair.d, xi)
+        acc = np.ones(z.shape[:-1], dtype=complex)
         for _ in range(depth):
             z = z @ self._Rinv
             acc *= mask_eval(self.pair, z)
@@ -165,13 +163,12 @@ class FourierEval:
 
     def mu_hat(self, xi):
         """Adaptive-depth transform value(s); |result| <= 1."""
-        arr, scalar = self._prepare(xi)
+        arr, scalar = _xi_grid(self.pair.d, xi)
         out = self.mu_hat_truncated(arr, self.depth_for(arr))
         return out[0] if scalar else out
 
     def _mask_sq(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """|m_B(a_i + b_k)|^2 as an (len(a), len(b)) table, from the merged
-        differences and the cosine addition formula."""
+        """The (len(a), len(b)) table |m_B(a_i + b_k)|^2, by the addition formula."""
         alpha, beta = a @ self._diff_phase, b @ self._diff_phase
         w = self._diff_weight
         left = np.concatenate([np.cos(alpha) * w, np.sin(alpha) * -w], axis=1)
@@ -182,16 +179,14 @@ class FourierEval:
         """Adaptive-depth |mu_hat|^2 as a product of the real factors |m_B|^2,
         within TAIL_TOL; the depth stops on the quadratic `tail_bound_sq`.
 
-        With `shifts`, the batch xi against every shift: the (len(xi),
-        len(shifts)) table of |mu_hat(xi_i + shifts_k)|^2, at one depth for
-        the whole table.  Without, the table against the single shift 0.
+        With `shifts`, the (len(xi), len(shifts)) table of
+        |mu_hat(xi_i + shifts_k)|^2 at one depth; without, xi's own values.
         """
-        arr, scalar = self._prepare(xi)
         d = self.pair.d
-        u = arr.reshape(-1, d)
+        arr, scalar = _xi_grid(d, xi)
         v = np.zeros((1, d)) if shifts is None else np.asarray(shifts, dtype=float).reshape(-1, d)
-        acc = np.ones((len(u), len(v)))
-        for a, b in self._arguments(u, v, self.tail_bound_sq, self.max_depth_sq):
+        acc = np.ones((arr.size // d, len(v)))
+        for a, b in self._arguments(arr.reshape(-1, d), v, self.tail_bound_sq, self.max_depth_sq):
             acc *= self._mask_sq(a, b)
         if shifts is not None:
             return acc
@@ -200,7 +195,8 @@ class FourierEval:
 
 
 def _largest_sum(a: np.ndarray, b: np.ndarray) -> float:
-    """max over i, k of |a_i + b_k|, from |a_i|^2 + 2 <a_i, b_k> + |b_k|^2."""
+    """max over i, k of |a_i + b_k|, from |a_i|^2 + 2 <a_i, b_k> + |b_k|^2;
+    with b = 0 it is the max of np.linalg.norm(a, axis=1), bit for bit."""
     sq = (a * a).sum(axis=1)[:, None] + 2.0 * (a @ b.T) + (b * b).sum(axis=1)
     return float(np.sqrt(max(float(np.max(sq)), 0.0)))
 
@@ -347,9 +343,7 @@ def mu_hat_field(ev: FourierEval, lo, hi, resolution: int) -> np.ndarray:
         raise SizeMismatch("box corners must match the dimension")
     axes = [np.linspace(lo[i], hi[i], resolution) for i in range(d)]
     if d == 1:
-        grid = axes[0][None, :, None]
-        vals = np.abs(ev.mu_hat(grid[0]))
-        return vals[None, :]
+        return np.abs(ev.mu_hat(axes[0][:, None]))[None, :]
     if d == 2:
         X, Y = np.meshgrid(axes[0], axes[1])
         pts = np.stack([X, Y], axis=-1)

@@ -50,11 +50,11 @@ from .intlat import (
     IntMatrix,
     IVec,
     Lattice,
+    adjugate,
     as_digit_list,
     canonical_residue,
     clear_denominators,
     f_identity,
-    f_matvec,
     f_matmul,
     f_transpose,
     hermite_normal_form,
@@ -163,23 +163,19 @@ def normalize_frequencies(R_new: IntMatrix, L, r: int) -> tuple[IVec, ...]:
     d - r components onto the canonical residue mod R2^T.  The leading
     components absorb the matching C^T v shift.
     """
-    d = R_new.d
-    freqs = as_digit_list(L)
     _, R2 = _blocks(R_new, r)
     R2t = R2.T
-    inv2 = R2t.inverse_fractions()
-    rt = R_new.T.to_fractions()
+    adj2, det2 = adjugate(R2t)
     out = []
-    for l in freqs:
+    for l in as_digit_list(L):
         l2 = l[r:]
-        canon = canonical_residue(R2t, l2)
-        diff = tuple(Fraction(c - x) for c, x in zip(canon, l2))
-        v = f_matvec(inv2, diff)
-        if any(x.denominator != 1 for x in v):  # pragma: no cover - exact residue
+        diff = tuple(c - x for c, x in zip(canonical_residue(R2t, l2), l2))
+        # v = (R2^T)^{-1} diff = adj(R2^T) diff / det R2^T
+        v = adj2.matvec(diff)
+        if any(x % det2 for x in v):  # pragma: no cover - exact residue
             raise InvalidInput("canonical residue is not congruent mod R2^T")
-        shift = tuple(Fraction(0) for _ in range(r)) + v
-        move = f_matvec(rt, shift)
-        out.append(tuple(a + int(m) for a, m in zip(l, move)))
+        move = R_new.T.matvec((0,) * r + tuple(x // det2 for x in v))
+        out.append(tuple(a + m for a, m in zip(l, move)))
     return tuple(out)
 
 
@@ -259,22 +255,19 @@ def decompose(triple: HadamardTriple, r: int, orbit) -> QuasiProduct:
             )
         if len({canonical_residue(R2, s) for s in seconds}) != det2:
             raise NotCompleteReps(f"digit group over {u} collides mod R2")
-    ys = tuple(tuple(Fraction(c) for c in x[r:]) for x in orbit)
-    lat = transverse_lattice(ys, d - r)
+    lat = transverse_lattice([x[r:] for x in orbit], d - r)
     Q = lat.basis_matrix
-    if abs(Q.det()) < 2:
+    # x lies in Q Z^{d-r} iff Q^{-1} x = adj(Q) x / det Q is integral
+    adjQ, detQ = adjugate(Q)
+    if abs(detQ) < 2:
         raise GammaFullOrTrivial("cycle congruences admit every integer vector")
-    Qinv = Q.inverse_fractions()
     for u in u_values:
         v = min(groups[u])
         for s in sorted(groups[u]):
-            w = f_matvec(Qinv, tuple(Fraction(a - b) for a, b in zip(s, v)))
-            if any(x.denominator != 1 for x in w):
-                raise InconsistentDecomposition(
-                    f"offset {tuple(a - b for a, b in zip(s, v))} is outside the transverse lattice"
-                )
-    conj = f_matmul(f_matmul(Qinv, R2.to_fractions()), Q.to_fractions())
-    if any(x.denominator != 1 for row in conj for x in row):
+            off = tuple(a - b for a, b in zip(s, v))
+            if any(x % detQ for x in adjQ.matvec(off)):
+                raise InconsistentDecomposition(f"offset {off} is outside the transverse lattice")
+    if any(x % detQ for row in adjQ.mul(R2).mul(Q).rows for x in row):
         raise InconsistentDecomposition("R2 does not preserve the transverse lattice")
     L1 = tuple(l[:r] for l in triple.L if all(c == 0 for c in l[r:]))
     if len(L1) != len(u_values):
@@ -318,18 +311,18 @@ def product_spectrum(
     """Test Lambda_1 x (1/beta) Z against a truncated completeness sweep.
 
     For each candidate denominator beta the sum sum_{lam} |mu_hat(xi+lam)|^2
-    over the truncated product set Lambda_1 x {t / beta : |t| <= T_WINDOW}
-    (the points (lam_1, t / beta), lam_1 in the leading r coordinates) is
-    evaluated on an off-lattice grid of xi (XI_GRID points per axis), each
-    xi as one `mu_hat_sq` table of the steps t / beta against Lambda_1 + xi.  The first beta whose sums all lie in
-    [THRESHOLD, 1 + allowance] is accepted.  For an orthonormal set every
-    true sum is at most 1 (Bessel).  Each computed term exceeds its true
-    value by at most TAIL_TOL (the tail bound of `mu_hat_sq`), and a float
-    sum S of n non-negative terms is within n eps S of their exact sum, so
-    the allowance is n (TAIL_TOL + eps S) for n terms.  The default beta
-    list is q, 2q, 3q with q the transverse lattice index.  Truncation keeps
-    |t| <= T_WINDOW, ordered by |t|; each sweep sum adds the per-t block
-    sums in that order.  Raises NoBetaAccepted with the smallest and largest
+    over the truncated product set Lambda_1 x {t / beta : |t| <= T_WINDOW},
+    the points (lam_1, t / beta) with lam_1 in the leading r coordinates, is
+    evaluated on an off-lattice grid of xi (XI_GRID points per axis): one
+    `mu_hat_sq` table of the steps t / beta against Lambda_1 + xi per xi.
+    The first beta whose sums all lie in [THRESHOLD, 1 + allowance] is
+    accepted.  For an orthonormal set every true sum is at most 1 (Bessel).
+    Each computed term exceeds its true value by at most TAIL_TOL (the tail
+    bound of `mu_hat_sq`), and a float sum S of n non-negative terms is
+    within n eps S of their exact sum, so the allowance is n (TAIL_TOL +
+    eps S) for n terms.  The default beta list is q, 2q, 3q with q the
+    transverse lattice index.  Each sweep sum adds the per-t block sums in
+    the order of |t|.  Raises NoBetaAccepted with the smallest and largest
     sum of every candidate when none is accepted.
     """
     d = triple.R.d
@@ -343,8 +336,7 @@ def product_spectrum(
     if not lam1 or any(len(p) != r for p in lam1):
         raise InvalidInput("need a nonempty base frequency set in the leading coordinates")
     ts = sorted(range(-T_WINDOW, T_WINDOW + 1), key=lambda t: (abs(t), t))
-    axes = [(np.arange(XI_GRID) + 0.5) / XI_GRID for _ in range(d)]
-    mesh = np.meshgrid(*axes, indexing="ij")
+    mesh = np.meshgrid(*[(np.arange(XI_GRID) + 0.5) / XI_GRID] * d, indexing="ij")
     grid = np.stack([m.ravel() for m in mesh], axis=-1)
     terms = len(lam1) * len(ts)
     if terms * len(grid) > SWEEP_CAP:

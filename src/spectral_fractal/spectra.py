@@ -114,26 +114,17 @@ def cover_constants(triple: HadamardTriple) -> CoverConstants:
     ev = FourierEval(pair)
     lo_p, hi_p = attractor_box(pair)
     C = float(np.linalg.norm(np.maximum(np.abs(lo_p), np.abs(hi_p))))
-    L = _zero_frequency_shift(triple)
-    dual = AffinePair(pair.R.T, L)
-    lo, hi = attractor_box(dual)
-    lo = lo - EPS0
-    hi = hi + EPS0
+    lo, hi = attractor_box(AffinePair(pair.R.T, _zero_frequency_shift(triple)))
+    lo, hi = lo - EPS0, hi + EPS0
     shifts = np.array(_window(SHIFT_WINDOW, d), dtype=float)
     h = EPS0 / 2
     for _ in range(MAX_REFINE):
-        axes = [np.arange(lo[i], hi[i] + h, h) for i in range(d)]
-        if d == 1:
-            grid = axes[0][:, None]
-        else:
-            mesh = np.meshgrid(*axes, indexing="ij")
-            grid = np.stack([m.ravel() for m in mesh], axis=-1)
+        mesh = np.meshgrid(*[np.arange(lo[i], hi[i] + h, h) for i in range(d)], indexing="ij")
+        grid = np.stack([m.ravel() for m in mesh], axis=-1)
         m_cover = float(ev.mu_hat_sq(grid, shifts).max(axis=1).min())
         corr = 2 * np.pi * C * (h * np.sqrt(d) / 2)
         if m_cover < 1e-10:
-            raise NoShiftFound(
-                f"no usable translate within window {SHIFT_WINDOW}"
-            )
+            raise NoShiftFound(f"no usable translate within window {SHIFT_WINDOW}")
         if corr <= 0.15 * np.sqrt(m_cover):
             delta_hat = (np.sqrt(m_cover) - corr) ** 2
             return CoverConstants(EPS0, h, SHIFT_WINDOW, m_cover, float(delta_hat))
@@ -172,8 +163,8 @@ def _corrected_level(
     never changes its residue mod (R^T)^m_new.  Bases, shifts and points
     are exact integer products (Python ints), one per level each; the new
     points and the (level, base, kappa) corrections come back as tuples.
-    Two mu_hat_sq calls: one on the rescaled bases, one on every translate
-    of every miss.
+    Two mu_hat_sq calls: one on the rescaled bases, one table of the misses
+    against the window's translates.
     """
     d = ev.pair.d
     Rt = ev.pair.R.T
@@ -199,9 +190,7 @@ def _corrected_level(
         # m_cover test above merely selects representatives
         failed = np.flatnonzero(got < cover.delta_hat - 1e-9)
         if len(failed):
-            raise NoShiftFound(
-                f"cover guarantee failed at level {k} (got {got[failed[0]]:.3g})"
-            )
+            raise NoShiftFound(f"cover guarantee failed at level {k} (got {got[failed[0]]:.3g})")
         kappa[miss] = np.array(shifts, dtype=object)[top]
     fixed = np.flatnonzero(np.any(kappa != 0, axis=1))
     fresh = bases + kappa @ np.array(P_new.rows, dtype=object).T
@@ -259,9 +248,7 @@ def corrected_tree(
         blocks.append(tuple(fresh))
         current = np.concatenate([current, np.array(fresh, dtype=object).reshape(-1, d)])
         exps.append(n)
-    return SpectrumTree(
-        triple, tuple(exps), tuple(blocks), tuple(corrections), cover, evidence
-    )
+    return SpectrumTree(triple, tuple(exps), tuple(blocks), tuple(corrections), cover, evidence)
 
 
 def orthogonality_check(tree: SpectrumTree, seed: int = 0) -> float:
@@ -271,20 +258,15 @@ def orthogonality_check(tree: SpectrumTree, seed: int = 0) -> float:
     n = len(pts)
     if n < 2:
         return 0.0
-    ev = FourierEval(tree.triple.pair)
-    pairs = n * (n - 1) // 2
     arr = np.array(pts, dtype=float)
-    if pairs <= PAIR_LIMIT:
+    if n * (n - 1) // 2 <= PAIR_LIMIT:
         ii, jj = np.triu_indices(n, 1)
-        diffs = arr[ii] - arr[jj]
     else:
         rng = np.random.default_rng(seed)
         ii = rng.integers(0, n, size=PAIR_LIMIT)
         jj = rng.integers(0, n - 1, size=PAIR_LIMIT)
         jj = np.where(jj >= ii, jj + 1, jj)
-        diffs = arr[ii] - arr[jj]
-    vals = np.abs(ev.mu_hat(diffs))
-    return float(vals.max())
+    return float(np.abs(FourierEval(tree.triple.pair).mu_hat(arr[ii] - arr[jj])).max())
 
 
 def completeness_partial(tree: SpectrumTree, xi) -> np.ndarray:
@@ -296,10 +278,5 @@ def completeness_partial(tree: SpectrumTree, xi) -> np.ndarray:
     xi_arr = np.atleast_2d(np.asarray(xi, dtype=float))
     if xi_arr.shape[-1] != tree.triple.pair.d:
         raise ValueError("xi has wrong dimension")
-    rows = []
-    acc = np.zeros(len(xi_arr))
-    for blk in tree.new_points:
-        if blk:
-            acc = acc + ev.mu_hat_sq(xi_arr, np.array(blk, dtype=float)).sum(axis=1)
-        rows.append(acc.copy())
-    return np.array(rows)
+    sums = [ev.mu_hat_sq(xi_arr, np.array(blk, dtype=float)).sum(axis=1) for blk in tree.new_points]
+    return np.cumsum(sums, axis=0)

@@ -211,8 +211,8 @@ def test_c12_cycle_first_refutation(skew_triple):
     scan, and the whole quasi-product decision stays within its budget.
 
     The decision's budget is 3 s, with room for a slow host: on a 2-core host
-    the whole decision takes 0.5-0.7 s, of which the product sweep (16
-    mu_hat_sq batches of 7,744 points) takes 0.4-0.5 s."""
+    the whole decision takes about 0.1 s, of which the product sweep (16
+    mu_hat_sq tables of 121 steps by 64 points) takes about 0.03 s."""
     t0 = time.monotonic()
     evd = zero_set_empty_evidence(skew_triple.pair)
     assert evd.kind == "refuted"

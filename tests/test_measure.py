@@ -166,6 +166,54 @@ def test_mu_hat_sq_serves_xi_max_and_no_further():
         swap.mu_hat_sq((0.0, 1e15))
 
 
+@st.composite
+def _table_systems(draw):
+    # lower triangular R with diagonal entries of modulus >= 2 is expansive
+    d = draw(st.integers(1, 3))
+    diag = st.sampled_from([2, 3, 4, -2, -3])
+    R = [[draw(diag) if i == j else draw(st.integers(-2, 2)) * (j < i) for j in range(d)] for i in range(d)]
+    B = draw(st.lists(st.tuples(*[st.integers(-4, 4)] * d), min_size=2, max_size=4, unique=True))
+    rows = st.lists(st.tuples(*[st.floats(-8, 8)] * d), min_size=1, max_size=6)
+    return affine_pair(R, B), np.array(draw(rows)), np.array(draw(rows))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_table_systems())
+def test_mu_hat_sq_table_is_the_flattened_outer_sum(system):
+    # the table form takes the two sides through (R^T)^-j separately and
+    # adds their phases by the cosine addition formula: same depth, and
+    # values equal to rounding
+    pair, U, V = system
+    ev = FourierEval(pair)
+    factors = []
+    mask_sq = ev._mask_sq
+
+    def counting(a, b):
+        factors.append(len(a) * len(b))
+        return mask_sq(a, b)
+
+    ev._mask_sq = counting
+    table = ev.mu_hat_sq(U, V)
+    depth = len(factors)
+    factors.clear()
+    flat = ev.mu_hat_sq((U[:, None] + V[None]).reshape(-1, pair.d))
+    assert len(factors) == depth
+    assert table.shape == (len(U), len(V))
+    assert np.max(np.abs(table - flat.reshape(table.shape))) <= 1e-13
+
+
+def test_mu_hat_sq_table_serves_xi_max_and_no_further():
+    ev = FourierEval(affine_pair([[2]], [(0,), (1,)]))
+    vals = ev.mu_hat_sq(np.array([[XI_MAX - 1.0]]), np.array([[0.0], [1.0]]))
+    assert vals.shape == (1, 2) and np.all((0.0 <= vals) & (vals <= 1.0))
+    for u, v in (([[1e15]], [[0.0], [1.0]]), ([[0.0]], [[1.0], [-1e15]])):
+        with pytest.raises(CapExceeded, match="mu_hat factors"):
+            ev.mu_hat_sq(np.array(u), np.array(v))
+    swap = FourierEval(affine_pair([[0, 2], [1, 0]], [(0, 0), (1, 0)]))
+    with pytest.raises(CapExceeded, match="mu_hat factors"):
+        swap.mu_hat_sq(np.array([(0.0, 1e15)]), np.array([(0.0, 0.0), (1.0, 0.0)]))
+
+
 def test_refinement_identity(jp_pair, skew_pair):
     ev = FourierEval(jp_pair)
     for xi in (0.3, 1.7, -2.5):
