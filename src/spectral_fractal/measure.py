@@ -124,18 +124,19 @@ class FourierEval:
         """
         return self._curv * self._norm_sq_sum * z_norm * z_norm
 
-    def _arguments(self, u, v, tail, cap: int):
-        """Yield (a, b) = (u (R^T)^{-j}, v (R^T)^{-j}) for j = 1, 2, ... until
-        every a_i + b_k has sup norm within ETA and tail(2-norm) within
-        TAIL_TOL; CapExceeded beyond `cap` factors.  The sup norm, exact from
-        per-coordinate extremes, bounds the 2-norm below and is tested first."""
-        a, b = u, v
-        if not (len(a) and len(b)):
-            return
+    def _arguments(self, a, b, tail, cap: int):
+        """Yield (a, b) <- (a (R^T)^{-1}, b (R^T)^{-1}) until every a_i + b_k
+        has sup norm within ETA and tail(2-norm) within TAIL_TOL; CapExceeded
+        beyond `cap` factors.  The sup norm bounds the 2-norm below and is
+        tested first: from the sums when b is one row, else, exactly, from
+        the per-coordinate extremes of a and b."""
         T = 0
-        while True:
-            top, bottom = a.max(axis=0) + b.max(axis=0), a.min(axis=0) + b.min(axis=0)
-            sup = float(max(np.max(top), -np.min(bottom)))
+        while len(a) and len(b):
+            if len(b) == 1:  # the sums cost no more than a itself
+                sup = float(np.max(np.abs(a + b)))
+            else:
+                top, bottom = a.max(axis=0) + b.max(axis=0), a.min(axis=0) + b.min(axis=0)
+                sup = float(max(np.max(top), -np.min(bottom)))
             if sup <= ETA and tail(sup) <= TAIL_TOL:
                 if a.shape[1] == 1 or tail(_largest_sum(a, b)) <= TAIL_TOL:
                     return
