@@ -128,15 +128,11 @@ class FourierEval:
         """Yield (a, b) <- (a (R^T)^{-1}, b (R^T)^{-1}) until every a_i + b_k
         has sup norm within ETA and tail(2-norm) within TAIL_TOL; CapExceeded
         beyond `cap` factors.  The sup norm bounds the 2-norm below and is
-        tested first: from the sums when b is one row, else, exactly, from
-        the per-coordinate extremes of a and b."""
+        tested first, exactly, from the per-coordinate extremes of a and b."""
         T = 0
         while len(a) and len(b):
-            if len(b) == 1:  # the sums cost no more than a itself
-                sup = float(np.max(np.abs(a + b)))
-            else:
-                top, bottom = a.max(axis=0) + b.max(axis=0), a.min(axis=0) + b.min(axis=0)
-                sup = float(max(np.max(top), -np.min(bottom)))
+            top, bottom = a.max(axis=0) + b.max(axis=0), a.min(axis=0) + b.min(axis=0)
+            sup = float(max(np.max(top), -np.min(bottom)))
             if sup <= ETA and tail(sup) <= TAIL_TOL:
                 if a.shape[1] == 1 or tail(_largest_sum(a, b)) <= TAIL_TOL:
                     return
@@ -344,7 +340,9 @@ def mu_hat_field(ev: FourierEval, lo, hi, resolution: int) -> np.ndarray:
         raise SizeMismatch("box corners must match the dimension")
     axes = [np.linspace(lo[i], hi[i], resolution) for i in range(d)]
     if d == 1:
-        return np.abs(ev.mu_hat(axes[0][:, None]))[None, :]
+        grid = axes[0][None, :, None]
+        vals = np.abs(ev.mu_hat(grid[0]))
+        return vals[None, :]
     if d == 2:
         X, Y = np.meshgrid(axes[0], axes[1])
         pts = np.stack([X, Y], axis=-1)

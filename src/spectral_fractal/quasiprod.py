@@ -166,10 +166,12 @@ def normalize_frequencies(R_new: IntMatrix, L, r: int) -> tuple[IVec, ...]:
     _, R2 = _blocks(R_new, r)
     R2t = R2.T
     adj2, det2 = adjugate(R2t)
+    freqs = as_digit_list(L)
     out = []
-    for l in as_digit_list(L):
+    for l in freqs:
         l2 = l[r:]
-        diff = tuple(c - x for c, x in zip(canonical_residue(R2t, l2), l2))
+        canon = canonical_residue(R2t, l2)
+        diff = tuple(c - x for c, x in zip(canon, l2))
         # v = (R2^T)^{-1} diff = adj(R2^T) diff / det R2^T
         v = adj2.matvec(diff)
         if any(x % det2 for x in v):  # pragma: no cover - exact residue
@@ -255,7 +257,8 @@ def decompose(triple: HadamardTriple, r: int, orbit) -> QuasiProduct:
             )
         if len({canonical_residue(R2, s) for s in seconds}) != det2:
             raise NotCompleteReps(f"digit group over {u} collides mod R2")
-    lat = transverse_lattice([x[r:] for x in orbit], d - r)
+    ys = tuple(x[r:] for x in orbit)
+    lat = transverse_lattice(ys, d - r)
     Q = lat.basis_matrix
     # x lies in Q Z^{d-r} iff Q^{-1} x = adj(Q) x / det Q is integral
     adjQ, detQ = adjugate(Q)
@@ -336,7 +339,8 @@ def product_spectrum(
     if not lam1 or any(len(p) != r for p in lam1):
         raise InvalidInput("need a nonempty base frequency set in the leading coordinates")
     ts = sorted(range(-T_WINDOW, T_WINDOW + 1), key=lambda t: (abs(t), t))
-    mesh = np.meshgrid(*[(np.arange(XI_GRID) + 0.5) / XI_GRID] * d, indexing="ij")
+    axes = [(np.arange(XI_GRID) + 0.5) / XI_GRID for _ in range(d)]
+    mesh = np.meshgrid(*axes, indexing="ij")
     grid = np.stack([m.ravel() for m in mesh], axis=-1)
     terms = len(lam1) * len(ts)
     if terms * len(grid) > SWEEP_CAP:

@@ -114,17 +114,23 @@ def cover_constants(triple: HadamardTriple) -> CoverConstants:
     ev = FourierEval(pair)
     lo_p, hi_p = attractor_box(pair)
     C = float(np.linalg.norm(np.maximum(np.abs(lo_p), np.abs(hi_p))))
-    lo, hi = attractor_box(AffinePair(pair.R.T, _zero_frequency_shift(triple)))
-    lo, hi = lo - EPS0, hi + EPS0
+    L = _zero_frequency_shift(triple)
+    dual = AffinePair(pair.R.T, L)
+    lo, hi = attractor_box(dual)
+    lo = lo - EPS0
+    hi = hi + EPS0
     shifts = np.array(_window(SHIFT_WINDOW, d), dtype=float)
     h = EPS0 / 2
     for _ in range(MAX_REFINE):
-        mesh = np.meshgrid(*[np.arange(lo[i], hi[i] + h, h) for i in range(d)], indexing="ij")
+        axes = [np.arange(lo[i], hi[i] + h, h) for i in range(d)]
+        mesh = np.meshgrid(*axes, indexing="ij")
         grid = np.stack([m.ravel() for m in mesh], axis=-1)
         m_cover = float(ev.mu_hat_sq(grid, shifts).max(axis=1).min())
         corr = 2 * np.pi * C * (h * np.sqrt(d) / 2)
         if m_cover < 1e-10:
-            raise NoShiftFound(f"no usable translate within window {SHIFT_WINDOW}")
+            raise NoShiftFound(
+                f"no usable translate within window {SHIFT_WINDOW}"
+            )
         if corr <= 0.15 * np.sqrt(m_cover):
             delta_hat = (np.sqrt(m_cover) - corr) ** 2
             return CoverConstants(EPS0, h, SHIFT_WINDOW, m_cover, float(delta_hat))
@@ -190,7 +196,9 @@ def _corrected_level(
         # m_cover test above merely selects representatives
         failed = np.flatnonzero(got < cover.delta_hat - 1e-9)
         if len(failed):
-            raise NoShiftFound(f"cover guarantee failed at level {k} (got {got[failed[0]]:.3g})")
+            raise NoShiftFound(
+                f"cover guarantee failed at level {k} (got {got[failed[0]]:.3g})"
+            )
         kappa[miss] = np.array(shifts, dtype=object)[top]
     fixed = np.flatnonzero(np.any(kappa != 0, axis=1))
     fresh = bases + kappa @ np.array(P_new.rows, dtype=object).T
@@ -248,7 +256,9 @@ def corrected_tree(
         blocks.append(tuple(fresh))
         current = np.concatenate([current, np.array(fresh, dtype=object).reshape(-1, d)])
         exps.append(n)
-    return SpectrumTree(triple, tuple(exps), tuple(blocks), tuple(corrections), cover, evidence)
+    return SpectrumTree(
+        triple, tuple(exps), tuple(blocks), tuple(corrections), cover, evidence
+    )
 
 
 def orthogonality_check(tree: SpectrumTree, seed: int = 0) -> float:
@@ -258,15 +268,20 @@ def orthogonality_check(tree: SpectrumTree, seed: int = 0) -> float:
     n = len(pts)
     if n < 2:
         return 0.0
+    ev = FourierEval(tree.triple.pair)
+    pairs = n * (n - 1) // 2
     arr = np.array(pts, dtype=float)
-    if n * (n - 1) // 2 <= PAIR_LIMIT:
+    if pairs <= PAIR_LIMIT:
         ii, jj = np.triu_indices(n, 1)
+        diffs = arr[ii] - arr[jj]
     else:
         rng = np.random.default_rng(seed)
         ii = rng.integers(0, n, size=PAIR_LIMIT)
         jj = rng.integers(0, n - 1, size=PAIR_LIMIT)
         jj = np.where(jj >= ii, jj + 1, jj)
-    return float(np.abs(FourierEval(tree.triple.pair).mu_hat(arr[ii] - arr[jj])).max())
+        diffs = arr[ii] - arr[jj]
+    vals = np.abs(ev.mu_hat(diffs))
+    return float(vals.max())
 
 
 def completeness_partial(tree: SpectrumTree, xi) -> np.ndarray:

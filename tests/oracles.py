@@ -590,7 +590,8 @@ def corrected_level_per_point(ev: FourierEval, cover, current, J, m_prev: int, m
         shifts = _window(cover.window, ev.pair.d)
         pts = x[miss][:, None, :] + np.array(shifts, dtype=float)[None, :, :]
         vals = ev.mu_hat_sq(pts.reshape(-1, ev.pair.d)).reshape(len(miss), len(shifts))
-        top = vals.argmax(axis=1)
+        # the first translate in window order within 1e-12 of the best
+        top = np.argmax(vals >= vals.max(axis=1, keepdims=True) - 1e-12, axis=1)
         got = vals[np.arange(len(miss)), top]
         failed = np.flatnonzero(got < cover.delta_hat - 1e-9)
         if len(failed):
