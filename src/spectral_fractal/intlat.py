@@ -4,8 +4,8 @@ Every exact linear-algebra question -- a congruence, a lattice membership, a
 rank, a kernel, an inverse, a characteristic polynomial -- is decided over
 the integers: Hermite normal forms (kernels, ranks, lattice bases), Bareiss
 determinants and the cached adjugate (inverses as adj(M) / det M).
-Fractions remain only for rational points and for the maps that conjugation
-records carry.  Floating point is allowed in two places: estimating
+Fractions remain only for rational points; a conjugation record is one
+integer matrix.  Floating point is allowed in two places: estimating
 eigenvalue moduli for the expansiveness test, where the borderline cases are
 resolved exactly or rejected loudly, and the last step of the character
 kernel (`character_residues`), where one correctly rounded division turns an
@@ -155,16 +155,6 @@ class IntMatrix:
     def det(self) -> int:
         return _bareiss_det(self.rows)
 
-    def to_fractions(self) -> tuple[FVec, ...]:
-        return tuple(tuple(Fraction(x) for x in row) for row in self.rows)
-
-    def inverse_fractions(self) -> tuple[FVec, ...]:
-        """adj(M) / det M, from the cached adjugate."""
-        adj, det = adjugate(self)
-        if det == 0:
-            raise RankDeficient("matrix is singular")
-        return tuple(tuple(Fraction(x, det) for x in row) for row in adj.rows)
-
     def to_array(self) -> np.ndarray:
         return np.array(self.rows, dtype=float)
 
@@ -198,32 +188,7 @@ def _bareiss_det(rows: Sequence[Sequence[int]]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# exact rational helpers (shared by several modules)
-
-
-def f_identity(d: int) -> tuple[FVec, ...]:
-    return tuple(tuple(Fraction(1 if i == j else 0) for j in range(d)) for i in range(d))
-
-
-def f_matmul(a, b) -> tuple[FVec, ...]:
-    h, k = len(a), len(a[0])
-    w = len(b[0])
-    if len(b) != k:
-        raise SizeMismatch("rational product shape mismatch")
-    return tuple(
-        tuple(sum((a[i][t] * b[t][j] for t in range(k)), Fraction(0)) for j in range(w))
-        for i in range(h)
-    )
-
-
-def f_matvec(a, v) -> FVec:
-    if len(a[0]) != len(v):
-        raise SizeMismatch("rational matvec length mismatch")
-    return tuple(sum((a[i][j] * Fraction(v[j]) for j in range(len(v))), Fraction(0)) for i in range(len(a)))
-
-
-def f_transpose(a) -> tuple[FVec, ...]:
-    return tuple(tuple(a[i][j] for i in range(len(a))) for j in range(len(a[0])))
+# rational points
 
 
 def clear_denominators(vec: Sequence[Fraction]) -> tuple[IVec, int]:
@@ -660,71 +625,67 @@ def is_expansive(R) -> bool:
 class ConjugationRecord:
     """An exact change of variables between two digit systems.
 
-    The forward map acts on digits and points (b_new = forward @ b_old); the
-    transpose-inverse acts on frequencies (l_new = backward^T @ l_old).  Both
-    maps are stored exactly; `forward @ backward = I` is checked on creation.
-    When the move rescales by a sublattice, `lattice_basis` holds its integer
-    Hermite basis (the forward map is then rational with |det| < 1).
+    The move is one integer matrix G: R_new = G^{-1} R G, b_new =
+    G^{-1} (b_old - translation) and l_new = G^T l_old.  G is the integral
+    side: a Hermite sublattice basis for a rescale (|det G| > 1), else
+    unimodular.  Every map is an integer product over det G, with
+    G^{-1} = adj(G) / det G from the cached adjugate.
     """
 
-    forward: tuple[FVec, ...]
-    backward: tuple[FVec, ...]
+    G: IntMatrix
     note: str
-    lattice_basis: IntMatrix | None = None
     translation: IVec | None = None
 
-    def __post_init__(self):
-        prod = f_matmul(self.forward, self.backward)
-        d = len(prod)
-        for i in range(d):
-            for j in range(d):
-                if prod[i][j] != (1 if i == j else 0):
-                    raise InvalidInput("conjugation record maps are not exact inverses")
-
-    @staticmethod
-    def from_unimodular(M: IntMatrix, note: str) -> "ConjugationRecord":
-        det = M.det()
-        if det not in (1, -1):
-            raise InvalidInput("matrix is not unimodular")
-        return ConjugationRecord(M.to_fractions(), M.inverse_fractions(), note)
+    @property
+    def forward(self) -> tuple[FVec, ...]:
+        adj, det = adjugate(self.G)
+        return tuple(tuple(Fraction(x, det) for x in row) for row in adj.rows)
 
     @property
-    def dim(self) -> int:
-        return len(self.forward)
+    def backward(self) -> tuple[IVec, ...]:
+        return self.G.rows
+
+    @property
+    def lattice_basis(self) -> IntMatrix | None:
+        return self.G if abs(self.G.det()) > 1 else None
 
     def apply_matrix(self, R: IntMatrix) -> IntMatrix:
-        conj = f_matmul(f_matmul(self.forward, R.to_fractions()), self.backward)
-        if any(x.denominator != 1 for row in conj for x in row):
+        adj, det = adjugate(self.G)
+        conj = adj.mul(R).mul(self.G)
+        if any(x % det for row in conj.rows for x in row):
             raise InvalidInput("conjugated matrix is not integral")
-        return IntMatrix.from_rows([[int(x) for x in row] for row in conj])
+        return IntMatrix(tuple(tuple(x // det for x in row) for row in conj.rows))
 
     def apply_digits(self, B) -> tuple[IVec, ...]:
         digs = as_digit_list(B)
         if self.translation is not None:
             digs = tuple(tuple(x - t for x, t in zip(b, self.translation)) for b in digs)
+        adj, det = adjugate(self.G)
         out = []
         for b in digs:
-            v = f_matvec(self.forward, b)
-            if any(x.denominator != 1 for x in v):
+            v = adj.matvec(b)
+            if any(x % det for x in v):
                 raise InvalidInput(f"digit {b} does not map to an integer vector")
-            out.append(tuple(int(x) for x in v))
+            out.append(tuple(x // det for x in v))
         return tuple(out)
 
     def apply_frequencies(self, L) -> tuple[IVec, ...]:
-        bt = f_transpose(self.backward)
-        out = []
-        for l in as_digit_list(L):
-            v = f_matvec(bt, l)
-            if any(x.denominator != 1 for x in v):
-                raise InvalidInput(f"frequency {l} does not map to an integer vector")
-            out.append(tuple(int(x) for x in v))
-        return tuple(out)
+        return tuple(self.G.T.matvec(l) for l in as_digit_list(L))
 
     def apply_frequency_point(self, x: Sequence[Fraction]) -> FVec:
-        return f_matvec(f_transpose(self.backward), tuple(Fraction(t) for t in x))
+        num, q = clear_denominators([Fraction(t) for t in x])
+        return tuple(Fraction(v, q) for v in self.G.T.matvec(num))
 
     def unapply_frequency_point(self, x: Sequence[Fraction]) -> FVec:
-        return f_matvec(f_transpose(self.forward), tuple(Fraction(t) for t in x))
+        adj, det = adjugate(self.G)
+        num, q = clear_denominators([Fraction(t) for t in x])
+        return tuple(Fraction(v, det * q) for v in adj.T.matvec(num))
+
+
+def unimodular_inverse(M: IntMatrix) -> IntMatrix:
+    """M^{-1} = det(M) adj(M) for det M = +-1, the integral side of a unimodular move."""
+    adj, det = adjugate(M)
+    return IntMatrix(tuple(tuple(det * x for x in row) for row in adj.rows))
 
 
 @dataclass(frozen=True)
@@ -760,31 +721,23 @@ def reduce_to_full(R, B, L=None) -> ReducedPair:
     M = IntMatrix.from_rows(R)
     d = M.d
     digs = as_digit_list(B)
-    freqs = None if L is None else as_digit_list(L)
-    zero = (0,) * d
-    translation = None
-    if zero not in digs:
-        translation = min(digs)
+    translation = None if (0,) * d in digs else min(digs)
     lat = smallest_invariant_lattice(M, digs)
     r = lat.rank
     if r == 0:
-        rec = ConjugationRecord(
-            f_identity(d), f_identity(d), "identity (single-atom digit set)",
-            translation=translation,
-        )
-        return ReducedPair(rec, M, rec.apply_digits(digs), freqs, 0)
-    if r < d:
-        G = lat.basis_matrix  # d x r
-        _, U = hermite_normal_form(G.T)  # (r x d) columns; G^T @ U has trailing zeros
-        Mt = U.T
-        rec = ConjugationRecord(
-            Mt.to_fractions(),
-            Mt.inverse_fractions(),
-            "unimodular move of the invariant span onto the leading coordinates",
-            translation=translation,
-        )
-        Rn = rec.apply_matrix(M)
-        Bn = rec.apply_digits(digs)
+        G, note = IntMatrix.identity(d), "identity (single-atom digit set)"
+    elif r < d:
+        _, U = hermite_normal_form(lat.basis_matrix.T)  # (r x d); basis^T @ U has trailing zeros
+        G = unimodular_inverse(U.T)
+        note = "unimodular move of the invariant span onto the leading coordinates"
+    elif not lat.is_standard():
+        G, note = lat.basis_matrix, "rescale through the invariant sublattice basis"
+    else:
+        G, note = IntMatrix.identity(d), "identity (lattice already standard)"
+    rec = ConjugationRecord(G, note, translation)
+    Rn = rec.apply_matrix(M)
+    Bn = rec.apply_digits(digs)
+    if 0 < r < d:
         for b in Bn:
             if any(b[i] != 0 for i in range(r, d)):
                 raise InconsistencyError("digits left the leading block")  # pragma: no cover
@@ -792,26 +745,8 @@ def reduce_to_full(R, B, L=None) -> ReducedPair:
             for j in range(r):
                 if Rn.rows[i][j] != 0:
                     raise InconsistencyError("conjugated matrix is not block upper triangular")  # pragma: no cover
-        Ln = None if freqs is None else rec.apply_frequencies(freqs)
-        return ReducedPair(rec, Rn, Bn, Ln, r)
-    if not lat.is_standard():
-        G = lat.basis_matrix
-        rec = ConjugationRecord(
-            G.inverse_fractions(),
-            G.to_fractions(),
-            "rescale through the invariant sublattice basis",
-            lattice_basis=G,
-            translation=translation,
-        )
-        Rn = rec.apply_matrix(M)
-        Bn = rec.apply_digits(digs)
-        Ln = None if freqs is None else rec.apply_frequencies(freqs)
-        return ReducedPair(rec, Rn, Bn, Ln, d)
-    rec = ConjugationRecord(
-        f_identity(d), f_identity(d), "identity (lattice already standard)",
-        translation=translation,
-    )
-    return ReducedPair(rec, M, rec.apply_digits(digs), freqs, d)
+    Ln = None if L is None else rec.apply_frequencies(L)
+    return ReducedPair(rec, Rn, Bn, Ln, r)
 
 
 class InconsistencyError(AssertionError):

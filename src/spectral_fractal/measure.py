@@ -73,7 +73,7 @@ class FourierEval:
         self._Rinv = np.linalg.inv(R)
         self._bmax = float(np.max(np.linalg.norm(pair.digit_array, axis=1))) or 1.0
         # sum and sup of operator norms of (R^T)^{-j} = transposed powers of R^{-1}
-        A = np.linalg.inv(R).T
+        A = self._Rinv.T
         P = np.eye(pair.d)
         norms = []
         for _ in range(512):

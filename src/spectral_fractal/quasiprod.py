@@ -54,12 +54,10 @@ from .intlat import (
     as_digit_list,
     canonical_residue,
     clear_denominators,
-    f_identity,
-    f_matmul,
-    f_transpose,
     hermite_normal_form,
     integer_kernel_basis,
     reduce_to_full,
+    unimodular_inverse,
 )
 from .measure import TAIL_TOL, FourierEval
 from .triples import HadamardTriple, hadamard_triple
@@ -147,8 +145,9 @@ def triangularize(R, W) -> TriangularForm:
         raise InvalidInput("annihilator rank inconsistent with subspace dimension")
     order = zero_cols + [j for j in range(w_) if j not in zero_cols]
     T = IntMatrix.from_rows([[U.rows[i][j] for j in order] for i in range(d)])
-    rec = ConjugationRecord.from_unimodular(
-        T.T, "rotate the invariant frequency direction onto the leading coordinates"
+    rec = ConjugationRecord(
+        unimodular_inverse(T.T),
+        "rotate the invariant frequency direction onto the leading coordinates",
     )
     R_new = rec.apply_matrix(M)
     _blocks(R_new, r)  # raises unless R_new is block lower triangular
@@ -419,17 +418,18 @@ def map_frequency_back(points, records) -> list[FVec]:
 def _map_numerators_back(num: np.ndarray, q: int, records) -> list[FVec]:
     """`map_frequency_back` of the points num / q, num an integer object array.
 
-    The chain composes to one rational matrix (the padding embeds the leading
-    coordinates), integer over its common denominator D: one integer product
-    maps every row over D q, and each ``Fraction`` is formed once at the end.
+    Each record undoes by G^{-T} = adj(G)^T / det G, so the chain composes to
+    one integer matrix (the padding embeds the leading coordinates) over the
+    product D of the determinants: one integer product maps every row over
+    D q, and each ``Fraction`` is formed once at the end.
     """
     d = num.shape[1]
-    M = f_identity(d)
+    A, D = IntMatrix.identity(d), 1
     for rec in reversed(records):
-        M = M + ((Fraction(0),) * d,) * (rec.dim - len(M))
-        M = f_matmul(f_transpose(rec.forward), M)
-    A, D = clear_denominators([x for row in M for x in row])
-    out = num @ np.array(A, dtype=object).reshape(len(M), d).T
+        adj, det = adjugate(rec.G)
+        A = adj.T.mul(IntMatrix(A.rows + ((0,) * d,) * (rec.G.d - len(A.rows))))
+        D *= det
+    out = num @ np.array(A.rows, dtype=object).T
     return [tuple(Fraction(v, D * q) for v in row) for row in out.tolist()]
 
 

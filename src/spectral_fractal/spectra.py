@@ -108,7 +108,12 @@ def canonical_tree(triple: HadamardTriple, K: int, cap: int = 2**16) -> Spectrum
 def cover_constants(triple: HadamardTriple) -> CoverConstants:
     """Grid certificate: every point of the dual attractor box, padded by
     EPS0, has an integer translate in [-SHIFT_WINDOW, SHIFT_WINDOW]^d with
-    |mu_hat|^2 >= delta_hat."""
+    |mu_hat|^2 >= delta_hat.
+
+    The grid and the window of translates are the two sides of one
+    `mu_hat_sq` table, and each side's phases are rounded on their own, so
+    `m_cover` and `delta_hat` carry each side's own rounding in their last
+    bits."""
     pair = triple.pair
     d = pair.d
     ev = FourierEval(pair)

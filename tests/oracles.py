@@ -32,11 +32,10 @@ from spectral_fractal.intlat import (
     ConjugationRecord,
     IntMatrix,
     Lattice,
+    adjugate,
     as_digit_list,
     canonical_residue,
     complete_representatives,
-    f_identity,
-    f_matvec,
     inverse_image,
     is_simple_digit_set,
     poly_divmod,
@@ -80,6 +79,28 @@ def f_inverse(a) -> tuple[tuple[Fraction, ...], ...]:
     return tuple(tuple(row[n:]) for row in m)
 
 
+def f_identity(d: int) -> tuple[tuple[Fraction, ...], ...]:
+    return tuple(tuple(Fraction(int(i == j)) for j in range(d)) for i in range(d))
+
+
+def f_matvec(a, v) -> tuple[Fraction, ...]:
+    if len(a[0]) != len(v):
+        raise SizeMismatch("rational matvec length mismatch")
+    return tuple(sum((row[j] * Fraction(v[j]) for j in range(len(v))), Fraction(0)) for row in a)
+
+
+def to_fractions(M: IntMatrix) -> tuple[tuple[Fraction, ...], ...]:
+    return tuple(tuple(Fraction(x) for x in row) for row in M.rows)
+
+
+def inverse_fractions(M: IntMatrix) -> tuple[tuple[Fraction, ...], ...]:
+    """adj(M) / det M, from the package's cached adjugate."""
+    adj, det = adjugate(M)
+    if det == 0:
+        raise RankDeficient("matrix is singular")
+    return tuple(tuple(Fraction(x, det) for x in row) for row in adj.rows)
+
+
 def euclid_reciprocal_root_pair(p) -> bool:
     """p shares a root with its reversal: their gcd over Q, by the Euclidean
     algorithm in Fractions, is not constant."""
@@ -109,7 +130,7 @@ def lattice_eq(a: Lattice, b: Lattice) -> bool:
 
 
 def identity_record(d: int) -> ConjugationRecord:
-    return ConjugationRecord(f_identity(d), f_identity(d), "identity")
+    return ConjugationRecord(IntMatrix.identity(d), "identity")
 
 
 def lattice_contains(lat: Lattice, v) -> bool:
@@ -213,7 +234,7 @@ def fraction_approximant(pair, n: int):
     both sorted by atom.
     """
     R = pair.R
-    inv = R.pow(n).inverse_fractions()
+    inv = inverse_fractions(R.pow(n))
     sums = [(0,) * pair.d]
     for _ in range(n):
         sums = [tuple(x + y for x, y in zip(R.matvec(v), b)) for v in sums for b in pair.B]
@@ -277,7 +298,7 @@ def delta_lower_bound(tree) -> float:
     Rt = tree.triple.R.T
     out = []
     for k, n in enumerate(tree.exponents):
-        M = Rt.pow(n).to_fractions()
+        M = to_fractions(Rt.pow(n))
         inv = f_inverse(M)
         x = np.array(
             [[float(sum((a * b for a, b in zip(row, p)), Fraction(0))) for row in inv]
@@ -299,7 +320,7 @@ def u_eval(pair, x):
 def transition_weights(pair, x) -> list[tuple[tuple[int, ...], tuple, float]]:
     """(l, (R^T)^-1 (x + l), its u-weight) over the complete representatives
     l of R^T: the one-step inverse-branch moves of the transfer dynamics."""
-    rt_inv = f_inverse(pair.R.T.to_fractions())
+    rt_inv = f_inverse(to_fractions(pair.R.T))
     out = []
     for ell in complete_representatives(pair.R.T):
         tgt = f_matvec(rt_inv, tuple(Fraction(c) + e for c, e in zip(x, ell)))
@@ -362,7 +383,7 @@ def fraction_certify_zero(pair, ms, xi0, K: int, J: int = 30) -> ZeroCertificate
     """certify_zero with every translate stepped through (R^T)^-1 in
     Fractions, one level at a time, under the mask structure ms."""
     point = tuple(Fraction(c) for c in xi0)
-    rt_inv = f_inverse(pair.R.T.to_fractions())
+    rt_inv = f_inverse(to_fractions(pair.R.T))
     witnesses, unresolved, grade = [], [], "exact"
     for k in _window(K, pair.d):
         rho = tuple(c + kk for c, kk in zip(point, k))
@@ -619,7 +640,21 @@ def map_frequency_back_per_point(point, records) -> tuple[Fraction, ...]:
     values as `quasiprod.map_frequency_back` on that point."""
     pt = tuple(Fraction(c) for c in point)
     for rec in reversed(records):
-        if len(pt) < rec.dim:
-            pt = pt + (Fraction(0),) * (rec.dim - len(pt))
+        if len(pt) < rec.G.d:
+            pt = pt + (Fraction(0),) * (rec.G.d - len(pt))
         pt = rec.unapply_frequency_point(pt)
     return pt
+
+
+def f_map_back(point, records) -> tuple[Fraction, ...]:
+    """The chain of `quasiprod.map_frequency_back` composed from Fraction
+    matrices: each record undoes by the transpose of the Gauss-Jordan inverse
+    of its matrix G, and a record wider than the composition so far takes it
+    with zero rows appended."""
+    d = len(point)
+    M = f_identity(d)
+    for rec in reversed(records):
+        M = M + ((Fraction(0),) * d,) * (rec.G.d - len(M))
+        inv_t = tuple(zip(*f_inverse(to_fractions(rec.G))))
+        M = tuple(zip(*(f_matvec(inv_t, col) for col in zip(*M))))
+    return f_matvec(M, point)

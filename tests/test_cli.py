@@ -400,6 +400,34 @@ def test_reduce_verify_roundtrip(tmp_path):
     assert cli.main(["verify", out]) == 0
 
 
+RESCALE = "rescale through the invariant sublattice basis"
+
+
+@pytest.mark.parametrize(
+    "problem, record",
+    [
+        (JP, {"note": RESCALE, "forward": [["1/2"]], "backward": [[2]],
+              "translation": None, "lattice_basis": [[2]]}),
+        ({"R": [[3, 1], [1, 3]], "B": [[0, 0], [1, 1]]},
+         {"note": "unimodular move of the invariant span onto the leading coordinates",
+          "forward": [[1, 0], [-1, 1]], "backward": [[1, 0], [1, 1]],
+          "translation": None, "lattice_basis": None}),
+        ({"R": [[4]], "B": [[1], [3]]},
+         {"note": RESCALE, "forward": [["1/2"]], "backward": [[2]],
+          "translation": [1], "lattice_basis": [[2]]}),
+    ],
+    ids=["jp", "diagonal", "translated"],
+)
+def test_reduce_record_golden(tmp_path, problem, record):
+    # the record fields of a reduce report, as earlier releases printed them
+    out = str(tmp_path / "red.json")
+    assert cli.main(["reduce", write_problem(tmp_path, problem), "--out", out]) == 0
+    with open(out) as f:
+        results = json.load(f)["results"]
+    assert {k: results[k] for k in record} == record
+    assert cli.main(["verify", out]) == 0
+
+
 # ---------------------------------------------------------------------------
 # render
 

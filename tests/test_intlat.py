@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from spectral_fractal.errors import AmbiguousSpectrum, RankDeficient
+from spectral_fractal.errors import AmbiguousSpectrum, InvalidInput, RankDeficient
 from spectral_fractal.intlat import (
     ConjugationRecord,
     IntMatrix,
@@ -22,13 +22,18 @@ from spectral_fractal.intlat import (
     reduce_to_full,
     smallest_invariant_lattice,
 )
+from spectral_fractal.quasiprod import map_frequency_back
 
 from oracles import (
     euclid_reciprocal_root_pair,
     f_inverse,
+    f_map_back,
+    f_matvec,
     identity_record,
+    inverse_fractions,
     is_unimodular,
     lattice_contains,
+    to_fractions,
 )
 
 ints = st.integers(min_value=-9, max_value=9)
@@ -85,7 +90,7 @@ def test_hnf_known_row():
 def test_inverse_fractions_equals_gauss_jordan(rows):
     M = IntMatrix.from_rows(rows)
     assume(M.det() != 0)
-    assert M.inverse_fractions() == f_inverse(M.to_fractions())
+    assert inverse_fractions(M) == f_inverse(to_fractions(M))
 
 
 @settings(max_examples=150, deadline=None)
@@ -138,7 +143,7 @@ def test_charpoly_matches_numpy_eigs():
 def _same_class(R: IntMatrix, v, w):
     # independent membership oracle: solve R x = v - w over the rationals
     diff = [Fraction(a - b) for a, b in zip(v, w)]
-    x = [sum(row[j] * diff[j] for j in range(len(diff))) for row in f_inverse(R.to_fractions())]
+    x = [sum(row[j] * diff[j] for j in range(len(diff))) for row in f_inverse(to_fractions(R))]
     return all(t.denominator == 1 for t in x)
 
 
@@ -275,9 +280,90 @@ def test_reduce_translates_when_zero_missing():
 
 
 def test_conjugation_round_trip_on_matrix():
-    rec = ConjugationRecord.from_unimodular(
-        IntMatrix.from_rows([[1, 1], [0, 1]]), "test shear"
-    )
+    # the shear [[1,1],[0,1]] on digits, so G is its inverse
+    rec = ConjugationRecord(IntMatrix.from_rows([[1, -1], [0, 1]]), "test shear")
     R = IntMatrix.from_rows([[4, 0], [1, 2]])
-    back = ConjugationRecord(rec.backward, rec.forward, "inverse")
+    back = ConjugationRecord(IntMatrix.from_rows([[1, 1], [0, 1]]), "inverse")
     assert back.apply_matrix(rec.apply_matrix(R)).rows == R.rows
+
+
+# --- conjugation records against the Fraction reference ---------------------
+
+
+@st.composite
+def record_matrix(draw, d_min=1, d_max=3):
+    """An integer G of dimension d: unimodular, or with |det G| in 2..6."""
+    d = draw(st.integers(min_value=d_min, max_value=d_max))
+    small = st.integers(min_value=-3, max_value=3)
+    if draw(st.booleans()):
+        # unit lower triangular times upper triangular with diagonal +-1
+        lo = [[1 if i == j else draw(small) if j < i else 0 for j in range(d)] for i in range(d)]
+        up = [
+            [draw(st.sampled_from((1, -1))) if i == j else draw(small) if j > i else 0 for j in range(d)]
+            for i in range(d)
+        ]
+        return IntMatrix.from_rows(lo).mul(IntMatrix.from_rows(up))
+    entries = small if d > 1 else ints
+    G = IntMatrix.from_rows(draw(st.lists(vectors(d, entries), min_size=d, max_size=d)))
+    assume(2 <= abs(G.det()) <= 6)
+    return G
+
+
+def vectors(d, entries=ints):
+    return st.lists(entries, min_size=d, max_size=d).map(tuple)
+
+
+def rational_points(d):
+    return vectors(d, st.fractions(min_value=-5, max_value=5, max_denominator=12))
+
+
+def _f_product(a, b):
+    return tuple(zip(*(f_matvec(a, col) for col in zip(*b))))
+
+
+def _integral(rows):
+    if any(x.denominator != 1 for row in rows for x in row):
+        return None
+    return tuple(tuple(int(x) for x in row) for row in rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_record_maps_equal_fraction_reference(data):
+    G = data.draw(record_matrix())
+    d = G.d
+    t = data.draw(st.none() | vectors(d))
+    rec = ConjugationRecord(G, "test move", t)
+    g_inv = f_inverse(to_fractions(G))
+    R = IntMatrix.from_rows(data.draw(st.lists(vectors(d), min_size=d, max_size=d)))
+    want = _integral(_f_product(g_inv, _f_product(to_fractions(R), to_fractions(G))))
+    if want is None:
+        with pytest.raises(InvalidInput):
+            rec.apply_matrix(R)
+    else:
+        assert rec.apply_matrix(R).rows == want
+    B = data.draw(st.lists(vectors(d), min_size=1, max_size=4))
+    moved = [b if t is None else tuple(x - s for x, s in zip(b, t)) for b in B]
+    want = _integral([f_matvec(g_inv, b) for b in moved])
+    if want is None:
+        with pytest.raises(InvalidInput):
+            rec.apply_digits(B)
+    else:
+        assert rec.apply_digits(B) == want
+    L = data.draw(st.lists(vectors(d), min_size=1, max_size=4))
+    gt = tuple(zip(*to_fractions(G)))
+    assert rec.apply_frequencies(L) == _integral([f_matvec(gt, l) for l in L])
+    x = data.draw(rational_points(d))
+    assert rec.apply_frequency_point(x) == f_matvec(gt, x)
+    assert rec.unapply_frequency_point(x) == f_matvec(tuple(zip(*g_inv)), x)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_map_frequency_back_equals_fraction_composition(data):
+    outer = data.draw(record_matrix(d_min=2))
+    inner = data.draw(record_matrix(d_max=outer.d - 1))
+    records = (ConjugationRecord(outer, "outer"), ConjugationRecord(inner, "inner"))
+    p = data.draw(st.integers(min_value=1, max_value=inner.d))
+    pts = data.draw(st.lists(rational_points(p), min_size=1, max_size=3))
+    assert map_frequency_back(pts, records) == [f_map_back(x, records) for x in pts]

@@ -21,7 +21,7 @@ from spectral_fractal.intlat import (
 from spectral_fractal.measure import discrete_approximant
 from spectral_fractal.triples import affine_pair, digit_sums, hadamard_matrix
 
-from oracles import discrete_fourier_atoms, f_inverse
+from oracles import discrete_fourier_atoms, f_inverse, to_fractions
 
 SKEW = ([[4, 0], [1, 2]], [(0, 0), (0, 3), (1, 0), (1, 3)], [(0, 0), (2, 0), (0, 1), (2, 1)])
 JP = ([[4]], [(0,), (2,)], [(0,), (1,)])
@@ -30,7 +30,7 @@ JP = ([[4]], [(0,), (2,)], [(0,), (1,)])
 def fraction_hadamard(R, B, L) -> np.ndarray:
     """Oracle: <R^{-1} b, l> mod 1 in Fractions, one entry at a time."""
     M = IntMatrix.from_rows(R)
-    inv = f_inverse(M.to_fractions())
+    inv = f_inverse(to_fractions(M))
     H = np.empty((len(L), len(B)), dtype=complex)
     for j, b in enumerate(B):
         rb = [sum(inv[i][t] * b[t] for t in range(M.d)) for i in range(M.d)]
@@ -84,7 +84,7 @@ def test_negative_determinant_phases():
     M = [[0, 2], [3, 1]]  # det -6
     cols = complete_representatives(M)
     rows = [(1, 0), (0, 1), (2, 5)]
-    inv = f_inverse(IntMatrix.from_rows(M).to_fractions())
+    inv = f_inverse(to_fractions(IntMatrix.from_rows(M)))
     for l, row in zip(rows, character_phases(M, rows, cols)):
         for c, got in zip(cols, row):
             theta = sum(inv[i][t] * c[t] * l[i] for i in range(2) for t in range(2))
@@ -108,7 +108,7 @@ def test_residues_unique_matches_canonical_residues():
 def test_inverse_image_is_correctly_rounded():
     M = IntMatrix.from_rows(SKEW[0]).pow(5)
     vecs = digit_sums(SKEW[0], SKEW[1], 5)[:50]
-    inv = f_inverse(M.to_fractions())
+    inv = f_inverse(to_fractions(M))
     got = inverse_image(M, vecs)
     for v, row in zip(vecs, got):
         assert tuple(row) == tuple(float(sum(inv[i][t] * v[t] for t in range(2))) for i in range(2))

@@ -390,9 +390,8 @@ def test_full_spectrum_point_mass():
 
 
 def test_map_frequency_back_pads_projected_points():
-    rec = ConjugationRecord.from_unimodular(
-        IntMatrix.from_rows([[1, 1], [0, 1]]), "test move"
-    )
+    # G is the inverse of forward = [[1,1],[0,1]]
+    rec = ConjugationRecord(IntMatrix.from_rows([[1, -1], [0, 1]]), "test move")
     out = map_frequency_back([(F(1, 3),)], (rec,))
     # forward^T @ (1/3, 0) with forward = [[1,1],[0,1]]
     assert out == [(F(1, 3), F(1, 3))]

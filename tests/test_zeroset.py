@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from spectral_fractal.errors import CycleNotFound, DimensionUnsupported
-from spectral_fractal.intlat import IntMatrix, f_matvec, root_sum_vanishes
+from spectral_fractal.intlat import IntMatrix, root_sum_vanishes
 from spectral_fractal.measure import FourierEval
 from spectral_fractal.triples import affine_pair
 from spectral_fractal.zeroset import (
@@ -27,7 +27,14 @@ from spectral_fractal.zeroset import (
     zero_set_empty_evidence,
 )
 
-from oracles import cyclotomic, fraction_certify_zero, phi_division_vanishes, transition_weights
+from oracles import (
+    cyclotomic,
+    f_matvec,
+    fraction_certify_zero,
+    phi_division_vanishes,
+    to_fractions,
+    transition_weights,
+)
 
 F = Fraction
 
@@ -446,7 +453,7 @@ def test_periodic_points_of_the_skew_matrix(skew_triple):
     Rt = skew_triple.pair.R.T.pow(2)
     for den, num in zip(L.tolist(), a.tolist()):
         x = tuple(F(c, den) for c in num)
-        assert all((y - c).denominator == 1 for y, c in zip(f_matvec(Rt.to_fractions(), x), x))
+        assert all((y - c).denominator == 1 for y, c in zip(f_matvec(to_fractions(Rt), x), x))
     assert [m for m, L, _ in _periodic_points(skew_triple.pair, 6, 4096) if L is None] == [5, 6]
 
 
