@@ -165,7 +165,7 @@ def frame_matrix_bounds(pair: AffinePair, n: int, J, cap: int = 2**26) -> tuple[
 
 def residues_distinct(R, J, n: int) -> bool:
     """Whether the frequencies are pairwise distinct mod (R^T)^n Z^d."""
-    M = (R if isinstance(R, IntMatrix) else IntMatrix.from_rows(R)).T.pow(n)
+    M = IntMatrix.from_rows(R).T.pow(n)
     return residues_unique(M, as_digit_list(J))
 
 

@@ -5,20 +5,18 @@ R^{-1}B, R^{-2}B, ...; its transform is the convergent product
 
     mu_hat(xi) = prod_{j >= 1} mask((R^T)^{-j} xi).
 
-Two evaluators truncate it adaptively, each at the depth where the remaining
-argument is below ETA in sup norm *and* a rigorous tail bound drops below
-TAIL_TOL, so deepening further cannot move any returned value by more than
-that:
+One rule truncates it: a product stops at the depth where the remaining
+argument z is below ETA in sup norm *and* a rigorous tail bound drops below
+TAIL_TOL.  Each real factor is |m_B(x)|^2 = 1/N + (2/N^2) sum_{b<b'} cos 2 pi
+<b - b', x>, with equal differences merged and weighted by their counts.
+Since 1 - cos u <= u^2/2, 1 >= |m_B(x)|^2 >= 1 - c |x|^2 with
+c = (2 pi^2/N^2) sum_{b,b'} |b - b'|^2, so the dropped factors lose at most
+c S_2 |z|^2 of |mu_hat|^2, where S_2 = sum_i ||(R^T)^{-i}||^2.
 
-- `mu_hat` multiplies the complex masks.  Its tail bound is linear:
-  |m_B(x) - 1| <= 2 pi max|b| |x|.
-- `mu_hat_sq` returns |mu_hat|^2 as a product of the real factors
-  |m_B(x)|^2 = 1/N + (2/N^2) sum_{b<b'} cos 2 pi <b - b', x>, with equal
-  differences merged and weighted by their counts.  Since 1 - cos u <= u^2/2,
-  1 >= |m_B(x)|^2 >= 1 - c |x|^2 with c = (2 pi^2/N^2) sum_{b,b'} |b - b'|^2,
-  so the dropped factors lose at most c S_2 |z|^2, where z is the remaining
-  argument and S_2 = sum_i ||(R^T)^{-i}||^2.  That quadratic bound stops
-  several factors earlier than the linear one.
+- `mu_hat` multiplies the complex masks and returns the modulus |P_T| of the
+  T-factor product.  Every dropped factor has modulus at most 1, so |P_T| is
+  an upper bound on |mu_hat|, and 1 >= |mu_hat|^2 / |P_T|^2 >= 1 - TAIL_TOL.
+- `mu_hat_sq` returns |mu_hat|^2 as the product of the real factors.
 
 Callers that read only the modulus (the cover, the shift corrections, the
 completeness sums and the product sweep) use `mu_hat_sq` on outer-sum
@@ -36,9 +34,9 @@ call `mu_hat_sq(xi)` is the table against the single shift 0.  Zero tests keep
 in |m_B|^2, which is about 1e-9 in |mu_hat|, where the complex product stays
 at rounding size.
 
-Each evaluator derives its depth cap from R and B: the fewest factors after
-which every |xi| <= XI_MAX passes both of its tests.  A point that needs more
-raises CapExceeded.
+The depth cap `max_depth` is derived from R and B: the fewest factors after
+which every |xi| <= XI_MAX passes the rule.  A point that needs more raises
+CapExceeded.
 
 The level-n approximant is the first n layers of the convolution, so its
 transform is exactly the n-factor product (`DiscreteMeasure.fourier`).
@@ -71,8 +69,7 @@ class FourierEval:
         self.pair = pair
         R = pair.R.to_array()
         self._Rinv = np.linalg.inv(R)
-        self._bmax = float(np.max(np.linalg.norm(pair.digit_array, axis=1))) or 1.0
-        # sum and sup of operator norms of (R^T)^{-j} = transposed powers of R^{-1}
+        # square sum and sup of operator norms of (R^T)^{-j} = powers of R^{-T}
         A = self._Rinv.T
         P = np.eye(pair.d)
         norms = []
@@ -83,7 +80,6 @@ class FourierEval:
                 break
         else:
             raise InvalidInput("inverse powers do not contract; matrix not expansive?")
-        self._norm_sum = sum(norms)
         self._norm_sq_sum = sum(nrm * nrm for nrm in norms)
         self.norm_sup = max(norms)
         # |m_B(x)|^2 = 1/N + (2/N^2) sum_{b<b'} cos 2 pi <b - b', x>; a
@@ -102,21 +98,15 @@ class FourierEval:
         # c = (2 pi^2 / N^2) sum_{b, b'} |b - b'|^2, each unordered pair twice
         spread = sum(k * sum(x * x for x in dv) for dv, k in diffs.items())
         self._curv = 4 * np.pi**2 / N**2 * spread or 1.0
-        # depth caps: |(R^T)^{-T} xi| <= ||(R^T)^{-T}|| |xi|, so once that norm
+        # depth cap: |(R^T)^{-T} xi| <= ||(R^T)^{-T}|| |xi|, so once that norm
         # times XI_MAX is within ETA and the tail tolerance, every xi in range stops
-        reach = min(ETA, TAIL_TOL / self.tail_bound(1.0)) / XI_MAX
+        reach = min(ETA, np.sqrt(TAIL_TOL / self.tail_bound(1.0))) / XI_MAX
         while norms[-1] > reach:
             P = P @ A
             norms.append(float(np.linalg.norm(P, 2)))
         self.max_depth = next(t for t, nrm in enumerate(norms, 1) if nrm <= reach)
-        reach_sq = min(ETA, np.sqrt(TAIL_TOL / self.tail_bound_sq(1.0))) / XI_MAX
-        self.max_depth_sq = next(t for t, nrm in enumerate(norms, 1) if nrm <= reach_sq)
 
     def tail_bound(self, z_norm: float) -> float:
-        """Bound on |product of dropped factors - 1| given |(R^T)^{-T} xi| <= z_norm."""
-        return 2.0 * np.pi * self._bmax * self._norm_sum * z_norm
-
-    def tail_bound_sq(self, z_norm: float) -> float:
         """Bound on 1 - (product of dropped |factors|^2) given |(R^T)^{-T} xi| <= z_norm.
 
         Each dropped factor is at least 1 - c |(R^T)^{-i} z|^2, so their
@@ -124,30 +114,30 @@ class FourierEval:
         """
         return self._curv * self._norm_sq_sum * z_norm * z_norm
 
-    def _arguments(self, a, b, tail, cap: int):
+    def _arguments(self, a, b):
         """Yield (a, b) <- (a (R^T)^{-1}, b (R^T)^{-1}) until every a_i + b_k
-        has sup norm within ETA and tail(2-norm) within TAIL_TOL; CapExceeded
-        beyond `cap` factors.  The sup norm bounds the 2-norm below and is
-        tested first, exactly, from the per-coordinate extremes of a and b."""
+        has sup norm within ETA and tail_bound(2-norm) within TAIL_TOL, or
+        raise CapExceeded past max_depth.  The sup norm bounds the 2-norm
+        below; it is tested first, exactly, from the extremes of a and b."""
         T = 0
         while len(a) and len(b):
             top, bottom = a.max(axis=0) + b.max(axis=0), a.min(axis=0) + b.min(axis=0)
             sup = float(max(np.max(top), -np.min(bottom)))
-            if sup <= ETA and tail(sup) <= TAIL_TOL:
-                if a.shape[1] == 1 or tail(_largest_sum(a, b)) <= TAIL_TOL:
+            if sup <= ETA and self.tail_bound(sup) <= TAIL_TOL:
+                if a.shape[1] == 1 or self.tail_bound(_largest_sum(a, b)) <= TAIL_TOL:
                     return
-            if T == cap:
-                left = tail(_largest_sum(a, b))
+            if T == self.max_depth:
+                left = self.tail_bound(_largest_sum(a, b))
                 raise CapExceeded(f"mu_hat factors (tail bound {left:.2g} left)", T + 1, T)
             a, b = a @ self._Rinv, b @ self._Rinv
             T += 1
             yield a, b
 
     def depth_for(self, xi) -> int:
-        """Factors `mu_hat` needs for the whole batch; CapExceeded beyond max_depth."""
+        """Factors `mu_hat` and `mu_hat_sq` multiply for the batch; CapExceeded beyond max_depth."""
         arr, _ = _xi_grid(self.pair.d, xi)
         z, zero = arr.reshape(-1, self.pair.d), np.zeros((1, self.pair.d))
-        return sum(1 for _ in self._arguments(z, zero, self.tail_bound, self.max_depth))
+        return sum(1 for _ in self._arguments(z, zero))
 
     def mu_hat_truncated(self, xi, depth: int):
         """Finite product of exactly `depth` mask factors."""
@@ -159,9 +149,9 @@ class FourierEval:
         return acc[0] if scalar else acc
 
     def mu_hat(self, xi):
-        """Adaptive-depth transform value(s); |result| <= 1."""
+        """Modulus |P_T| of the adaptive-depth product; |mu_hat| <= |P_T|, tight to TAIL_TOL."""
         arr, scalar = _xi_grid(self.pair.d, xi)
-        out = self.mu_hat_truncated(arr, self.depth_for(arr))
+        out = np.abs(self.mu_hat_truncated(arr, self.depth_for(arr)))
         return out[0] if scalar else out
 
     def _mask_sq(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -174,7 +164,7 @@ class FourierEval:
 
     def mu_hat_sq(self, xi, shifts=None):
         """Adaptive-depth |mu_hat|^2 as a product of the real factors |m_B|^2,
-        within TAIL_TOL; the depth stops on the quadratic `tail_bound_sq`.
+        within TAIL_TOL, at the depth of `depth_for`.
 
         With `shifts`, the (len(xi), len(shifts)) table of
         |mu_hat(xi_i + shifts_k)|^2 at one depth; without, xi's own values.
@@ -183,7 +173,7 @@ class FourierEval:
         arr, scalar = _xi_grid(d, xi)
         v = np.zeros((1, d)) if shifts is None else np.asarray(shifts, dtype=float).reshape(-1, d)
         acc = np.ones((arr.size // d, len(v)))
-        for a, b in self._arguments(arr.reshape(-1, d), v, self.tail_bound_sq, self.max_depth_sq):
+        for a, b in self._arguments(arr.reshape(-1, d), v):
             acc *= self._mask_sq(a, b)
         if shifts is not None:
             return acc
@@ -341,12 +331,12 @@ def mu_hat_field(ev: FourierEval, lo, hi, resolution: int) -> np.ndarray:
     axes = [np.linspace(lo[i], hi[i], resolution) for i in range(d)]
     if d == 1:
         grid = axes[0][None, :, None]
-        vals = np.abs(ev.mu_hat(grid[0]))
+        vals = ev.mu_hat(grid[0])
         return vals[None, :]
     if d == 2:
         X, Y = np.meshgrid(axes[0], axes[1])
         pts = np.stack([X, Y], axis=-1)
-        return np.abs(ev.mu_hat(pts))[::-1, :]
+        return ev.mu_hat(pts)[::-1, :]
     raise InvalidInput("field rendering supports d <= 2")
 
 

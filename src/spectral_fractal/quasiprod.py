@@ -119,7 +119,7 @@ def triangularize(R, W) -> TriangularForm:
     block, and frequency coordinates transform so that span(W) maps onto
     the span of the first r coordinate vectors.
     """
-    M = R if isinstance(R, IntMatrix) else IntMatrix.from_rows(R)
+    M = IntMatrix.from_rows(R)
     d = M.d
     rows = [clear_denominators([Fraction(c) for c in w])[0] for w in W]
     if not rows or any(len(w) != d for w in rows):

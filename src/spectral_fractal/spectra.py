@@ -27,6 +27,7 @@ from .errors import (
     CapExceeded,
     NoShiftFound,
     ResidueCollision,
+    SizeMismatch,
     Undecided,
     ZeroSetNonEmpty,
 )
@@ -285,7 +286,7 @@ def orthogonality_check(tree: SpectrumTree, seed: int = 0) -> float:
         jj = rng.integers(0, n - 1, size=PAIR_LIMIT)
         jj = np.where(jj >= ii, jj + 1, jj)
         diffs = arr[ii] - arr[jj]
-    vals = np.abs(ev.mu_hat(diffs))
+    vals = ev.mu_hat(diffs)
     return float(vals.max())
 
 
@@ -297,6 +298,6 @@ def completeness_partial(tree: SpectrumTree, xi) -> np.ndarray:
     ev = FourierEval(tree.triple.pair)
     xi_arr = np.atleast_2d(np.asarray(xi, dtype=float))
     if xi_arr.shape[-1] != tree.triple.pair.d:
-        raise ValueError("xi has wrong dimension")
+        raise SizeMismatch("xi has wrong dimension")
     sums = [ev.mu_hat_sq(xi_arr, np.array(blk, dtype=float)).sum(axis=1) for blk in tree.new_points]
     return np.cumsum(sums, axis=0)

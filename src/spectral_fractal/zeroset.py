@@ -47,7 +47,7 @@ from .intlat import (
     poly_divmod,
     root_sum_vanishes,
 )
-from .measure import FourierEval
+from .measure import FourierEval, attractor_box
 from .triples import GENERAL_CAP, AffinePair, mask_vanishes
 
 OUT_FLOOR = 1e-3  # truncated |mu_hat| above this certifies "not a zero" (numeric grade)
@@ -239,7 +239,7 @@ def certify_zero(pair: AffinePair, xi0, K: int = 10, J: int = 30) -> ZeroCertifi
         raise InvalidInput("candidate point has wrong dimension")
     ms = mask_zero_structure(pair)
     a, L = clear_denominators(point)
-    ev = FourierEval(pair)
+    ev = None  # built only for a translate with no mask zero within J levels
     witnesses: list[tuple[IVec, int]] = []
     unresolved: list[IVec] = []
     grade = "exact"
@@ -254,7 +254,8 @@ def certify_zero(pair: AffinePair, xi0, K: int = 10, J: int = 30) -> ZeroCertifi
                 break
         if found is None:
             shifted = np.array([(c + kk * L) / L for c, kk in zip(a, k)])
-            mod = abs(complex(ev.mu_hat(shifted)))
+            ev = ev or FourierEval(pair)
+            mod = ev.mu_hat(shifted)
             if mod > OUT_FLOOR:
                 return ZeroCertificate(
                     point, K, J, "out", tuple(witnesses), k, float(mod), "numeric"
@@ -288,8 +289,8 @@ def replay_certificate(pair: AffinePair, cert: ZeroCertificate) -> bool:
     if cert.status == "out":
         shifted = tuple(c + kk for c, kk in zip(cert.point, cert.out_witness))
         ev = FourierEval(pair)
-        mod = abs(complex(ev.mu_hat(np.array([float(c) for c in shifted]))))
-        return mod > OUT_FLOOR
+        mod = ev.mu_hat(np.array([float(c) for c in shifted]))
+        return bool(mod > OUT_FLOOR)
     return False
 
 
@@ -324,7 +325,7 @@ def _below_on_window(ev: FourierEval, pts: np.ndarray, K: int, tol: float) -> np
         if not alive.any():
             break
         idx = np.flatnonzero(alive)
-        vals = np.abs(ev.mu_hat(pts[idx] + np.array(k, dtype=float)))
+        vals = ev.mu_hat(pts[idx] + np.array(k, dtype=float))
         alive[idx[np.atleast_1d(vals) >= tol]] = False
     return alive
 
@@ -342,8 +343,6 @@ def scan_zero_set(pair: AffinePair, K: int = 10) -> ScanCandidates:
     if d > 2:
         raise DimensionUnsupported("scanning supports d <= 2")
     ev = FourierEval(pair)
-    from .measure import attractor_box
-
     lo, hi = attractor_box(pair)
     radius = float(np.linalg.norm(np.maximum(np.abs(lo), np.abs(hi))))
     lip = 2 * np.pi * max(radius, 1e-9)
@@ -497,7 +496,7 @@ def rational_invariant_subspaces(A) -> list[tuple[IVec, ...]]:
     divisors f.  Each kernel is A-invariant, since A commutes with f(A); its
     integer kernel basis spans W cap Z^d, given in Hermite form.
     """
-    M = A if isinstance(A, IntMatrix) else IntMatrix.from_rows(A)
+    M = IntMatrix.from_rows(A)
     d = M.d
     if d > 3:
         raise DimensionUnsupported("invariant subspace search supports d <= 3")

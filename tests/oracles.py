@@ -396,7 +396,7 @@ def fraction_certify_zero(pair, ms, xi0, K: int, J: int = 30) -> ZeroCertificate
                 break
         else:
             shifted = np.array([float(c + kk) for c, kk in zip(point, k)])
-            mod = abs(complex(FourierEval(pair).mu_hat(shifted)))
+            mod = float(FourierEval(pair).mu_hat(shifted))
             if mod > OUT_FLOOR:
                 return ZeroCertificate(point, K, J, "out", tuple(witnesses), k, mod, "numeric")
             unresolved.append(k)
@@ -454,7 +454,8 @@ def parseval_defect(pair, lam, m: int, trials: int = 50, seed: int = 0) -> Parse
     Nm = pair.N**m
     Rm = pair.R.pow(m)
     sums = digit_sums(pair.R, pair.B, m)
-    mu = np.atleast_1d(FourierEval(pair).mu_hat(inverse_image(Rm.T, freqs)))
+    ev = FourierEval(pair)
+    mu = np.atleast_1d(ev.mu_hat_truncated(inverse_image(Rm.T, freqs), ev.max_depth))
     phases = _characters(Rm, freqs, sums).T
     scale = 1.0 / Nm
     rng = np.random.default_rng(seed)
@@ -495,7 +496,7 @@ def step_moment(pair, n: int, w, xi) -> tuple[float, complex]:
         z = z @ ev._Rinv
     phases = inverse_image(pair.R.pow(n), sums) @ arr[0]
     coeff = complex(np.sum(wv * np.exp(-2j * np.pi * phases)))
-    value = scale * complex(ev.mu_hat(z[0])) * coeff
+    value = scale * complex(ev.mu_hat_truncated(z[0], ev.max_depth)) * coeff
     return norm_sq, value
 
 

@@ -64,7 +64,7 @@ def test_mu_hat_depth_stability(jp_pair, skew_pair):
     ):
         ev = FourierEval(pair)
         base = ev.mu_hat(pts)
-        deeper = ev.mu_hat_truncated(pts, ev.depth_for(pts) + 8)
+        deeper = np.abs(ev.mu_hat_truncated(pts, ev.depth_for(pts) + 8))
         assert np.max(np.abs(base - deeper)) < 1e-9
 
 
@@ -85,10 +85,10 @@ def test_mu_hat_agrees_with_discrete_oracle():
 
 
 def test_mu_hat_depth_cap_is_not_silent():
-    # 73 factors serve every |xi| <= XI_MAX = 1e12; at 1e15 the 73rd factor
-    # still leaves a tail bound of 6.7e-7
+    # 56 factors serve every |xi| <= XI_MAX = 1e12; at 1e15 the 56th factor
+    # still leaves a tail bound of 6.3e-4
     ev = FourierEval(affine_pair([[2]], [(0,), (1,)]))
-    assert ev.max_depth == 73
+    assert ev.max_depth == 56
     assert ev.depth_for(XI_MAX) <= ev.max_depth
     for xi in (1e15, 1e18):
         with pytest.raises(CapExceeded, match="mu_hat factors"):
@@ -97,15 +97,19 @@ def test_mu_hat_depth_cap_is_not_silent():
 
 def test_mu_hat_depth_cap_follows_the_contraction():
     # R = [[0,2],[1,0]] halves xi only every second factor, so |xi| = 5 needs
-    # 73 or 74 factors where (2, {0,1}) needs 35
+    # 39 or 40 factors where (2, {0,1}) needs 19, and the cap is 114 against 56
+    lebesgue = FourierEval(affine_pair([[2]], [(0,), (1,)]))
     ev = FourierEval(affine_pair([[0, 2], [1, 0]], [(0, 0), (1, 0)]))
     xs = np.array([(2.5, 4.3), (4.1, -2.9), (-1.7, 4.7), (0.4, 5.1)])
-    assert 64 < ev.depth_for(xs) <= ev.max_depth
+    assert lebesgue.depth_for(5.0) == 19 and ev.depth_for(xs) == 40
+    assert (lebesgue.max_depth, ev.max_depth) == (56, 114)
     vals = ev.mu_hat(xs)
-    assert np.min(np.abs(vals)) > 1e-4
-    assert np.max(np.abs(vals - ev.mu_hat_truncated(xs, ev.max_depth))) <= TAIL_TOL
+    assert np.min(vals) > 1e-4
+    assert np.max(np.abs(vals - np.abs(ev.mu_hat_truncated(xs, ev.max_depth)))) <= TAIL_TOL
     for xi in ((XI_MAX, 0.0), (0.0, -XI_MAX), (0.6 * XI_MAX, 0.8 * XI_MAX)):
         assert ev.depth_for(xi) <= ev.max_depth
+    with pytest.raises(CapExceeded, match="mu_hat factors"):
+        ev.mu_hat((0.0, 1e15))
 
 
 SQ_SYSTEMS = {
@@ -130,6 +134,33 @@ def test_mu_hat_sq_matches_the_complex_product(R, B):
     assert ev.mu_hat_sq(np.zeros(pair.d)) == pytest.approx(1.0, abs=1e-15)
 
 
+def _count_factors(ev: FourierEval) -> list:
+    """Wrap ev._mask_sq so that each factor `mu_hat_sq` multiplies is logged."""
+    factors = []
+    mask_sq = ev._mask_sq
+
+    def counting(a, b):
+        factors.append(len(a) * len(b))
+        return mask_sq(a, b)
+
+    ev._mask_sq = counting
+    return factors
+
+
+@pytest.mark.parametrize("R, B", SQ_SYSTEMS.values(), ids=SQ_SYSTEMS)
+def test_depth_for_is_the_depth_mu_hat_sq_multiplies(R, B):
+    # one truncation rule: the complex product and the real one stop together
+    pair = affine_pair(R, B)
+    ev = FourierEval(pair)
+    factors = _count_factors(ev)
+    rng = np.random.default_rng(12)
+    for radius in (0.5, 30.0, 1e6):
+        xs = rng.uniform(-1, 1, size=(50, pair.d)) * radius
+        factors.clear()
+        ev.mu_hat_sq(xs)
+        assert ev.depth_for(xs) == len(factors)
+
+
 @st.composite
 def _small_systems(draw):
     d = draw(st.integers(1, 2))
@@ -151,10 +182,8 @@ def test_mask_sq_has_the_quadratic_bound(system):
 
 
 def test_mu_hat_sq_serves_xi_max_and_no_further():
-    # the quadratic tail rule stops earlier, and its own cap still serves
-    # every |xi| <= XI_MAX
+    # the one depth cap serves every |xi| <= XI_MAX
     ev = FourierEval(affine_pair([[2]], [(0,), (1,)]))
-    assert ev.max_depth_sq < ev.max_depth
     assert 0.0 <= ev.mu_hat_sq(XI_MAX) <= 1.0
     for xi in (1e15, -1e18):
         with pytest.raises(CapExceeded, match="mu_hat factors"):
@@ -167,9 +196,9 @@ def test_mu_hat_sq_serves_xi_max_and_no_further():
 
 
 @st.composite
-def _table_systems(draw):
+def _table_systems(draw, max_d: int = 3):
     # lower triangular R with diagonal entries of modulus >= 2 is expansive
-    d = draw(st.integers(1, 3))
+    d = draw(st.integers(1, max_d))
     diag = st.sampled_from([2, 3, 4, -2, -3])
     R = [[draw(diag) if i == j else draw(st.integers(-2, 2)) * (j < i) for j in range(d)] for i in range(d)]
     B = draw(st.lists(st.tuples(*[st.integers(-4, 4)] * d), min_size=2, max_size=4, unique=True))
@@ -185,14 +214,7 @@ def test_mu_hat_sq_table_is_the_flattened_outer_sum(system):
     # values equal to rounding
     pair, U, V = system
     ev = FourierEval(pair)
-    factors = []
-    mask_sq = ev._mask_sq
-
-    def counting(a, b):
-        factors.append(len(a) * len(b))
-        return mask_sq(a, b)
-
-    ev._mask_sq = counting
+    factors = _count_factors(ev)
     table = ev.mu_hat_sq(U, V)
     depth = len(factors)
     factors.clear()
@@ -200,6 +222,19 @@ def test_mu_hat_sq_table_is_the_flattened_outer_sum(system):
     assert len(factors) == depth
     assert table.shape == (len(U), len(V))
     assert np.max(np.abs(table - flat.reshape(table.shape))) <= 1e-13
+
+
+@settings(max_examples=80, deadline=None)
+@given(_table_systems(max_d=2))
+def test_mu_hat_bounds_the_full_cap_modulus_from_above(system):
+    # the dropped factors have modulus <= 1 and lose at most TAIL_TOL of
+    # |mu_hat|^2, so the adaptive modulus sits just above the full-cap one
+    pair, xs, _ = system
+    ev = FourierEval(pair)
+    got = ev.mu_hat(xs)
+    full = np.abs(ev.mu_hat_truncated(xs, ev.max_depth))
+    assert np.all(got >= full - 1e-15)
+    assert np.all(got**2 - full**2 <= TAIL_TOL)
 
 
 def test_mu_hat_sq_table_serves_xi_max_and_no_further():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from spectral_fractal import quasiprod, spectra
-from spectral_fractal.errors import CapExceeded, ResidueCollision, Undecided, ZeroSetNonEmpty
+from spectral_fractal.errors import CapExceeded, ResidueCollision, SizeMismatch, Undecided, ZeroSetNonEmpty
 from spectral_fractal.measure import FourierEval
 from spectral_fractal.quasiprod import full_spectrum
 from spectral_fractal.spectra import (
@@ -251,6 +251,12 @@ def test_completeness_at_zero_is_one(jp_triple):
     tree = canonical_tree(jp_triple, 6)
     rows = completeness_partial(tree, np.array([[0.0]]))
     assert rows[-1, 0] == pytest.approx(1.0, abs=1e-9)
+
+
+def test_completeness_partial_refuses_points_of_the_wrong_dimension(jp_triple):
+    tree = canonical_tree(jp_triple, 4)
+    with pytest.raises(SizeMismatch, match="xi has wrong dimension"):
+        completeness_partial(tree, np.zeros((3, 2)))
 
 
 def test_corrections_improve_completeness(lebesgue_triple):
