@@ -42,6 +42,7 @@ from .intlat import (
     as_digit_list,
     character_phases,
     complete_representatives,
+    int_product,
     residues_unique,
 )
 from .triples import AffinePair, HadamardTriple, digit_sums, tower
@@ -108,7 +109,8 @@ def _group_gram(pair: AffinePair, m: int, k: int, freqs, centre) -> np.ndarray:
     if centre is None:
         P = _characters(pair.R.pow(m), freqs, sums)
         return P @ P.conj().T
-    cols = 2 * sums - digit_sums(pair.R, [centre], k)
+    two = IntMatrix.identity(pair.d).add_scalar(1)
+    cols = int_product(sums, two, -digit_sums(pair.R, [centre], k))  # 2 sums - 2 c_k
     twice = [[2 * x for x in row] for row in pair.R.pow(m).rows]
     theta = 2 * np.pi * character_phases(twice, freqs, cols)
     X = np.concatenate((np.cos(theta), np.sin(theta)), axis=1)

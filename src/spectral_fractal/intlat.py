@@ -374,14 +374,41 @@ def adjugate(M: IntMatrix) -> tuple[IntMatrix, int]:
     return adj, M.det()
 
 
+def exact_array(x) -> np.ndarray:
+    """Integers as an array (kept if one): int64 when every entry fits, else Python ints."""
+    try:
+        return x if isinstance(x, np.ndarray) else np.array(x, dtype=np.int64)
+    except OverflowError:
+        return np.array(x, dtype=object)
+
+
+def _abs_max(a: np.ndarray) -> int:
+    """max |a| as a Python int (0 when empty); exact even at -2^63."""
+    return max(int(a.max()), -int(a.min())) if a.size else 0
+
+
+def int_product(X, M, add) -> np.ndarray:
+    """X M^T + add (broadcast), exact.  The one rule for integer arrays: int64
+    when x m + c < 2^63, x = max(1, max|X|), m = max(1, max_i sum_j |M_ij|),
+    c = max|add| in Python ints (bounding every partial sum); else Python ints."""
+    M, X, add = IntMatrix.from_rows(M), exact_array(X), exact_array(add)
+    m = max(1, *(sum(map(abs, row)) for row in M.rows))
+    dtype = np.int64 if max(1, _abs_max(X)) * m + _abs_max(add) < 2**63 else object
+    return X.astype(dtype) @ np.array(M.rows, dtype=dtype).T + add.astype(dtype)
+
+
+def rounded_ratio(num: np.ndarray, den: int) -> np.ndarray:
+    """num / den, each rounded once like float(Fraction(num, den)): a float
+    division when both are exact doubles (within 2^53), else Python ints."""
+    exact = num.dtype != object and _abs_max(num) <= 2**53 and abs(den) <= 2**53
+    return num / den if exact else (num.astype(object) / den).astype(float)
+
+
 def _int_array(vecs, d: int, D: int, wide: bool) -> np.ndarray:
     """Integer vectors reduced mod D; object dtype when `wide`, else int64."""
-    try:
-        arr = np.array(vecs, dtype=object if wide else np.int64)
-    except OverflowError:  # entries beyond int64; the residues still fit
-        arr = np.array(vecs, dtype=object)
-    arr = arr.reshape(-1, d) % D
-    return arr if wide else arr.astype(np.int64)
+    arr = exact_array(vecs).reshape(-1, d)  # Python ints beyond int64
+    arr = (arr.astype(object) if wide else arr) % D
+    return arr if wide else arr.astype(np.int64)  # the residues fit
 
 
 def _kernel_setup(M, cols) -> tuple[np.ndarray, int, bool]:
@@ -434,11 +461,10 @@ def character_phases(M, rows, cols) -> np.ndarray:
 
 
 def inverse_image(M, vecs) -> np.ndarray:
-    """Rows M^{-1} v for integer vectors v, each coordinate correctly rounded."""
-    M = IntMatrix.from_rows(M)
-    adj, det = adjugate(M)
-    num = np.array(vecs, dtype=object).reshape(-1, M.d) @ np.array(adj.rows, dtype=object).T
-    return (num / det).astype(float)
+    """Rows M^{-1} v = adj(M) v / det M for integer vectors v: the numerators
+    exact from `int_product`, each coordinate correctly rounded."""
+    adj, det = adjugate(IntMatrix.from_rows(M))
+    return rounded_ratio(int_product(exact_array(vecs).reshape(-1, adj.d), adj, 0), det)
 
 
 def complete_representatives(R) -> list[IVec]:

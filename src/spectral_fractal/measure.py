@@ -51,7 +51,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import CapExceeded, InvalidInput, SizeMismatch
-from .intlat import adjugate, is_simple_digit_set
+from .intlat import adjugate, int_product, is_simple_digit_set, rounded_ratio
 from .triples import AffinePair, _xi_grid, mask_eval
 
 ETA = 1e-4  # sup norm the remaining argument must reach
@@ -196,8 +196,9 @@ def _largest_sum(a: np.ndarray, b: np.ndarray) -> float:
 class DiscreteMeasure:
     """The level-n approximant delta_{R^-1 B} * ... * delta_{R^-n B} of mu.
 
-    Atom i sits at atoms[i] / den (exact integer rows, sorted and distinct)
-    with weight counts[i] / N^n, counts[i] the digit sums landing on it.  So
+    Atom i sits at atoms[i] / den (exact integer rows, sorted and distinct,
+    int64 or Python ints as `int_product` decides; `points` rounds each
+    once) with weight counts[i] / N^n, counts[i] the sums landing on it.  So
     the weighted atom sum runs over the N^n digit strings, weight 1/N^n each,
     and factors into the first n factors of mu_hat.
     """
@@ -210,8 +211,7 @@ class DiscreteMeasure:
 
     @cached_property
     def points(self) -> np.ndarray:
-        # Python-int true division rounds each coordinate correctly
-        return (self.atoms / self.den).astype(float)
+        return rounded_ratio(self.atoms, self.den)
 
     def fourier(self, xi):
         """The transform at xi, as the n-factor product; a scalar gives a scalar."""
@@ -226,26 +226,24 @@ def discrete_approximant(pair: AffinePair, n: int, cap: int = 2**20) -> Discrete
     never collide), so no level holds more than N times the previous
     level's distinct sums.  R^{-n} b = s adj(R^n) b / |det R^n| with s the
     sign of the determinant, so the atoms are the sorted integer rows
-    s adj(R^n) b and no fraction is formed.
+    s adj(R^n) b; each level and the atoms are one exact `int_product`.
     """
     N, d = pair.N, pair.d
     if N**n > cap:
         raise CapExceeded("digit tower", N**n, cap)
-    digs = np.array(pair.B, dtype=object).reshape(-1, d)
-    Rt = np.array(pair.R.T.rows, dtype=object)
-    sums = np.zeros((1, d), dtype=object)
+    sums = np.zeros((1, d), dtype=np.int64)
     counts = np.ones(1, dtype=np.int64)
     # digits distinct modulo R keep every digit sum distinct: nothing to merge
     collide = not is_simple_digit_set(pair.R, pair.B)
     for _ in range(n):
-        sums = ((sums @ Rt)[:, None, :] + digs).reshape(-1, d)
+        sums = int_product(sums[:, None, :], pair.R, pair.B).reshape(-1, d)
         counts = np.repeat(counts, N)
         if collide:
             sums, counts = _merge_rows(sums, counts)
     adj, det = adjugate(pair.R.pow(n))
     sign = 1 if det > 0 else -1
     # distinct sums give distinct atoms, so the atoms need only sorting
-    atoms = sums @ np.array(adj.rows, dtype=object).T * sign
+    atoms = int_product(sums, [[sign * x for x in row] for row in adj.rows], 0)
     order = np.lexsort(atoms.T[::-1])
     return DiscreteMeasure(pair, n, atoms[order], abs(det), counts[order])
 

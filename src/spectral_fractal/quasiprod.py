@@ -54,7 +54,9 @@ from .intlat import (
     as_digit_list,
     canonical_residue,
     clear_denominators,
+    exact_array,
     hermite_normal_form,
+    int_product,
     integer_kernel_basis,
     reduce_to_full,
     unimodular_inverse,
@@ -412,11 +414,11 @@ def map_frequency_back(points, records) -> list[FVec]:
     if not len(points):
         return []
     num, q = clear_denominators([x for p in points for x in p])
-    return _map_numerators_back(np.array(num, dtype=object).reshape(len(points), -1), q, records)
+    return _map_numerators_back(exact_array(num).reshape(len(points), -1), q, records)
 
 
 def _map_numerators_back(num: np.ndarray, q: int, records) -> list[FVec]:
-    """`map_frequency_back` of the points num / q, num an integer object array.
+    """`map_frequency_back` of the points num / q, num an integer array.
 
     Each record undoes by G^{-T} = adj(G)^T / det G, so the chain composes to
     one integer matrix (the padding embeds the leading coordinates) over the
@@ -429,7 +431,7 @@ def _map_numerators_back(num: np.ndarray, q: int, records) -> list[FVec]:
         adj, det = adjugate(rec.G)
         A = adj.T.mul(IntMatrix(A.rows + ((0,) * d,) * (rec.G.d - len(A.rows))))
         D *= det
-    out = num @ np.array(A.rows, dtype=object).T
+    out = int_product(num, A, 0)
     return [tuple(Fraction(v, D * q) for v in row) for row in out.tolist()]
 
 
@@ -449,16 +451,12 @@ def report_frequencies(report: SpectrumReport) -> tuple[FVec, ...]:
     elif report.branch == "quasi-product" and report.product is not None:
         beta = report.product.beta
         base = report.sub_report.frequencies
-        a, q1 = clear_denominators([x for lam in base for x in lam])
-        q = lcm(q1, beta)
-        lam1 = np.array(a, dtype=object).reshape(len(base), -1) * (q // q1)
+        q = lcm(beta, *(x.denominator for lam in base for x in lam))
+        lam1 = [[int(x * q) for x in lam] for lam in base]
         ts = sorted(range(-report.product.t_window, report.product.t_window + 1),
                     key=lambda t: (abs(t), t))[: -(-report.limit // len(base))]
-        num = np.column_stack([
-            np.tile(lam1, (len(ts), 1)),
-            np.repeat(np.array(ts, dtype=object) * (q // beta), len(base)),
-        ])
-        return tuple(_map_numerators_back(num[: report.limit], q, report.records))
+        num = [row + [t * (q // beta)] for t in ts for row in lam1]
+        return tuple(_map_numerators_back(exact_array(num[: report.limit]), q, report.records))
     else:
         return ()
     return tuple(map_frequency_back(pts, report.records))

@@ -31,7 +31,7 @@ from .errors import (
     Undecided,
     ZeroSetNonEmpty,
 )
-from .intlat import IVec, inverse_image
+from .intlat import IVec, exact_array, int_product, inverse_image
 from .measure import FourierEval, attractor_box
 from .triples import AffinePair, HadamardTriple, digit_sums
 from .zeroset import EmptinessEvidence, _window, zero_set_empty_evidence
@@ -86,23 +86,19 @@ def _zero_frequency_shift(triple: HadamardTriple):
 def canonical_tree(triple: HadamardTriple, K: int, cap: int = 2**16) -> SpectrumTree:
     """Plain frequency tower with unit gaps and no corrections."""
     triple.require_validated()
+    d = triple.pair.d
     L = _zero_frequency_shift(triple)
-    Rt = triple.R.T
-    blocks = [((0,) * triple.pair.d,)]
+    nonzero = exact_array([ell for ell in L if any(ell)]).reshape(-1, d)
+    blocks = [((0,) * d,)]
+    prev = np.zeros((1, d), dtype=np.int64)  # every point so far
     for k in range(1, K + 1):
-        # level k adds prev + (R^T)^(k-1) ell over nonzero ell; the tower
-        # structure makes these new and pairwise distinct
-        P = Rt.pow(k - 1)
-        prev = [p for b in blocks for p in b]
+        # level k adds prev + (R^T)^(k-1) ell over nonzero ell, prev-major;
+        # the tower structure makes these new and pairwise distinct
         if len(prev) * len(L) > cap:
             raise CapExceeded("spectrum tree", len(prev) * len(L), cap)
-        fresh = []
-        for lam in prev:
-            for ell in L:
-                if all(c == 0 for c in ell):
-                    continue
-                fresh.append(tuple(a + b for a, b in zip(lam, P.matvec(ell))))
-        blocks.append(tuple(fresh))
+        fresh = int_product(nonzero, triple.R.T.pow(k - 1), prev[:, None, :]).reshape(-1, d)
+        blocks.append(tuple(map(tuple, fresh.tolist())))
+        prev = np.concatenate([prev, fresh])
     return SpectrumTree(triple, tuple(range(K + 1)), tuple(blocks), (), None, None)
 
 
@@ -172,16 +168,16 @@ def _corrected_level(
     nonzero rows j of the integer array J, lambda-major.  A base whose
     |mu_hat((R^T)^-m_new base)|^2 misses m_cover is moved by
     (R^T)^m_new kappa, kappa the best translate in the cover window; that
-    never changes its residue mod (R^T)^m_new.  Bases, shifts and points
-    are exact integer products (Python ints), one per level each; the new
-    points and the (level, base, kappa) corrections come back as tuples.
-    Two mu_hat_sq calls: one on the rescaled bases, one table of the misses
-    against the window's translates.
+    never changes its residue mod (R^T)^m_new.  Bases and points are one
+    exact `int_product` each per level (int64 while its bound allows, else
+    Python ints); the new points and the (level, base, kappa) corrections
+    come back as tuples.  Two mu_hat_sq calls: one on the rescaled bases,
+    one table of the misses against the window's translates.
     """
     d = ev.pair.d
     Rt = ev.pair.R.T
-    steps = J[np.any(J != 0, axis=1)] @ np.array(Rt.pow(m_prev).rows, dtype=object).T
-    bases = (np.asarray(current, dtype=object).reshape(-1, 1, d) + steps).reshape(-1, d)
+    steps = J[np.any(J != 0, axis=1)]
+    bases = int_product(steps, Rt.pow(m_prev), current[:, None, :]).reshape(-1, d)
     if not len(bases):
         return [], []
     P_new = Rt.pow(m_new)
@@ -190,7 +186,7 @@ def _corrected_level(
     # any gap that would matter for the lower bound
     good = ev.mu_hat_sq(x) >= cover.m_cover - 1e-6
     miss = np.flatnonzero(~good)
-    kappa = np.zeros_like(bases)
+    kappa = np.zeros((len(bases), d), dtype=np.int64)
     if len(miss):
         shifts = _window(cover.window, d)
         vals = ev.mu_hat_sq(x[miss], shifts)
@@ -205,9 +201,9 @@ def _corrected_level(
             raise NoShiftFound(
                 f"cover guarantee failed at level {k} (got {got[failed[0]]:.3g})"
             )
-        kappa[miss] = np.array(shifts, dtype=object)[top]
+        kappa[miss] = np.array(shifts)[top]
     fixed = np.flatnonzero(np.any(kappa != 0, axis=1))
-    fresh = bases + kappa @ np.array(P_new.rows, dtype=object).T
+    fresh = int_product(kappa, P_new, bases)
     corrections = [
         (k, tuple(b), tuple(c)) for b, c in zip(bases[fixed].tolist(), kappa[fixed].tolist())
     ]
@@ -239,7 +235,7 @@ def corrected_tree(
     exps = [0]
     blocks: list[tuple[IVec, ...]] = [((0,) * d,)]
     corrections: list[tuple[int, IVec, IVec]] = []
-    current = np.zeros((1, d), dtype=object)  # every point so far, Python ints
+    current = np.zeros((1, d), dtype=np.int64)  # every point so far, exact
     for k in range(1, K + 1):
         arr = current.astype(float)
         n = exps[-1] + 1
@@ -260,7 +256,7 @@ def corrected_tree(
             raise ResidueCollision(f"level {k} repeats a point")
         corrections.extend(fixes)
         blocks.append(tuple(fresh))
-        current = np.concatenate([current, np.array(fresh, dtype=object).reshape(-1, d)])
+        current = np.concatenate([current, exact_array(fresh).reshape(-1, d)])
         exps.append(n)
     return SpectrumTree(
         triple, tuple(exps), tuple(blocks), tuple(corrections), cover, evidence

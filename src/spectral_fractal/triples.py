@@ -35,6 +35,7 @@ from .intlat import (
     adjugate,
     as_digit_list,
     character_phases,
+    int_product,
     is_expansive,
     residues_unique,
     root_sum_vanishes,
@@ -214,22 +215,21 @@ def digit_sums(R, B, n: int, cap: int = TOWER_CAP) -> np.ndarray:
 
     One row per tuple (c_1, ..., c_n), enumerated lexicographically with the
     most significant digit first, so 1D sets come out sorted when B is
-    sorted.  Entries are Python ints in an object array: exact at any size.
+    sorted.  Each level is one exact `int_product`: int64, or Python ints.
     """
     M = IntMatrix.from_rows(R)
-    digs = np.array(as_digit_list(B), dtype=object).reshape(-1, M.d)
+    digs = as_digit_list(B)
     N = len(digs)
     if N**n > cap:
         raise CapExceeded("digit tower", N**n, cap)
-    Rt = np.array(M.T.rows, dtype=object)
-    out = np.zeros((1, M.d), dtype=object)
+    out = np.zeros((1, M.d), dtype=np.int64)
     for _ in range(n):
-        out = ((out @ Rt)[:, None, :] + digs).reshape(-1, M.d)
+        out = int_product(out[:, None, :], M, digs).reshape(-1, M.d)
     return out
 
 
 def _int_rows(sums: np.ndarray) -> tuple[IVec, ...]:
-    """The rows of a `digit_sums` array as tuples; its entries are already ints."""
+    """The rows of a `digit_sums` array as tuples of Python ints, either dtype."""
     return tuple(map(tuple, sums.tolist()))
 
 

@@ -222,6 +222,16 @@ def search_frequency_digits_1d(R: int, B) -> list[tuple[tuple[int, ...], ...]]:
     return found
 
 
+def python_digit_sums(R, B, n: int) -> list[tuple[int, ...]]:
+    """The level-n digit sums in `digit_sums` order, one Python-int tuple
+    at a time."""
+    M = IntMatrix.from_rows(R)
+    sums = [(0,) * M.d]
+    for _ in range(n):
+        sums = [tuple(x + y for x, y in zip(M.matvec(v), b)) for v in sums for b in as_digit_list(B)]
+    return sums
+
+
 # ---------------------------------------------------------------------------
 # discrete approximants
 
@@ -629,6 +639,23 @@ def corrected_level_per_point(ev: FourierEval, cover, current, J, m_prev: int, m
         corrections.append((k, b, kappa))
         fresh.append(tuple(a + c for a, c in zip(b, P_new.matvec(kappa))))
     return fresh, corrections
+
+
+def canonical_tree_blocks_per_point(triple, K: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """The level blocks of `spectra.canonical_tree`, one Python-int tuple
+    and one `IntMatrix.matvec` per point: level k adds lambda + (R^T)^(k-1) l
+    for every earlier point lambda and nonzero l, lambda-major."""
+    L = triple.L if any(not any(l) for l in triple.L) else [
+        tuple(a - b for a, b in zip(l, min(triple.L))) for l in triple.L
+    ]
+    blocks = [((0,) * triple.pair.d,)]
+    for k in range(1, K + 1):
+        P = triple.R.T.pow(k - 1)
+        prev = [p for blk in blocks for p in blk]
+        blocks.append(tuple(
+            tuple(a + b for a, b in zip(lam, P.matvec(l))) for lam in prev for l in L if any(l)
+        ))
+    return tuple(blocks)
 
 
 # ---------------------------------------------------------------------------

@@ -313,6 +313,9 @@ def test_discrete_approximant_merges_every_level(monkeypatch):
     assert max(rows for rows, _ in seen) < 3 * 8191
 
 
+TOP = 2**63 - 1  # the largest int64; the cases below cross it as marked
+
+
 @pytest.mark.parametrize(
     "R, B, depths",
     [
@@ -320,8 +323,23 @@ def test_discrete_approximant_merges_every_level(monkeypatch):
         ([[3]], [(0,), (2,)], (2, 5, 9)),
         ([[4, 0], [1, 2]], [(0, 0), (0, 3), (1, 0), (1, 3)], (1, 2, 4)),
         ([[2]], [(0,), (1,), (2,)], (1, 3, 6)),
+        # sums reach 7 r + 7 = 2^63 - 1, then 2^63 + 6 with r one larger
+        ([[TOP // 7 - 1]], [(0,), (7,)], (2,)),
+        ([[TOP // 7]], [(0,), (7,)], (2,)),
+        # 1 = r + 1 mod r, so sums merge; the largest, (r + 1)^2, crosses 2^63
+        ([[3037000498]], [(0,), (1,), (3037000499,)], (2,)),
+        ([[3037000499]], [(0,), (1,), (3037000500,)], (2,)),
+        # the digits fit; the atoms s adj(R) b = (7 q, 0) cross alone
+        ([[2, 0], [0, TOP // 7]], [(0, 0), (7, 0)], (1,)),
+        ([[2, 0], [0, TOP // 7 + 1]], [(0, 0), (7, 0)], (1,)),
+        # den = (2^27 + 1)^2 passes 2^53: points still round once
+        ([[2**27 + 1]], [(0,), (1,)], (2,)),
     ],
-    ids=["jp", "mt", "skew", "colliding"],
+    ids=[
+        "jp", "mt", "skew", "colliding", "sums-2^63-1", "sums-past-2^63",
+        "colliding-below-2^63", "colliding-past-2^63", "atoms-2^63-1",
+        "atoms-past-2^63", "den-past-2^53",
+    ],
 )
 def test_discrete_approximant_matches_fraction_oracle(R, B, depths):
     pair = affine_pair(R, B)

@@ -165,8 +165,10 @@ def test_digit_sums_jp():
 
 
 def test_digit_sums_are_exact_beyond_int64():
+    # 1000^7 passes 2^63: seven levels stay int64, the eighth is Python ints
+    assert digit_sums([[1000]], [0, 1], 7).dtype == np.int64
     sums = digit_sums([[1000]], [0, 1], 16)
-    assert sums.shape == (2**16, 1)
+    assert sums.shape == (2**16, 1) and sums.dtype == object
     assert sums[-1, 0] == sum(1000**i for i in range(16))  # about 1e45
     assert sums[1, 0] == 1 and sums[2**15, 0] == 1000**15
 
@@ -177,8 +179,8 @@ def test_digit_sums_cap():
 
 
 def test_int_rows_equal_checked_conversion(jp_triple, skew_triple):
-    # digit_sums holds Python ints, so the plain conversion gives the same
-    # tuples as the entry-checking as_digit_list
+    # tolist gives Python ints from either dtype of digit_sums, so the plain
+    # conversion gives the same tuples as the entry-checking as_digit_list
     for R, B in ((jp_triple.R, jp_triple.B), (skew_triple.R.T, skew_triple.L), ([[-3]], [(0,), (-5,)])):
         for n in (0, 1, 3):
             sums = digit_sums(R, B, n)
