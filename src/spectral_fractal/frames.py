@@ -42,7 +42,6 @@ from .intlat import (
     as_digit_list,
     character_phases,
     complete_representatives,
-    int_product,
     residues_unique,
 )
 from .triples import AffinePair, HadamardTriple, digit_sums, tower
@@ -105,12 +104,11 @@ def _group_gram(pair: AffinePair, m: int, k: int, freqs, centre) -> np.ndarray:
     <(2R^m)^{-1}(2b - 2c_k), l>.  Centring is a diagonal unitary
     similarity, so it moves no eigenvalue.
     """
-    sums = digit_sums(pair.R, pair.B, k)
     if centre is None:
-        P = _characters(pair.R.pow(m), freqs, sums)
+        P = _characters(pair.R.pow(m), freqs, digit_sums(pair.R, pair.B, k))
         return P @ P.conj().T
-    two = IntMatrix.identity(pair.d).add_scalar(1)
-    cols = int_product(sums, two, -digit_sums(pair.R, [centre], k))  # 2 sums - 2 c_k
+    # 2b - 2c_k are the level-k sums of the doubled, centred digits 2b - s
+    cols = digit_sums(pair.R, [tuple(2 * x - y for x, y in zip(b, centre)) for b in pair.B], k)
     twice = [[2 * x for x in row] for row in pair.R.pow(m).rows]
     theta = 2 * np.pi * character_phases(twice, freqs, cols)
     X = np.concatenate((np.cos(theta), np.sin(theta)), axis=1)

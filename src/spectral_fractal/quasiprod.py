@@ -452,11 +452,12 @@ def report_frequencies(report: SpectrumReport) -> tuple[FVec, ...]:
         beta = report.product.beta
         base = report.sub_report.frequencies
         q = lcm(beta, *(x.denominator for lam in base for x in lam))
-        lam1 = [[int(x * q) for x in lam] for lam in base]
+        lam1 = exact_array([[int(x * q) for x in lam] for lam in base])
         ts = sorted(range(-report.product.t_window, report.product.t_window + 1),
                     key=lambda t: (abs(t), t))[: -(-report.limit // len(base))]
-        num = [row + [t * (q // beta)] for t in ts for row in lam1]
-        return tuple(_map_numerators_back(exact_array(num[: report.limit]), q, report.records))
+        steps = exact_array([t * (q // beta) for t in ts])
+        num = np.column_stack([np.tile(lam1, (len(ts), 1)), np.repeat(steps, len(base))])
+        return tuple(_map_numerators_back(num[: report.limit], q, report.records))
     else:
         return ()
     return tuple(map_frequency_back(pts, report.records))

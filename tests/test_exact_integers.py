@@ -27,6 +27,7 @@ from oracles import (
     python_digit_sums,
 )
 from spectral_fractal import quasiprod, spectra
+from spectral_fractal.frames import _characters, _group_gram
 from spectral_fractal.intlat import (
     ConjugationRecord,
     IntMatrix,
@@ -198,6 +199,25 @@ def test_corrected_shifts_at_the_bound(monkeypatch, jp6, m_new, dtype):
     assert seen == [np.int64, dtype]
     assert got == want
     assert got[1] == [(1, (base,), (-3,))] and got[0] == [(base - 3 * 4**m_new,)]
+
+
+# ---------------------------------------------------------------------------
+# frame Grams
+
+
+def test_centred_group_gram_past_2_62():
+    # B = {-b, b} is centred at 0 and its level-2 sums reach (r + 1) b, in
+    # (2^62, 2^63): the columns 2b - 2c_k = 2b pass 2^63, and come exactly
+    # from the digit sums of 2B
+    r, b = 3 * 2**31 + 1, 2**30 + 3
+    pair = affine_pair([[r]], [(-b,), (b,)])
+    freqs = [(0,), (1,), (3,), (2**40 + 5,)]
+    P = _characters(pair.R.pow(2), freqs, digit_sums(pair.R, pair.B, 2))
+    G = _group_gram(pair, 2, 2, freqs, (0,))
+    # centring multiplies each row by one phase: the moduli and spectrum stay
+    assert G.dtype == float
+    assert np.allclose(np.abs(G), np.abs(P @ P.conj().T), atol=1e-9)
+    assert np.allclose(np.linalg.eigvalsh(G), np.linalg.eigvalsh(P @ P.conj().T), atol=1e-9)
 
 
 # ---------------------------------------------------------------------------
